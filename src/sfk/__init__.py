@@ -7,6 +7,7 @@ with exact sparse-operand placement, FLOP/roofline arithmetic,
 sparse/dense schedule math, and a desk-scale training harness.
 """
 
+from .codec import config_from_json, config_to_json
 from .counters import MultiplyCounter, count_multiplies
 from .errors import (
     CorruptionError,
@@ -29,13 +30,11 @@ from .ffn import (
     ffn_forward,
     gradcheck,
     init_ffn_params,
-    policy_from_json,
-    policy_to_json,
     squared_relu,
     squared_relu_backward,
     weight_sparsify_backward,
 )
-from .matcore import Shape3, as_matrix, gemm, load_matrix, rand_matrix, save_matrix, thread_cap
+from .matcore import as_matrix, gemm, load_matrix, rand_matrix, save_matrix
 from .roofline import (
     RooflineConfig,
     config_from_dict,
@@ -71,9 +70,7 @@ from .schedule import (
     TrainSchedule,
     build_schedule,
     default_sparse_policy,
-    schedule_from_json,
     schedule_speedup,
-    schedule_to_json,
 )
 from .sparse24 import (
     GREEDY_MAGNITUDE,
@@ -88,7 +85,6 @@ from .sparse24 import (
     save_s24,
     soft_threshold,
     soft_threshold_backward,
-    soft_threshold_group,
     sparsify24,
     sparsify24_transposed,
     spmm24,
@@ -102,7 +98,6 @@ from .trainkit import (
     loss_jump_quantile,
     max_loss_jump,
     run_training,
-    sparsity_trace,
 )
 from .venom import (
     VenomMatrix,
@@ -114,7 +109,6 @@ from .venom import (
     venom_encode,
     venom_kept_mask,
     venom_reencode,
-    venom_sparsity,
     venom_spmm,
     venom_spmm_tn,
 )

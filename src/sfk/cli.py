@@ -2,7 +2,8 @@
 
 Nine subcommands tie the modules together: sparsify24, venom-encode,
 check, spmm, gradcheck, roofline, schedule, train, bench.  Exit codes:
-0 success, 2 input/format error, 3 guard violation, 4 internal error.
+0 success, 2 input/format error (including a file that cannot be read
+or written), 3 guard violation, 4 internal error.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import time
 
 import numpy as np
 
+from .codec import config_from_json, config_to_json
 from .counters import count_multiplies
 from .errors import GuardError, InputError, SfkError
-from .ffn import ABLATIONS, ablation_policy, gradcheck, policy_from_json
+from .ffn import ABLATIONS, SparsityPolicy, ablation_policy, gradcheck
 from .matcore import MAGIC, gemm, load_matrix, rand_matrix, save_matrix
 from .roofline import (
     RooflineConfig,
@@ -27,7 +29,7 @@ from .roofline import (
     sweep_csv,
     total_flops,
 )
-from .schedule import DEFAULT_WARMUP, build_schedule, schedule_speedup, schedule_to_json
+from .schedule import DEFAULT_WARMUP, build_schedule, schedule_speedup
 from .sparse24 import (
     GREEDY_MAGNITUDE,
     S24_MAGIC,
@@ -67,11 +69,8 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 
 
 def _sniff_format(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
     if magic == MAGIC:
         return "sfk1"
     if magic == S24_MAGIC:
@@ -154,7 +153,7 @@ def _cmd_spmm(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.policy_json is not None:
         with open(args.policy_json) as fh:
-            pol = policy_from_json(fh.read())
+            pol = config_from_json(SparsityPolicy, fh.read())
     else:
         pol = ablation_policy(args.policy)
     shape = _parse_ints(args.shape, 3, "--shape")
@@ -201,7 +200,7 @@ def _cmd_schedule(args) -> int:
           f"{schedule_speedup(sched, args.per_iter_speedup):.6f}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(schedule_to_json(sched))
+            fh.write(config_to_json(sched))
         print(f"wrote {args.out}")
     return 0
 
@@ -219,7 +218,7 @@ def _cmd_train(args) -> int:
     sparse_policy = None
     if args.policy_json is not None:
         with open(args.policy_json) as fh:
-            sparse_policy = policy_from_json(fh.read())
+            sparse_policy = config_from_json(SparsityPolicy, fh.read())
     sched = build_schedule(args.steps, args.sparse, args.warmup, sparse_policy=sparse_policy)
     report = run_training(task, sched, lr=args.lr, steps=args.steps)
     if args.csv:
@@ -355,7 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

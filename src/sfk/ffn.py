@@ -26,7 +26,6 @@ against central finite differences of the forward itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +117,7 @@ class SparsityPolicy:
     """Which operands are sparsified, and how.
 
     weight_mode picks the 2:4 weight sparsifier (soft thresholding by
-    default; greedy magnitude keeps survivors unshrunk).  keep_all is
-    the degenerate all-keep setting: every mask becomes a no-op and the
-    computation must match the dense policy bitwise, while venom-mode
-    routing plumbing still runs.
+    default; greedy magnitude keeps survivors unshrunk).
     """
 
     w1_sparse: bool = False
@@ -132,7 +128,6 @@ class SparsityPolicy:
     venom: VenomParams | None = None
     router: RouterConfig | None = None
     weight_mode: str = SOFT_THRESHOLD
-    keep_all: bool = False
 
     def __post_init__(self):
         if self.act_mode not in ACT_MODES:
@@ -147,8 +142,6 @@ class SparsityPolicy:
     @property
     def tag(self) -> str:
         """Short human-readable label, used in training reports."""
-        if self.keep_all:
-            return "keep_all"
         parts = [n for n, on in (("w1", self.w1_sparse), ("w1t", self.w1t_sparse),
                                  ("w2", self.w2_sparse), ("w2t", self.w2t_sparse)) if on]
         if self.act_mode != "dense":
@@ -159,63 +152,12 @@ class SparsityPolicy:
 DENSE_POLICY = SparsityPolicy()
 
 
-def policy_to_json(pol: SparsityPolicy) -> str:
-    doc = {
-        "w1_sparse": pol.w1_sparse,
-        "w1t_sparse": pol.w1t_sparse,
-        "w2_sparse": pol.w2_sparse,
-        "w2t_sparse": pol.w2t_sparse,
-        "act_mode": pol.act_mode,
-        "weight_mode": pol.weight_mode,
-        "keep_all": pol.keep_all,
-        "venom": None if pol.venom is None else {"v": pol.venom.v, "n": pol.venom.n, "m": pol.venom.m},
-        "router": None
-        if pol.router is None
-        else {
-            "num_experts": pol.router.num_experts,
-            "top_k": pol.router.top_k,
-            "group_pad": pol.router.group_pad,
-            "align_m": pol.router.align_m,
-        },
-    }
-    return json.dumps(doc, indent=1)
-
-
-def policy_from_json(text: str) -> SparsityPolicy:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"policy JSON does not parse: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("policy JSON must be an object")
-    venom = doc.get("venom")
-    router = doc.get("router")
-    return SparsityPolicy(
-        w1_sparse=bool(doc.get("w1_sparse", False)),
-        w1t_sparse=bool(doc.get("w1t_sparse", False)),
-        w2_sparse=bool(doc.get("w2_sparse", False)),
-        w2t_sparse=bool(doc.get("w2t_sparse", False)),
-        act_mode=doc.get("act_mode", "dense"),
-        venom=None if venom is None else VenomParams(int(venom["v"]), int(venom["n"]), int(venom["m"])),
-        router=None
-        if router is None
-        else RouterConfig(
-            num_experts=int(router.get("num_experts", 16)),
-            top_k=int(router.get("top_k", 1)),
-            group_pad=router.get("group_pad", "zero"),
-            align_m=None if router.get("align_m") is None else int(router["align_m"]),
-        ),
-        weight_mode=doc.get("weight_mode", SOFT_THRESHOLD),
-        keep_all=bool(doc.get("keep_all", False)),
-    )
-
-
 @dataclass(eq=False)
 class FfnTape:
     """Saved tensors the backward pass consumes.
 
     y2 holds the post-sparsification form actually used by the y3
-    product: a plain array (dense/keep_all), a Sparse24Matrix (act24),
+    product: a plain array (dense), a Sparse24Matrix (act24),
     or a VenomMatrix (venom).  act_mask is the effective boolean mask
     the activation sparsification applied (kept slots intersected with
     the routed-column mask in venom mode, in padded row space).
@@ -310,13 +252,10 @@ def ffn_forward(
         raise InputError("frozen tape was produced under a different policy")
     log: list = []
 
-    if pol.keep_all:
-        w1_eff, w2_eff = p.w1, p.w2
-    else:
-        w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-        w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
+    w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
 
-    if pol.w1_sparse and not pol.keep_all:
+    if pol.w1_sparse:
         y1 = spmm24_rhs(x, sparsify24(w1_eff, GREEDY_MAGNITUDE), label="ffn.y1")
         log.append(("y1", "w1"))
     else:
@@ -336,30 +275,26 @@ def ffn_forward(
         layout = padded_layout(plan, pol.venom.v)
         tape.plan, tape.layout = plan, layout
         y2_perm = apply_permutation(y2, plan)
-        if pol.keep_all:
-            y3p = gemm(pad_rows(y2_perm, layout), w2_eff)
-            log.append(("y3", "none"))
+        if frozen is not None:
+            y2p = np.where(frozen.act_mask, pad_rows(y2_perm, layout), 0.0)
+            vm = venom_reencode(y2p, frozen.y2)
+            tape.act_mask = frozen.act_mask
         else:
-            if frozen is not None:
-                y2p = np.where(frozen.act_mask, pad_rows(y2_perm, layout), 0.0)
-                vm = venom_reencode(y2p, frozen.y2)
-                tape.act_mask = frozen.act_mask
-            else:
-                vm = moe_to_venom(y2_perm, plan, bank, pol.venom)
-                allowed = routed_feature_mask(plan, bank, layout)
-                tape.act_mask = venom_kept_mask(vm) & allowed
-            tape.y2 = vm
-            y3p = venom_spmm(vm, w2_eff, label="ffn.y3")
-            log.append(("y3", "y2"))
+            vm = moe_to_venom(y2_perm, plan, bank, pol.venom)
+            allowed = routed_feature_mask(plan, bank, layout)
+            tape.act_mask = venom_kept_mask(vm) & allowed
+        tape.y2 = vm
+        y3p = venom_spmm(vm, w2_eff, label="ffn.y3")
+        log.append(("y3", "y2"))
         y3 = invert_permutation(unpad_rows(y3p, layout), plan)
-    elif pol.act_mode == "act24" and not pol.keep_all:
+    elif pol.act_mode == "act24":
         s_y2 = reencode24(y2, frozen.y2) if frozen is not None else sparsify24(y2, GREEDY_MAGNITUDE)
         tape.y2 = s_y2
         tape.act_mask = kept_mask(s_y2)
         y3 = spmm24(s_y2, w2_eff, label="ffn.y3")
         log.append(("y3", "y2"))
     else:
-        if pol.w2_sparse and not pol.keep_all:
+        if pol.w2_sparse:
             y3 = spmm24_rhs(y2, sparsify24(w2_eff, GREEDY_MAGNITUDE), label="ffn.y3")
             log.append(("y3", "w2"))
         else:
@@ -381,23 +316,20 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
     log = tape.matmul_log
 
-    if pol.keep_all:
-        w1_eff, w2_eff = p.w1, p.w2
-    else:
-        w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-        w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
+    w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
 
     def dy2_product(dy3_rows):
         # dy2 = dy3 @ w2_eff.T; the packed operand is the transposed
         # weight when its own 2:4 mask is on, never the activation.
-        if pol.w2t_sparse and not pol.keep_all:
+        if pol.w2t_sparse:
             s = sparsify24(_t(w2_eff), GREEDY_MAGNITUDE)  # lossless repack of a compliant matrix
             log.append(("dy2", "w2t"))
             return spmm24_rhs(dy3_rows, s, label="ffn.dy2")
         log.append(("dy2", "none"))
         return gemm(dy3_rows, _t(w2_eff))
 
-    if pol.act_mode == "venom" and not pol.keep_all:
+    if pol.act_mode == "venom":
         vm: VenomMatrix = tape.y2
         plan, layout = tape.plan, tape.layout
         dy3p = pad_rows(apply_permutation(dy3, plan), layout)
@@ -413,7 +345,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         xp = pad_rows(apply_permutation(tape.x, plan), layout)
         dw1_eff = _t(venom_spmm_tn(vm_dy1, xp, label="ffn.dw1"))
         log.append(("dw1", "dy1"))
-    elif pol.act_mode == "act24" and not pol.keep_all:
+    elif pol.act_mode == "act24":
         s_y2: Sparse24Matrix = tape.y2
         dw2_eff = spmm24_tn(s_y2, dy3, label="ffn.dw2")
         log.append(("dw2", "y2"))
@@ -429,7 +361,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         dw2_eff = gemm(_t(y2), dy3)
         log.append(("dw2", "none"))
         dy1 = squared_relu_backward(dy2_product(dy3), tape.y1)
-        if pol.w1t_sparse and not pol.keep_all:
+        if pol.w1t_sparse:
             dx = spmm24_rhs(dy1, sparsify24(_t(w1_eff), GREEDY_MAGNITUDE), label="ffn.dx")
             log.append(("dx", "w1t"))
         else:
@@ -438,8 +370,6 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         dw1_eff = gemm(_t(tape.x), dy1)
         log.append(("dw1", "none"))
 
-    if pol.keep_all:
-        return dx, dw1_eff, dw2_eff
     dw1 = _master_weight_grad(p.w1, dw1_eff, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
     dw2 = _master_weight_grad(p.w2, dw2_eff, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
     return dx, dw1, dw2

@@ -6,7 +6,7 @@ accumulates the reduction dimension strictly left to right, one rank-1
 update per k index, which makes it bit-identical to the classic triple
 loop.  That fixed summation order is what lets the sparse kernels be
 checked against it at tight tolerances, and it keeps every result
-reproducible across runs regardless of the worker count.
+reproducible across runs.
 
 SFK1 layout (little-endian): 4-byte magic ``SFK1``, one dtype code byte
 (1 = real32, 2 = real64), three reserved zero bytes, u64 rows, u64
@@ -15,10 +15,7 @@ cols, then the values row-major.
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +29,6 @@ _CODE_OF_NAME = {"real32": 1, "real64": 2}
 _HEADER_LEN = 24
 
 
-@dataclass(frozen=True)
-class Shape3:
-    """A GEMM problem size: (m x k) times (k x n)."""
-
-    m: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if min(self.m, self.n, self.k) <= 0:
-            raise InputError(f"GEMM shape must be strictly positive, got {self}")
-
-    @property
-    def flops(self) -> int:
-        return self.m * self.n * self.k
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 C-contiguous array."""
     out = np.ascontiguousarray(a, dtype=np.float64)
@@ -57,33 +37,16 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
-def thread_cap() -> int:
-    """Worker cap for row-sharded kernels, from SFK_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SFK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def gemm(a, b) -> np.ndarray:
     """Reference matrix product with a fixed summation order.
 
     The k dimension is accumulated left to right via rank-1 updates, so
-    the result matches the naive triple loop bit for bit and does not
-    depend on SFK_THREADS (sharding splits output rows, never the
-    reduction).
+    the result matches the naive triple loop bit for bit.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm: inner dimensions differ: {a.shape} x {b.shape}")
-    workers = thread_cap()
-    if workers > 1 and a.shape[0] >= 4 * workers:
-        return _gemm_sharded(a, b, workers)
-    return _gemm_rows(a, b)
-
-
-def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape
     n = b.shape[1]
     out = np.zeros((m, n), dtype=np.float64)
@@ -91,14 +54,6 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out += a[:, kk : kk + 1] * b[kk]
         tally(m * n, "gemm")
     return out
-
-
-def _gemm_sharded(a: np.ndarray, b: np.ndarray, workers: int) -> np.ndarray:
-    bounds = np.linspace(0, a.shape[0], workers + 1, dtype=int)
-    shards = [a[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda shard: _gemm_rows(shard, b), shards))
-    return np.vstack(parts)
 
 
 def rand_matrix(rows: int, cols: int, seed: int, dist: str = "normal") -> np.ndarray:
@@ -144,7 +99,9 @@ def load_matrix(path) -> np.ndarray:
     body = blob[_HEADER_LEN:]
     if len(body) < need:
         raise FormatError(f"{path}: truncated payload ({len(body)} of {need} bytes)")
-    data = np.frombuffer(body[:need], dtype=dt).astype(np.float64)
+    if len(body) > need:
+        raise FormatError(f"{path}: {len(body) - need} trailing bytes after the payload")
+    data = np.frombuffer(body, dtype=dt).astype(np.float64)
     data = data.reshape(int(rows), int(cols))
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: non-finite values in payload")

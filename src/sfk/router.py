@@ -38,7 +38,6 @@ class RouterConfig:
 
     num_experts: int = 16
     top_k: int = 1
-    group_pad: str = "zero"
     align_m: int | None = None
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class RouterConfig:
             raise InputError(f"top_k must be at least 1, got {self.top_k}")
         if self.top_k > self.num_experts:
             raise InputError(f"top_k {self.top_k} exceeds num_experts {self.num_experts}")
-        if self.group_pad != "zero":
-            raise InputError(f"unsupported group padding policy {self.group_pad!r}")
         if self.align_m is not None:
             if self.align_m % self.num_experts:
                 raise InputError(
@@ -130,16 +127,34 @@ def save_bank(bank: ExpertBank, prefix) -> None:
         json.dump(manifest, fh, indent=1)
 
 
+def _is_index_list(v) -> bool:
+    return isinstance(v, list) and all(type(c) is int and 0 <= c < 2**63 for c in v)
+
+
 def load_bank(prefix) -> ExpertBank:
+    """Read a bank written by save_bank; a malformed manifest raises InputError."""
     prefix = str(prefix)
     with open(prefix + ".json") as fh:
-        manifest = json.load(fh)
+        text = fh.read()
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{prefix}.json: manifest does not parse: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InputError(f"{prefix}.json: manifest must be an object")
+    if type(manifest.get("num_experts")) is not int:
+        raise InputError(f"{prefix}.json: num_experts must be an integer")
+    column_sets = manifest.get("column_sets")
+    if not (isinstance(column_sets, list) and all(map(_is_index_list, column_sets))):
+        raise InputError(f"{prefix}.json: column_sets must be a list of lists of column indices")
+    if not isinstance(manifest.get("means_file"), str):
+        raise InputError(f"{prefix}.json: means_file must be a string")
     means_path = os.path.join(os.path.dirname(prefix), manifest["means_file"])
     means = load_matrix(means_path)
     return ExpertBank(
-        num_experts=int(manifest["num_experts"]),
+        num_experts=manifest["num_experts"],
         means=means,
-        column_sets=[np.asarray(cs, dtype=np.int64) for cs in manifest["column_sets"]],
+        column_sets=[np.asarray(cs, dtype=np.int64) for cs in column_sets],
     )
 
 

@@ -8,11 +8,10 @@ recovers accuracy.  Warmup steps count toward the dense budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .ffn import DENSE_POLICY, SparsityPolicy, policy_from_json, policy_to_json
+from .ffn import DENSE_POLICY, SparsityPolicy
 from .router import RouterConfig
 from .venom import VenomParams
 
@@ -34,18 +33,15 @@ def default_sparse_policy() -> SparsityPolicy:
 @dataclass(frozen=True)
 class TrainSchedule:
     """Steps [0, warmup) dense, [warmup, warmup + sparse_steps) sparse,
-    the remainder dense."""
+    the remainder dense.  Dense steps run DENSE_POLICY; sparse_policy
+    defaults to default_sparse_policy()."""
 
     total_steps: int
     sparse_steps: int
     venom_warmup: int = DEFAULT_WARMUP
-    order: str = "sparse_first"
-    sparse_policy: SparsityPolicy = None
-    dense_policy: SparsityPolicy = DENSE_POLICY
+    sparse_policy: SparsityPolicy | None = None
 
     def __post_init__(self):
-        if self.order != "sparse_first":
-            raise InputError(f"unsupported phase order {self.order!r}")
         if self.total_steps < 1:
             raise InputError(f"total_steps must be positive, got {self.total_steps}")
         if self.sparse_steps < 0 or self.venom_warmup < 0:
@@ -81,7 +77,7 @@ class TrainSchedule:
     def per_step_policy(self, step: int) -> SparsityPolicy:
         if step < 0 or step >= self.total_steps:
             raise InputError(f"step {step} outside [0, {self.total_steps})")
-        return self.sparse_policy if self.is_sparse_step(step) else self.dense_policy
+        return self.sparse_policy if self.is_sparse_step(step) else DENSE_POLICY
 
 
 def build_schedule(
@@ -89,14 +85,12 @@ def build_schedule(
     sparse: int,
     warmup: int = DEFAULT_WARMUP,
     sparse_policy: SparsityPolicy | None = None,
-    dense_policy: SparsityPolicy = DENSE_POLICY,
 ) -> TrainSchedule:
     return TrainSchedule(
         total_steps=total,
         sparse_steps=sparse,
         venom_warmup=warmup,
         sparse_policy=sparse_policy,
-        dense_policy=dense_policy,
     )
 
 
@@ -110,41 +104,3 @@ def schedule_speedup(s: TrainSchedule, per_iter_speedup: float) -> float:
     return (s.total_steps * per_iter_speedup) / (
         s.dense_steps * per_iter_speedup + s.sparse_steps
     )
-
-
-def schedule_to_json(s: TrainSchedule) -> str:
-    return json.dumps(
-        {
-            "total_steps": s.total_steps,
-            "sparse_steps": s.sparse_steps,
-            "venom_warmup": s.venom_warmup,
-            "order": s.order,
-            "sparse_policy": json.loads(policy_to_json(s.sparse_policy)),
-            "dense_policy": json.loads(policy_to_json(s.dense_policy)),
-        },
-        indent=1,
-    )
-
-
-def schedule_from_json(text: str) -> TrainSchedule:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"schedule JSON does not parse: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("schedule JSON must be an object")
-    try:
-        return TrainSchedule(
-            total_steps=int(doc["total_steps"]),
-            sparse_steps=int(doc["sparse_steps"]),
-            venom_warmup=int(doc.get("venom_warmup", DEFAULT_WARMUP)),
-            order=doc.get("order", "sparse_first"),
-            sparse_policy=policy_from_json(json.dumps(doc["sparse_policy"]))
-            if "sparse_policy" in doc
-            else None,
-            dense_policy=policy_from_json(json.dumps(doc["dense_policy"]))
-            if "dense_policy" in doc
-            else DENSE_POLICY,
-        )
-    except KeyError as exc:
-        raise InputError(f"schedule JSON is missing field {exc}") from exc

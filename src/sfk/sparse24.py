@@ -139,12 +139,6 @@ def soft_threshold(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def soft_threshold_group(group) -> np.ndarray:
-    """Soft-threshold a single group of four values."""
-    g = np.asarray(group, dtype=np.float64).reshape(1, 4)
-    return soft_threshold(g).ravel()
-
-
 def soft_threshold_backward(a, grad) -> np.ndarray:
     """Exact almost-everywhere Jacobian-transpose of soft_threshold at a.
 
@@ -323,7 +317,7 @@ def save_s24(s: Sparse24Matrix, path) -> None:
 
 
 def s24_from_bytes(blob: bytes, origin: str = "<bytes>") -> Sparse24Matrix:
-    """Parse one S24F record from a byte string (leading bytes of blob)."""
+    """Parse one S24F record that spans exactly the whole of blob."""
     if len(blob) < 20:
         raise FormatError(f"{origin}: truncated header ({len(blob)} bytes)")
     if blob[:4] != S24_MAGIC:
@@ -335,8 +329,11 @@ def s24_from_bytes(blob: bytes, origin: str = "<bytes>") -> Sparse24Matrix:
     nval = rows * (cols // 2)
     nmeta = rows * _meta_bytes_per_row(cols)
     body = blob[20:]
-    if len(body) < nval * 8 + nmeta:
-        raise FormatError(f"{origin}: truncated payload ({len(body)} of {nval * 8 + nmeta} bytes)")
+    need = nval * 8 + nmeta
+    if len(body) < need:
+        raise FormatError(f"{origin}: truncated payload ({len(body)} of {need} bytes)")
+    if len(body) > need:
+        raise FormatError(f"{origin}: {len(body) - need} trailing bytes after the payload")
     values = np.frombuffer(body[: nval * 8], dtype="<f8").astype(np.float64).reshape(rows, cols // 2)
     meta = np.frombuffer(body[nval * 8 : nval * 8 + nmeta], dtype=np.uint8).copy()
     s = Sparse24Matrix(rows, cols, values, meta.reshape(rows, -1))

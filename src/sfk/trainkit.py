@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import config_to_json
 from .errors import DivergenceError, InputError
 from .ffn import DENSE_POLICY, FfnParams, ffn_backward, ffn_forward, init_ffn_params
 from .matcore import rand_matrix
 from .router import cluster_columns
-from .schedule import TrainSchedule, schedule_to_json
+from .schedule import TrainSchedule
 
 _SEED_STRIDE = 1_000_003  # per-task offset so per-step batches never collide
 
@@ -109,7 +110,7 @@ class TrainReport:
                 "initial_loss": self.losses[0],
                 "final_act_zero_frac": self.act_zero_frac[-1],
                 "max_loss_jump": max_loss_jump(self),
-                "schedule": None if self.schedule is None else json.loads(schedule_to_json(self.schedule)),
+                "schedule": None if self.schedule is None else json.loads(config_to_json(self.schedule)),
             },
             indent=1,
         )
@@ -164,11 +165,6 @@ def run_training(task: ToyTask, schedule: TrainSchedule, lr: float, steps: int) 
             raise DivergenceError(step, what="weights")
         params = FfnParams(new_w1, new_w2)
     return report
-
-
-def sparsity_trace(report: TrainReport) -> list:
-    """Per-step fraction of exactly-zero activations after squared ReLU."""
-    return list(report.act_zero_frac)
 
 
 def max_loss_jump(report: TrainReport) -> float:

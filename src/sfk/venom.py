@@ -57,12 +57,8 @@ class VenomParams:
 
     @property
     def sparsity(self) -> float:
+        """Fraction of entries guaranteed zero: 1 - N/M."""
         return 1.0 - self.n / self.m
-
-
-def venom_sparsity(p: VenomParams) -> float:
-    """Fraction of entries guaranteed zero: 1 - N/M."""
-    return p.sparsity
 
 
 @dataclass(frozen=True, eq=False)

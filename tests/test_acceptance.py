@@ -85,7 +85,7 @@ def test_criterion_3_venom_sparsity_values(capsys):
                                "zero tolerance"):
         expected = {16: 0.875, 32: 0.9375, 64: 0.96875}
         for v, n, m in TABLE_VNM:
-            assert sfk.venom_sparsity(sfk.VenomParams(v, n, m)) == expected[m]
+            assert sfk.VenomParams(v, n, m).sparsity == expected[m]
 
 
 def test_criterion_4_router_validity(capsys):

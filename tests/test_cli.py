@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sfk
+from sfk import FormatError
 from sfk.cli import main
 
 
@@ -88,6 +89,39 @@ def test_check_reports_dense_and_rejects_junk(workdir, capsys):
     assert main(["check", "--in", "missing.bin"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sparsify24", "--in", "missing.sfk", "--out", "x.s24"],
+        ["venom-encode", "--in", "missing.sfk", "--out", "x.vnm", "--venom", "4,2,8"],
+        ["spmm", "--a", "missing.sfk", "--b", "b.sfk", "--out", "c.sfk"],
+        ["gradcheck", "--policy-json", "missing.json"],
+        ["train", "--steps", "4", "--policy-json", "missing.json"],
+        ["roofline", "--config", "missing.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_file_exits_2(workdir, capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing." in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", ["a.sfk", "a.s24", "a.vnm"])
+def test_readers_reject_trailing_bytes(workdir, path):
+    a = sfk.load_matrix("a.sfk")
+    sfk.save_s24(sfk.sparsify24(a), "a.s24")
+    sfk.save_venom(sfk.venom_encode(a, sfk.VenomParams(4, 2, 8)), "a.vnm")
+    load = {"a.sfk": sfk.load_matrix, "a.s24": sfk.load_s24, "a.vnm": sfk.load_venom}[path]
+    load(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(FormatError):
+        load(path)
+    assert main(["check", "--in", path]) == 2
+
+
 def test_spmm_dense_fallback_counts_full_multiplies(workdir, capsys):
     assert main(["spmm", "--a", "a.sfk", "--b", "b.sfk", "--out", "c.sfk"]) == 0
     out = capsys.readouterr().out
@@ -105,9 +139,16 @@ def test_gradcheck_command_json_and_guard(workdir, capsys):
 
 
 def test_gradcheck_policy_json_flag(workdir, capsys):
-    (workdir / "pol.json").write_text(sfk.policy_to_json(sfk.ablation_policy("act24")))
+    (workdir / "pol.json").write_text(sfk.config_to_json(sfk.ablation_policy("act24")))
     assert main(["gradcheck", "--policy-json", "pol.json", "--shape", "4,8,8"]) == 0
     assert json.loads(capsys.readouterr().out)["policy"] == "act24"
+
+
+@pytest.mark.parametrize("doc", ['{"w1_sparse": "false"}', '{"keep_all": false}'])
+def test_policy_json_flag_rejects_bad_documents(workdir, capsys, doc):
+    (workdir / "pol.json").write_text(doc)
+    assert main(["gradcheck", "--policy-json", "pol.json", "--shape", "4,8,8"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.fixture
@@ -143,7 +184,7 @@ def test_schedule_command(workdir, capsys):
     out = capsys.readouterr().out
     assert "dense [0, 0), sparse [0, 500), dense [500, 1000)" in out
     assert "1.375000" in out
-    back = sfk.schedule_from_json((workdir / "sched.json").read_text())
+    back = sfk.config_from_json(sfk.TrainSchedule, (workdir / "sched.json").read_text())
     assert back.total_steps == 1000 and back.sparse_range == (0, 500)
 
 

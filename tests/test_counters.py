@@ -1,4 +1,6 @@
-"""Multiply accounting: dense counts, sparse-kernel ratios, nesting."""
+"""Multiply accounting: dense counts, sparse-kernel ratios, nesting, threads."""
+
+import threading
 
 import numpy as np
 
@@ -46,6 +48,33 @@ def test_counters_nest_and_label():
         tally(5, "x")
     assert inner.total == 4 and inner.per_op == {"y": 4}
     assert outer.total == 12 and outer.per_op == {"x": 8, "y": 4}
+
+
+def test_empty_inner_counter_leaves_outer_active():
+    with count_multiplies() as outer:
+        with count_multiplies() as inner:
+            pass
+        tally(5, "x")
+    assert inner.total == 0 and outer.total == 5
+
+
+def test_counter_ignores_work_in_other_threads():
+    a = sfk.rand_matrix(64, 64, seed=8)
+    worker_counts = []
+
+    def work():
+        with count_multiplies() as own:
+            sfk.gemm(a, a)
+        worker_counts.append(own.total)
+
+    with count_multiplies() as c:
+        t = threading.Thread(target=work)
+        t.start()
+        t.join(timeout=60)
+        sfk.gemm(a[:6, :8], a[:8, :5])
+    assert not t.is_alive()
+    assert worker_counts == [64 * 64 * 64]
+    assert c.total == 6 * 8 * 5 and c.per_op == {"gemm": 6 * 8 * 5}
 
 
 def test_no_counter_active_is_free():

@@ -54,7 +54,7 @@ def test_policy_json_roundtrip():
     for tag in sfk.ABLATIONS:
         pol = sfk.ablation_policy(tag)
         assert pol.tag == tag
-        assert sfk.policy_from_json(sfk.policy_to_json(pol)) == pol
+        assert sfk.config_from_json(sfk.SparsityPolicy, sfk.config_to_json(pol)) == pol
     assert sfk.DENSE_POLICY.tag == "dense"
     with pytest.raises(InputError):
         sfk.ablation_policy("everything")
@@ -141,20 +141,6 @@ def test_venom_requires_bank():
     x, p = small_problem()
     with pytest.raises(InputError):
         sfk.ffn_forward(x, p, sfk.ablation_policy("venom"))
-
-
-def test_keep_all_venom_matches_dense_bitwise():
-    x, p = small_problem(d_ffn=32)
-    pol = sfk.SparsityPolicy(
-        act_mode="venom",
-        venom=sfk.VenomParams(4, 2, 8),
-        router=sfk.RouterConfig(num_experts=2, top_k=1, align_m=8),
-        keep_all=True,
-    )
-    bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
-    y3k, _ = sfk.ffn_forward(x, p, pol, bank=bank)
-    y3d, _ = sfk.ffn_forward(x, p, sfk.DENSE_POLICY)
-    assert np.array_equal(y3k, y3d)
 
 
 def test_frozen_tape_reproduces_forward_bitwise():

@@ -1,8 +1,4 @@
-"""Dense matrix core: gemm determinism, RNG, file format, threading knob."""
-
-import os
-import subprocess
-import sys
+"""Dense matrix core: gemm determinism, RNG, file format."""
 
 import numpy as np
 import pytest
@@ -90,32 +86,3 @@ def test_matrix_file_rejects_truncation(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
         sfk.load_matrix(path)
-
-
-def test_thread_cap_env_override_is_bitwise_transparent(tmp_path):
-    probe = tmp_path / "probe.npy"
-    code = (
-        "import sys, sfk, numpy as np;"
-        "a = sfk.rand_matrix(9, 12, seed=1); b = sfk.rand_matrix(12, 5, seed=2);"
-        "print(sfk.thread_cap());"
-        f"np.save({str(probe)!r}, sfk.gemm(a, b))"
-    )
-    env = dict(os.environ, SFK_THREADS="4")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "4"
-    multi = np.load(probe)
-    a = sfk.rand_matrix(9, 12, seed=1)
-    b = sfk.rand_matrix(12, 5, seed=2)
-    assert np.array_equal(multi, sfk.gemm(a, b))
-
-
-@pytest.mark.parametrize("value", ["zero", "0", "-3", ""])
-def test_thread_cap_falls_back_to_one_on_bad_values(value):
-    code = "import sfk; print(sfk.thread_cap())"
-    env = dict(os.environ, SFK_THREADS=value)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "1"

@@ -1,5 +1,7 @@
 """Neuron routing: balanced clustering, token permutation, block re-encoding."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,31 @@ def test_bank_validation_and_file_roundtrip(tmp_path):
         sfk.ExpertBank(
             2, bank.means[:, :2], [np.arange(4), np.arange(4)]
         )  # overlapping columns
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: "{not json",
+        lambda m: json.dumps([m]),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "num_experts"}),
+        lambda m: json.dumps(dict(m, num_experts="4")),
+        lambda m: json.dumps(dict(m, num_experts=4.0)),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "column_sets"}),
+        lambda m: json.dumps(dict(m, column_sets="0123")),
+        lambda m: json.dumps(dict(m, column_sets=[[0.5, 1, 2, 3]] + m["column_sets"][1:])),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "means_file"}),
+        lambda m: json.dumps(dict(m, means_file=7)),
+    ],
+    ids=["not-json", "not-object", "no-num_experts", "str-num_experts", "float-num_experts",
+         "no-column_sets", "str-column_sets", "float-column", "no-means_file", "int-means_file"],
+)
+def test_load_bank_rejects_malformed_manifest(tmp_path, edit):
+    sfk.save_bank(dealt_bank(8, 32, 16, 4, seed=2), tmp_path / "bank")
+    manifest = tmp_path / "bank.json"
+    manifest.write_text(edit(json.loads(manifest.read_text())))
+    with pytest.raises(InputError):
+        sfk.load_bank(tmp_path / "bank")
 
 
 # ----------------------------------------------------------------- routing ---

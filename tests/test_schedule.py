@@ -16,7 +16,7 @@ def test_phases_partition_the_run():
     for i in range(10):
         pol = s.per_step_policy(i)
         assert (pol == s.sparse_policy) == s.is_sparse_step(i)
-        assert (pol == s.dense_policy) == (not s.is_sparse_step(i))
+        assert (pol == sfk.DENSE_POLICY) == (not s.is_sparse_step(i))
     with pytest.raises(InputError):
         s.per_step_policy(10)
     with pytest.raises(InputError):
@@ -31,7 +31,7 @@ def test_default_warmup_and_policy():
     assert pol == sfk.default_sparse_policy()
     assert pol.act_mode == "venom" and pol.w1_sparse and pol.w2t_sparse
     assert (pol.venom.v, pol.venom.n, pol.venom.m) == (8, 2, 16)
-    assert s.dense_policy == sfk.DENSE_POLICY
+    assert s.per_step_policy(0) == sfk.DENSE_POLICY
 
 
 def test_schedule_validation():
@@ -39,8 +39,6 @@ def test_schedule_validation():
         sfk.build_schedule(total=10, sparse=8, warmup=4)
     with pytest.raises(InputError):
         sfk.build_schedule(total=0, sparse=0)
-    with pytest.raises(InputError):
-        sfk.TrainSchedule(10, 5, 0, order="dense_first")
 
 
 def test_schedule_speedup_exact_values():
@@ -66,10 +64,10 @@ def test_schedule_speedup_monotone_in_sparse_fraction():
 
 def test_schedule_json_roundtrip():
     s = sfk.build_schedule(total=5000, sparse=2000, warmup=500)
-    back = sfk.schedule_from_json(sfk.schedule_to_json(s))
+    back = sfk.config_from_json(sfk.TrainSchedule, sfk.config_to_json(s))
     assert back == s
     assert back.sparse_policy == s.sparse_policy
     custom = sfk.build_schedule(
         total=10, sparse=10, warmup=0, sparse_policy=sfk.ablation_policy("w1")
     )
-    assert sfk.schedule_from_json(sfk.schedule_to_json(custom)) == custom
+    assert sfk.config_from_json(sfk.TrainSchedule, sfk.config_to_json(custom)) == custom

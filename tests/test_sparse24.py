@@ -99,14 +99,14 @@ def test_group_constraint_property(seed):
 def test_soft_threshold_group_formula():
     g = np.array([3.0, -1.0, 2.0, 0.5])
     # second-smallest magnitude is 1.0: survivors shrink toward zero by 1.0
-    assert np.array_equal(sfk.soft_threshold_group(g), [2.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(sfk.soft_threshold(g[None, :]).ravel(), [2.0, 0.0, 1.0, 0.0])
     assert np.array_equal(sfk.soft_threshold(g[None, :]), [[2.0, 0.0, 1.0, 0.0]])
 
 
 @given(st.lists(finite, min_size=4, max_size=4))
 def test_soft_threshold_shrinks_and_sparsifies(vals):
     g = np.array(vals)
-    out = sfk.soft_threshold_group(g)
+    out = sfk.soft_threshold(g[None, :]).ravel()
     assert np.count_nonzero(out) <= 2
     assert (np.abs(out) <= np.abs(g) + 1e-12).all()
     assert (np.sign(out[out != 0]) == np.sign(g[out != 0])).all()
@@ -117,7 +117,7 @@ def test_soft_threshold_is_lipschitz_2(vals, idx, eps):
     g = np.array(vals)
     bumped = g.copy()
     bumped[idx] += eps
-    delta = np.abs(sfk.soft_threshold_group(bumped) - sfk.soft_threshold_group(g))
+    delta = np.abs(sfk.soft_threshold(bumped[None, :]) - sfk.soft_threshold(g[None, :])).ravel()
     assert delta.max() <= 2 * eps + 1e-15
 
 

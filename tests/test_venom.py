@@ -30,7 +30,7 @@ def test_params_validation():
     ],
 )
 def test_sparsity_is_one_minus_n_over_m(params, sparsity):
-    assert sfk.venom_sparsity(sfk.VenomParams(*params)) == sparsity
+    assert sfk.VenomParams(*params).sparsity == sparsity
 
 
 def test_encode_decode_roundtrip_and_check():
