@@ -153,6 +153,23 @@ DENSE_POLICY = SparsityPolicy()
 
 
 @dataclass(eq=False)
+class PackedWeight:
+    """One weight as the products of a step read it, built once per forward.
+
+    eff is the effective (masked) weight.  own packs eff along its own
+    rows and t packs eff.T; each is None when that 2:4 mask is off.  pre
+    is the matrix the transposed mask was chosen from (the own-row
+    masked weight, or the master), kept for the master-weight gradient;
+    None when the transposed mask is off.
+    """
+
+    eff: np.ndarray
+    own: Sparse24Matrix | None = None
+    t: Sparse24Matrix | None = None
+    pre: np.ndarray | None = None
+
+
+@dataclass(eq=False)
 class FfnTape:
     """Saved tensors the backward pass consumes.
 
@@ -161,14 +178,19 @@ class FfnTape:
     or a VenomMatrix (venom).  act_mask is the effective boolean mask
     the activation sparsification applied (kept slots intersected with
     the routed-column mask in venom mode, in padded row space).
-    matmul_log records (product, packed_operand) per matmul so operand
-    placement can be asserted.
+    params is the FfnParams the forward ran with, and w1/w2 its weights
+    as packed for this step; the backward reuses them instead of
+    sparsifying again.  matmul_log records (product, packed_operand) per
+    matmul so operand placement can be asserted.
     """
 
     x: np.ndarray
     y1: np.ndarray
     y2: object
     policy: SparsityPolicy
+    params: FfnParams
+    w1: PackedWeight
+    w2: PackedWeight
     plan: RoutingPlan | None = None
     layout: PaddedLayout | None = None
     act_mask: np.ndarray | None = None
@@ -209,21 +231,25 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def _effective_weight(w: np.ndarray, sparse: bool, t_sparse: bool, mode: str) -> np.ndarray:
+def _pack_weight(w: np.ndarray, sparse: bool, t_sparse: bool, mode: str) -> PackedWeight:
     """Apply the enabled 2:4 masks: first along the weight's own rows,
-    then (independently) along the transposed orientation."""
-    eff = decode24(sparsify24(w, mode)) if sparse else w
-    if t_sparse:
-        eff = _t(decode24(sparsify24(_t(eff), mode)))
-    return eff
+    then (independently) along the transposed orientation.  Each mask is
+    chosen once; with both on, the own-row pack is re-gathered from the
+    effective weight, whose nonzeros sit inside its slots."""
+    own = sparsify24(w, mode) if sparse else None
+    pre = decode24(own) if sparse else w
+    if not t_sparse:
+        return PackedWeight(pre, own)
+    t = sparsify24(_t(pre), mode)
+    eff = _t(decode24(t))
+    return PackedWeight(eff, reencode24(eff, own) if sparse else None, t, pre)
 
 
-def _master_weight_grad(w, g_eff, sparse: bool, t_sparse: bool, mode: str) -> np.ndarray:
+def _master_weight_grad(w, g_eff, pw: PackedWeight, mode: str) -> np.ndarray:
     # unwind the mask composition in reverse order
-    if t_sparse:
-        pre = decode24(sparsify24(w, mode)) if sparse else w
-        g_eff = _t(weight_sparsify_backward(_t(pre), _t(g_eff), mode))
-    if sparse:
+    if pw.t is not None:
+        g_eff = _t(weight_sparsify_backward(_t(pw.pre), _t(g_eff), mode))
+    if pw.own is not None:
         g_eff = weight_sparsify_backward(w, as_matrix(g_eff), mode)
     return as_matrix(g_eff)
 
@@ -243,7 +269,9 @@ def ffn_forward(
     previous forward under the same policy), the activation masks and
     routing plan are reused instead of recomputed, making the forward a
     fixed piecewise-smooth function of (x, w1, w2); weight masks are
-    always recomputed from the weights themselves.
+    always recomputed from the weights themselves.  Each enabled weight
+    mask is chosen once here, and the packs ride on the tape into
+    ffn_backward.
     """
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
@@ -252,18 +280,18 @@ def ffn_forward(
         raise InputError("frozen tape was produced under a different policy")
     log: list = []
 
-    w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-    w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
+    w2 = _pack_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
 
     if pol.w1_sparse:
-        y1 = spmm24_rhs(x, sparsify24(w1_eff, GREEDY_MAGNITUDE), label="ffn.y1")
+        y1 = spmm24_rhs(x, w1.own, label="ffn.y1")
         log.append(("y1", "w1"))
     else:
-        y1 = gemm(x, w1_eff)
+        y1 = gemm(x, w1.eff)
         log.append(("y1", "none"))
     y2 = squared_relu(y1)
 
-    tape = FfnTape(x=x, y1=y1, y2=y2, policy=pol, matmul_log=log)
+    tape = FfnTape(x=x, y1=y1, y2=y2, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
 
     if pol.act_mode == "venom":
         if bank is None:
@@ -284,21 +312,21 @@ def ffn_forward(
             allowed = routed_feature_mask(plan, bank, layout)
             tape.act_mask = venom_kept_mask(vm) & allowed
         tape.y2 = vm
-        y3p = venom_spmm(vm, w2_eff, label="ffn.y3")
+        y3p = venom_spmm(vm, w2.eff, label="ffn.y3")
         log.append(("y3", "y2"))
         y3 = invert_permutation(unpad_rows(y3p, layout), plan)
     elif pol.act_mode == "act24":
         s_y2 = reencode24(y2, frozen.y2) if frozen is not None else sparsify24(y2, GREEDY_MAGNITUDE)
         tape.y2 = s_y2
         tape.act_mask = kept_mask(s_y2)
-        y3 = spmm24(s_y2, w2_eff, label="ffn.y3")
+        y3 = spmm24(s_y2, w2.eff, label="ffn.y3")
         log.append(("y3", "y2"))
     else:
         if pol.w2_sparse:
-            y3 = spmm24_rhs(y2, sparsify24(w2_eff, GREEDY_MAGNITUDE), label="ffn.y3")
+            y3 = spmm24_rhs(y2, w2.own, label="ffn.y3")
             log.append(("y3", "w2"))
         else:
-            y3 = gemm(y2, w2_eff)
+            y3 = gemm(y2, w2.eff)
             log.append(("y3", "none"))
     return y3, tape
 
@@ -308,26 +336,26 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     an upstream dy3; masks are treated as locally constant except soft
     thresholding, which uses its true Jacobian.  dy1 inherits y2's
     activation mask, so the dX and dW1 products stay activation-sparse.
+    The weight packs come from the tape, so p must be the very FfnParams
+    the forward ran with.
     """
     dy3 = as_matrix(dy3)
     if tape.policy != pol:
         raise InputError("tape was produced under a different policy")
+    if tape.params is not p:
+        raise InputError("tape was produced with different weights")
     if dy3.shape != (tape.x.shape[0], p.d_out):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
-    log = tape.matmul_log
-
-    w1_eff = _effective_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-    w2_eff = _effective_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
 
     def dy2_product(dy3_rows):
-        # dy2 = dy3 @ w2_eff.T; the packed operand is the transposed
+        # dy2 = dy3 @ w2.eff.T; the packed operand is the transposed
         # weight when its own 2:4 mask is on, never the activation.
         if pol.w2t_sparse:
-            s = sparsify24(_t(w2_eff), GREEDY_MAGNITUDE)  # lossless repack of a compliant matrix
             log.append(("dy2", "w2t"))
-            return spmm24_rhs(dy3_rows, s, label="ffn.dy2")
+            return spmm24_rhs(dy3_rows, w2.t, label="ffn.dy2")
         log.append(("dy2", "none"))
-        return gemm(dy3_rows, _t(w2_eff))
+        return gemm(dy3_rows, _t(w2.eff))
 
     if pol.act_mode == "venom":
         vm: VenomMatrix = tape.y2
@@ -339,7 +367,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         y1p = pad_rows(apply_permutation(tape.y1, plan), layout)
         dy1p = squared_relu_backward(dy2p, y1p)
         vm_dy1 = venom_reencode(dy1p, vm)
-        dxp = venom_spmm(vm_dy1, _t(w1_eff), label="ffn.dx")
+        dxp = venom_spmm(vm_dy1, _t(w1.eff), label="ffn.dx")
         log.append(("dx", "dy1"))
         dx = invert_permutation(unpad_rows(dxp, layout), plan)
         xp = pad_rows(apply_permutation(tape.x, plan), layout)
@@ -352,7 +380,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         dy2 = np.where(tape.act_mask, dy2_product(dy3), 0.0)
         dy1 = squared_relu_backward(dy2, tape.y1)
         s_dy1 = reencode24(dy1, s_y2)
-        dx = spmm24(s_dy1, _t(w1_eff), label="ffn.dx")
+        dx = spmm24(s_dy1, _t(w1.eff), label="ffn.dx")
         log.append(("dx", "dy1"))
         dw1_eff = _t(spmm24_tn(s_dy1, tape.x, label="ffn.dw1"))
         log.append(("dw1", "dy1"))
@@ -362,16 +390,16 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         log.append(("dw2", "none"))
         dy1 = squared_relu_backward(dy2_product(dy3), tape.y1)
         if pol.w1t_sparse:
-            dx = spmm24_rhs(dy1, sparsify24(_t(w1_eff), GREEDY_MAGNITUDE), label="ffn.dx")
+            dx = spmm24_rhs(dy1, w1.t, label="ffn.dx")
             log.append(("dx", "w1t"))
         else:
-            dx = gemm(dy1, _t(w1_eff))
+            dx = gemm(dy1, _t(w1.eff))
             log.append(("dx", "none"))
         dw1_eff = gemm(_t(tape.x), dy1)
         log.append(("dw1", "none"))
 
-    dw1 = _master_weight_grad(p.w1, dw1_eff, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-    dw2 = _master_weight_grad(p.w2, dw2_eff, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    dw1 = _master_weight_grad(p.w1, dw1_eff, w1, pol.weight_mode)
+    dw2 = _master_weight_grad(p.w2, dw2_eff, w2, pol.weight_mode)
     return dx, dw1, dw2
 
 
@@ -457,20 +485,15 @@ def _act_margins_ok(y2: np.ndarray, margin: float) -> bool:
     return bool(((m[..., 2] == 0.0) | (m[..., 2] - m[..., 1] > margin)).all())
 
 
-def _audit_generic_point(pol: SparsityPolicy, p: FfnParams, y2: np.ndarray, margin: float) -> bool:
+def _audit_generic_point(pol: SparsityPolicy, tape: FfnTape, margin: float) -> bool:
     ok = True
-    if pol.w1_sparse:
-        ok = ok and _weight_margins_ok(p.w1, pol.weight_mode, margin)
-    if pol.w1t_sparse:
-        pre = decode24(sparsify24(p.w1, pol.weight_mode)) if pol.w1_sparse else p.w1
-        ok = ok and _weight_margins_ok(_t(pre), pol.weight_mode, margin)
-    if pol.w2_sparse:
-        ok = ok and _weight_margins_ok(p.w2, pol.weight_mode, margin)
-    if pol.w2t_sparse:
-        pre = decode24(sparsify24(p.w2, pol.weight_mode)) if pol.w2_sparse else p.w2
-        ok = ok and _weight_margins_ok(_t(pre), pol.weight_mode, margin)
+    for master, pw in ((tape.params.w1, tape.w1), (tape.params.w2, tape.w2)):
+        if pw.own is not None:
+            ok = ok and _weight_margins_ok(master, pol.weight_mode, margin)
+        if pw.t is not None:
+            ok = ok and _weight_margins_ok(_t(pw.pre), pol.weight_mode, margin)
     if pol.act_mode == "act24":
-        ok = ok and _act_margins_ok(y2, margin)
+        ok = ok and _act_margins_ok(squared_relu(tape.y1), margin)
     return ok
 
 
@@ -497,7 +520,7 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
             cfg = pol.router if pol.router is not None else RouterConfig(num_experts=2, align_m=pol.venom.m)
             bank = cluster_columns(p.w1, cfg, seed_eff + 13)
         y3, tape = ffn_forward(x, p, pol, bank)
-        if _audit_generic_point(pol, p, squared_relu(tape.y1), _TIE_MARGIN):
+        if _audit_generic_point(pol, tape, _TIE_MARGIN):
             break
     else:
         raise GuardError("no generic point found in 64 seed bumps; masks are persistently tied")

@@ -93,6 +93,8 @@ def load_matrix(path) -> np.ndarray:
     code = blob[4]
     if code not in _DTYPE_OF_CODE:
         raise FormatError(f"{path}: unknown dtype code {code}")
+    if blob[5:8] != bytes(3):
+        raise FormatError(f"{path}: reserved header bytes {blob[5:8]!r} are not zero")
     rows, cols = struct.unpack_from("<QQ", blob, 8)
     dt = _DTYPE_OF_CODE[code]
     need = rows * cols * dt.itemsize

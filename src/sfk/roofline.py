@@ -168,27 +168,38 @@ def conversion_overhead_model(
     }
 
 
+def _int_field(doc: dict, key: str, default: int | None = None) -> int:
+    if key not in doc:
+        if default is None:
+            raise InputError(f"model config is missing field {key!r}")
+        return default
+    v = doc[key]
+    if type(v) is not int:  # a JSON integer: no floats, strings or booleans
+        raise InputError(f"model config field {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def config_from_dict(doc: dict) -> RooflineConfig:
     """Build a config from the JSON field names (num_layers, d_model,
     d_ffn, num_heads, batch_size, seq_len, optional num_kv_heads,
-    head_dim, model); head_dim defaults to d_model / num_heads."""
-    try:
-        d = int(doc["d_model"])
-        f = int(doc["d_ffn"])
-        l = int(doc["num_layers"])
-        n_q = int(doc["num_heads"])
-        b = int(doc["batch_size"])
-        t = int(doc["seq_len"])
-    except KeyError as exc:
-        raise InputError(f"model config is missing field {exc}") from exc
-    k_kv = int(doc.get("num_kv_heads", n_q))
-    if n_q < 1 or d % n_q:
-        if "head_dim" not in doc:
-            raise InputError(f"d_model {d} is not divisible by num_heads {n_q}; give head_dim")
-    h = int(doc.get("head_dim", d // n_q))
-    return RooflineConfig(
-        b=b, t=t, d=d, l=l, f=f, n_q=n_q, k_kv=k_kv, h=h, name=str(doc.get("model", ""))
-    )
+    head_dim, model); head_dim defaults to d_model / num_heads.  Every
+    number must be a JSON integer; anything else raises InputError."""
+    d = _int_field(doc, "d_model")
+    f = _int_field(doc, "d_ffn")
+    l = _int_field(doc, "num_layers")
+    n_q = _int_field(doc, "num_heads")
+    b = _int_field(doc, "batch_size")
+    t = _int_field(doc, "seq_len")
+    if n_q < 1:
+        raise InputError(f"num_heads must be positive, got {n_q}")
+    k_kv = _int_field(doc, "num_kv_heads", n_q)
+    if d % n_q and "head_dim" not in doc:
+        raise InputError(f"d_model {d} is not divisible by num_heads {n_q}; give head_dim")
+    h = _int_field(doc, "head_dim", d // n_q)
+    name = doc.get("model", "")
+    if not isinstance(name, str):
+        raise InputError(f"model config field 'model' must be a string, got {name!r}")
+    return RooflineConfig(b=b, t=t, d=d, l=l, f=f, n_q=n_q, k_kv=k_kv, h=h, name=name)
 
 
 def load_configs(text: str) -> list[RooflineConfig]:

@@ -131,10 +131,15 @@ def _is_index_list(v) -> bool:
     return isinstance(v, list) and all(type(c) is int and 0 <= c < 2**63 for c in v)
 
 
+_MANIFEST_KEYS = {"num_experts", "column_sets", "means_file"}
+
+
 def load_bank(prefix) -> ExpertBank:
-    """Read a bank written by save_bank; a malformed manifest raises InputError."""
+    """Read a bank written by save_bank; a malformed manifest raises
+    InputError, and so does one whose means_file is not a readable file
+    next to it."""
     prefix = str(prefix)
-    with open(prefix + ".json") as fh:
+    with open(prefix + ".json", "rb") as fh:
         text = fh.read()
     try:
         manifest = json.loads(text)
@@ -142,15 +147,23 @@ def load_bank(prefix) -> ExpertBank:
         raise InputError(f"{prefix}.json: manifest does not parse: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InputError(f"{prefix}.json: manifest must be an object")
-    if type(manifest.get("num_experts")) is not int:
+    if set(manifest) != _MANIFEST_KEYS:
+        raise InputError(
+            f"{prefix}.json: manifest keys {sorted(manifest)} are not {sorted(_MANIFEST_KEYS)}"
+        )
+    if type(manifest["num_experts"]) is not int:
         raise InputError(f"{prefix}.json: num_experts must be an integer")
-    column_sets = manifest.get("column_sets")
+    column_sets = manifest["column_sets"]
     if not (isinstance(column_sets, list) and all(map(_is_index_list, column_sets))):
         raise InputError(f"{prefix}.json: column_sets must be a list of lists of column indices")
-    if not isinstance(manifest.get("means_file"), str):
-        raise InputError(f"{prefix}.json: means_file must be a string")
-    means_path = os.path.join(os.path.dirname(prefix), manifest["means_file"])
-    means = load_matrix(means_path)
+    name = manifest["means_file"]
+    plain = isinstance(name, str) and name == os.path.basename(name) and "\0" not in name
+    if not plain or name in ("", ".", ".."):
+        raise InputError(f"{prefix}.json: means_file must be a file name, got {name!r}")
+    try:
+        means = load_matrix(os.path.join(os.path.dirname(prefix), name))
+    except OSError as exc:
+        raise InputError(f"{prefix}.json: means_file {name!r} cannot be read: {exc}") from exc
     return ExpertBank(
         num_experts=manifest["num_experts"],
         means=means,

@@ -113,14 +113,13 @@ def _unpack_indices(packed: np.ndarray, slots: int) -> np.ndarray:
     return np.stack(parts, axis=-1).reshape(packed.shape[0], -1)[:, :slots]
 
 
-def _top2_slots(groups: np.ndarray) -> np.ndarray:
-    """Ascending indices of the two largest-magnitude slots per group.
+def _magnitude_order(mags: np.ndarray) -> np.ndarray:
+    """Slot indices of each group by descending magnitude.
 
-    Stable sort on descending magnitude, so ties go to the lower column
-    index and masks are reproducible.
+    Stable sort, so ties go to the lower column index and masks are
+    reproducible.
     """
-    order = np.argsort(-np.abs(groups), axis=-1, kind="stable")
-    return np.sort(order[..., :2], axis=-1)
+    return np.argsort(-mags, axis=-1, kind="stable")
 
 
 def soft_threshold(a) -> np.ndarray:
@@ -176,7 +175,7 @@ def top2_mask(a) -> np.ndarray:
         raise ShapeError(f"top2_mask needs cols divisible by 4, got {a.shape[1]}")
     g = a.reshape(a.shape[0], -1, 4)
     mask = np.zeros(g.shape, dtype=bool)
-    np.put_along_axis(mask, _top2_slots(g), True, axis=-1)
+    np.put_along_axis(mask, _magnitude_order(np.abs(g))[..., :2], True, axis=-1)
     return mask.reshape(a.shape)
 
 
@@ -185,16 +184,23 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
 
     Kept slots are always the two largest-|input| positions; stored
     values are the raw inputs (greedy) or the soft-thresholded ones.
-    The input matrix is never modified.
+    One sort serves both: the soft threshold is the magnitude at order
+    position 2, which is the group's second-smallest magnitude.  The
+    input matrix is never modified.
     """
     a = as_matrix(a)
     _check_mode(mode)
     if a.shape[1] % 4 or a.shape[1] == 0:
         raise ShapeError(f"sparsify24 needs cols divisible by 4, got {a.shape}")
     groups = a.reshape(a.shape[0], -1, 4)
-    slots = _top2_slots(groups)
-    source = soft_threshold(a).reshape(groups.shape) if mode == SOFT_THRESHOLD else groups
-    values = np.take_along_axis(source, slots, axis=-1).reshape(a.shape[0], -1)
+    mags = np.abs(groups)
+    order = _magnitude_order(mags)
+    slots = np.sort(order[..., :2], axis=-1)
+    kept = np.take_along_axis(groups, slots, axis=-1)
+    if mode == SOFT_THRESHOLD:
+        t = np.take_along_axis(mags, order[..., 2:3], axis=-1)
+        kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
+    values = kept.reshape(a.shape[0], -1)
     meta = _pack_indices(slots.reshape(a.shape[0], -1))
     return Sparse24Matrix(a.shape[0], a.shape[1], values, meta)
 
@@ -338,6 +344,8 @@ def s24_from_bytes(blob: bytes, origin: str = "<bytes>") -> Sparse24Matrix:
     meta = np.frombuffer(body[nval * 8 : nval * 8 + nmeta], dtype=np.uint8).copy()
     s = Sparse24Matrix(rows, cols, values, meta.reshape(rows, -1))
     s.validate()
+    if not np.array_equal(_pack_indices(s.meta_indices()), s.meta):
+        raise FormatError(f"{origin}: nonzero padding bits in the metadata block")
     return s
 
 

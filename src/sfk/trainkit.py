@@ -39,6 +39,7 @@ class ToyTask:
     seed: int = 0
     fixed_batch: bool = False
     teacher: FfnParams = None
+    _fixed: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "output_dim"):
@@ -59,10 +60,18 @@ class ToyTask:
         With ``fixed_batch`` the step-0 batch is reused every step, turning
         SGD into full-batch gradient descent.  That removes batch-to-batch
         loss noise, which is what makes per-step loss-jump comparisons
-        between shrinkage and hard masking legible.
+        between shrinkage and hard masking legible.  The fixed pair is
+        built on the first call and then returned as is, read-only.
         """
-        if self.fixed_batch:
-            step = 0
+        if not self.fixed_batch:
+            return self._make_batch(step)
+        if self._fixed is None:
+            x, target = self._make_batch(0)
+            x.flags.writeable = target.flags.writeable = False
+            self._fixed = (x, target)
+        return self._fixed
+
+    def _make_batch(self, step: int):
         base = (self.seed + 1) * _SEED_STRIDE + step
         x = rand_matrix(self.batch_size, self.input_dim, seed=base)
         target, _ = ffn_forward(x, self.teacher, DENSE_POLICY)
@@ -159,6 +168,7 @@ def run_training(task: ToyTask, schedule: TrainSchedule, lr: float, steps: int) 
             report.policy_tags.append(pol.tag)
             dy3 = err / err.size
             dx, dw1, dw2 = ffn_backward(dy3, tape, params, pol)
+            del tape  # free this step's weight packs and activations before the next forward
             new_w1 = params.w1 - lr * dw1
             new_w2 = params.w2 - lr * dw2
         if not (np.isfinite(new_w1).all() and np.isfinite(new_w2).all()):

@@ -178,6 +178,20 @@ def test_roofline_sweep_and_overhead(config_file, capsys):
     assert "expert_matmul" in out and "compute-bound" in out
 
 
+@pytest.mark.parametrize("edit", [
+    {"num_heads": 0, "head_dim": 128},  # used to divide by zero
+    {"d_model": "abc"},  # used to raise ValueError from int()
+    {"d_model": 64.9},  # used to truncate to 64
+    {"num_layers": True},  # used to read as 1
+], ids=["zero-heads", "string", "float", "bool"])
+def test_roofline_config_rejects_non_integers(config_file, workdir, capsys, edit):
+    doc = json.loads((workdir / config_file).read_text())
+    doc[0].update(edit)
+    (workdir / config_file).write_text(json.dumps(doc))
+    assert main(["roofline", "--config", config_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_schedule_command(workdir, capsys):
     assert main(["schedule", "--total", "1000", "--sparse", "500", "--warmup", "0",
                  "--per-iter-speedup", "2.2", "--out", "sched.json"]) == 0

@@ -1,5 +1,7 @@
 """FFN forward/backward: policy plumbing, operand placement, gradient checks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,44 @@ def test_backward_rejects_policy_mismatch():
     y3, tape = sfk.ffn_forward(x, p, sfk.DENSE_POLICY)
     with pytest.raises(InputError):
         sfk.ffn_backward(y3, tape, p, sfk.ablation_policy("w1"))
+
+
+def test_backward_rejects_other_weights():
+    x, p = small_problem()
+    pol = sfk.ablation_policy("w1")
+    y3, tape = sfk.ffn_forward(x, p, pol)
+    twin = sfk.FfnParams(p.w1.copy(), p.w2.copy())  # equal values, different weights
+    with pytest.raises(InputError):
+        sfk.ffn_backward(y3, tape, twin, pol)
+
+
+CONVERSION_POLICIES = {
+    "dense": (sfk.DENSE_POLICY, 0),
+    "w1_soft": (sfk.SparsityPolicy(w1_sparse=True), 1),
+    "act24": (sfk.SparsityPolicy(act_mode="act24"), 1),
+    "recipe": (sfk.default_sparse_policy(), 3),
+}
+
+
+@pytest.mark.parametrize("name", CONVERSION_POLICIES)
+def test_each_operand_is_sparsified_once_per_step(monkeypatch, name):
+    """One forward+backward packs each sparse weight and the activation once:
+    the backward reads the weight packs off the tape."""
+    pol, want = CONVERSION_POLICIES[name]
+    x, p = small_problem(d_model=16, d_ffn=32, d_out=16, tokens=16)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
+    calls = []
+    real = sfk.sparsify24
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in ("sfk.ffn", "sfk.router", "sfk.venom"):
+        monkeypatch.setattr(importlib.import_module(mod), "sparsify24", counted)
+    y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+    sfk.ffn_backward(y3, tape, p, pol)
+    assert len(calls) == want
 
 
 def test_weight_sparsify_backward_modes():

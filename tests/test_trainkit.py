@@ -45,8 +45,18 @@ def test_batches_are_reproducible_and_step_dependent():
 def test_fixed_batch_mode_repeats_step_zero():
     task = small_task(fixed_batch=True)
     x0, t0 = task.batch(0)
-    x9, t9 = task.batch(9)
+    with sfk.count_multiplies() as c:
+        x9, t9 = task.batch(9)
     assert np.array_equal(x0, x9) and np.array_equal(t0, t9)
+    # built once: later calls run no teacher forward and hand back the same arrays
+    assert c.total == 0
+    assert x9 is x0 and t9 is t0
+    for a in (x9, t9):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    free = small_task()
+    assert not np.array_equal(free.batch(0)[0], free.batch(9)[0])
+    assert not np.array_equal(free.batch(0)[1], free.batch(9)[1])
 
 
 def test_teacher_is_seed_deterministic():
