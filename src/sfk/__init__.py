@@ -32,7 +32,6 @@ from .ffn import (
     init_ffn_params,
     squared_relu,
     squared_relu_backward,
-    weight_sparsify_backward,
 )
 from .matcore import as_matrix, gemm, load_matrix, rand_matrix, save_matrix
 from .roofline import (
@@ -86,11 +85,10 @@ from .sparse24 import (
     soft_threshold,
     soft_threshold_backward,
     sparsify24,
-    sparsify24_transposed,
+    sparsify24_backward,
     spmm24,
     spmm24_rhs,
     spmm24_tn,
-    top2_mask,
 )
 from .trainkit import (
     ToyTask,

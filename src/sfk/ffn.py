@@ -55,12 +55,11 @@ from .sparse24 import (
     decode24,
     kept_mask,
     reencode24,
-    soft_threshold_backward,
     sparsify24,
+    sparsify24_backward,
     spmm24,
     spmm24_rhs,
     spmm24_tn,
-    top2_mask,
 )
 from .venom import (
     VenomMatrix,
@@ -136,8 +135,8 @@ class SparsityPolicy:
             raise InputError(f"unknown weight mode {self.weight_mode!r}; expected one of {MODES}")
         if (self.venom is not None) != (self.act_mode == "venom"):
             raise InputError("venom params must be present exactly when act_mode is 'venom'")
-        if self.router is not None and self.act_mode != "venom":
-            raise InputError("a router config only makes sense with act_mode 'venom'")
+        if (self.router is not None) != (self.act_mode == "venom"):
+            raise InputError("a router config must be present exactly when act_mode is 'venom'")
 
     @property
     def tag(self) -> str:
@@ -212,21 +211,6 @@ def squared_relu_backward(dy2, y1) -> np.ndarray:
     return 2.0 * dy2 * np.maximum(y1, 0.0)
 
 
-def weight_sparsify_backward(w, grad, mode: str) -> np.ndarray:
-    """Map a gradient w.r.t. sparsify24(w)'s decoded output back onto w.
-
-    Greedy: the mask is locally constant off ties, so survivors pass
-    the gradient and pruned entries get zero.  Soft thresholding: the
-    exact a.e. Jacobian transpose, including the coupling row through
-    the data-dependent threshold.
-    """
-    if mode not in MODES:
-        raise InputError(f"unknown weight mode {mode!r}; expected one of {MODES}")
-    if mode == SOFT_THRESHOLD:
-        return soft_threshold_backward(w, grad)
-    return np.where(top2_mask(w), as_matrix(grad), 0.0)
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
@@ -248,9 +232,9 @@ def _pack_weight(w: np.ndarray, sparse: bool, t_sparse: bool, mode: str) -> Pack
 def _master_weight_grad(w, g_eff, pw: PackedWeight, mode: str) -> np.ndarray:
     # unwind the mask composition in reverse order
     if pw.t is not None:
-        g_eff = _t(weight_sparsify_backward(_t(pw.pre), _t(g_eff), mode))
+        g_eff = _t(sparsify24_backward(_t(pw.pre), pw.t, _t(g_eff), mode))
     if pw.own is not None:
-        g_eff = weight_sparsify_backward(w, as_matrix(g_eff), mode)
+        g_eff = sparsify24_backward(w, pw.own, g_eff, mode)
     return as_matrix(g_eff)
 
 
@@ -298,8 +282,7 @@ def ffn_forward(
             raise InputError("venom activation mode requires an expert bank")
         if bank.d_ffn != p.d_ffn:
             raise ShapeError(f"bank covers {bank.d_ffn} features, w1 produces {p.d_ffn}")
-        top_k = pol.router.top_k if pol.router is not None else 1
-        plan = frozen.plan if frozen is not None else route_tokens(x, bank, top_k)
+        plan = frozen.plan if frozen is not None else route_tokens(x, bank, pol.router.top_k)
         layout = padded_layout(plan, pol.venom.v)
         tape.plan, tape.layout = plan, layout
         y2_perm = apply_permutation(y2, plan)
@@ -517,8 +500,7 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         p = init_ffn_params(d_model, d_ffn, d_model, seed_eff + 7)
         bank = None
         if pol.act_mode == "venom":
-            cfg = pol.router if pol.router is not None else RouterConfig(num_experts=2, align_m=pol.venom.m)
-            bank = cluster_columns(p.w1, cfg, seed_eff + 13)
+            bank = cluster_columns(p.w1, pol.router, seed_eff + 13)
         y3, tape = ffn_forward(x, p, pol, bank)
         if _audit_generic_point(pol, tape, _TIE_MARGIN):
             break

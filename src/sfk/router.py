@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ShapeError
 from .matcore import as_matrix, gemm, load_matrix, save_matrix
-from .sparse24 import GREEDY_MAGNITUDE, sparsify24
-from .venom import VenomMatrix, VenomParams, _gather_strips
+from .venom import VenomMatrix, VenomParams, _encode_blocks
 
 
 @dataclass(frozen=True)
@@ -68,17 +67,11 @@ class ExpertBank:
     num_experts: int
     means: np.ndarray  # (d_model, num_experts), unit-norm columns
     column_sets: list[np.ndarray]
-    expert_of_column: np.ndarray = field(default=None)  # (d_ffn,), inverse of column_sets
 
     def __post_init__(self):
         self.means = as_matrix(self.means)
         self.column_sets = [np.asarray(cs, dtype=np.int64) for cs in self.column_sets]
         self.validate()
-        if self.expert_of_column is None:
-            inv = np.full(self.d_ffn, -1, dtype=np.int64)
-            for e, cs in enumerate(self.column_sets):
-                inv[cs] = e
-            self.expert_of_column = inv
 
     @property
     def d_ffn(self) -> int:
@@ -431,8 +424,7 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
     allowed = routed_feature_mask(plan, bank, layout)
     masked = np.where(allowed, y2p, 0.0)
 
-    rows, cols = masked.shape
-    nbr, nw = rows // p.v, cols // p.m
+    nbr, nw = masked.shape[0] // p.v, masked.shape[1] // p.m
     allowed_block = allowed.reshape(nbr, p.v, nw, p.m).any(axis=1)
     reach = allowed_block.sum(axis=-1)
     starved = (reach > 0) & (reach < 4)
@@ -443,11 +435,8 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
             f"columns, need at least 4 to fill the retained set"
         )
     l1 = np.abs(masked).reshape(nbr, p.v, nw, p.m).sum(axis=1)
-    key = np.where(allowed_block, l1, -1.0)  # never retain a non-routable column over a routable one
-    order = np.argsort(-key, axis=-1, kind="stable")
-    col_table = np.sort(order[..., :4], axis=-1).astype(np.uint8)
-    strips = _gather_strips(masked, col_table, p)
-    return VenomMatrix(rows, cols, p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
+    # never retain a non-routable column over a routable one
+    return _encode_blocks(masked, np.where(allowed_block, l1, -1.0), p)
 
 
 def routed_feature_mask(plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout) -> np.ndarray:

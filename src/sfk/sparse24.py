@@ -113,80 +113,16 @@ def _unpack_indices(packed: np.ndarray, slots: int) -> np.ndarray:
     return np.stack(parts, axis=-1).reshape(packed.shape[0], -1)[:, :slots]
 
 
-def _magnitude_order(mags: np.ndarray) -> np.ndarray:
-    """Slot indices of each group by descending magnitude.
-
-    Stable sort, so ties go to the lower column index and masks are
-    reproducible.
-    """
-    return np.argsort(-mags, axis=-1, kind="stable")
-
-
-def soft_threshold(a) -> np.ndarray:
-    """Soft-threshold every 4-group of every row.
-
-    t is the group's second-smallest magnitude; entries with |x| <= t
-    become 0, the rest move toward zero by t.
-    """
-    a = as_matrix(a)
-    if a.shape[1] % 4:
-        raise ShapeError(f"soft_threshold needs cols divisible by 4, got {a.shape[1]}")
-    g = a.reshape(a.shape[0], -1, 4)
-    mags = np.abs(g)
-    t = np.sort(mags, axis=-1)[..., 1:2]
-    out = np.where(mags > t, g - np.sign(g) * t, 0.0)
-    return out.reshape(a.shape)
-
-
-def soft_threshold_backward(a, grad) -> np.ndarray:
-    """Exact almost-everywhere Jacobian-transpose of soft_threshold at a.
-
-    Survivors (|a| > t) pass their gradient through unchanged.  The
-    threshold element additionally collects
-    -sign(a_t) * sum(sign(a_i) * g_i) over the survivors, because t
-    tracks that element's magnitude.  Entries strictly below t get
-    zero.  Valid wherever the magnitude order within a group is strict.
-    """
-    a = as_matrix(a)
-    grad = as_matrix(grad)
-    if a.shape != grad.shape:
-        raise ShapeError(f"gradient shape {grad.shape} does not match input {a.shape}")
-    if a.shape[1] % 4:
-        raise ShapeError(f"soft_threshold_backward needs cols divisible by 4, got {a.shape[1]}")
-    g = a.reshape(a.shape[0], -1, 4)
-    gr = grad.reshape(g.shape)
-    mags = np.abs(g)
-    order = np.argsort(mags, axis=-1, kind="stable")
-    tpos = order[..., 1:2]
-    t = np.take_along_axis(mags, tpos, axis=-1)
-    surv = mags > t
-    passed = np.where(surv, gr, 0.0)
-    out = passed.copy()
-    coupling = -(np.sign(g) * passed).sum(axis=-1, keepdims=True)
-    tsign = np.take_along_axis(np.sign(g), tpos, axis=-1)
-    np.put_along_axis(out, tpos, tsign * coupling, axis=-1)
-    return out.reshape(a.shape)
-
-
-def top2_mask(a) -> np.ndarray:
-    """Boolean mask of the two largest-magnitude slots per 4-group."""
-    a = as_matrix(a)
-    if a.shape[1] % 4:
-        raise ShapeError(f"top2_mask needs cols divisible by 4, got {a.shape[1]}")
-    g = a.reshape(a.shape[0], -1, 4)
-    mask = np.zeros(g.shape, dtype=bool)
-    np.put_along_axis(mask, _magnitude_order(np.abs(g))[..., :2], True, axis=-1)
-    return mask.reshape(a.shape)
-
-
 def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
     """Sparsify each 4-group of each row down to two kept slots.
 
     Kept slots are always the two largest-|input| positions; stored
     values are the raw inputs (greedy) or the soft-thresholded ones.
-    One sort serves both: the soft threshold is the magnitude at order
-    position 2, which is the group's second-smallest magnitude.  The
-    input matrix is never modified.
+    One stable sort serves both (ties go to the lower column index): the
+    soft threshold is the magnitude at order position 2, which is the
+    group's second-smallest magnitude.  This is the only place a group
+    is ordered; sparsify24_backward reads the kept slots off the pack.
+    The input matrix is never modified.
     """
     a = as_matrix(a)
     _check_mode(mode)
@@ -194,7 +130,7 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
         raise ShapeError(f"sparsify24 needs cols divisible by 4, got {a.shape}")
     groups = a.reshape(a.shape[0], -1, 4)
     mags = np.abs(groups)
-    order = _magnitude_order(mags)
+    order = np.argsort(-mags, axis=-1, kind="stable")
     slots = np.sort(order[..., :2], axis=-1)
     kept = np.take_along_axis(groups, slots, axis=-1)
     if mode == SOFT_THRESHOLD:
@@ -205,16 +141,37 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
     return Sparse24Matrix(a.shape[0], a.shape[1], values, meta)
 
 
-def sparsify24_transposed(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
-    """Sparsify the transpose of a (groups run along a's rows).
+def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
+    """Map a gradient w.r.t. decode24(s), where s = sparsify24(a, mode),
+    back onto a.  The kept slots are read from s, not re-derived from a.
 
-    The mask is recomputed from scratch on the transposed layout; it is
-    generally not the transpose of sparsify24(a)'s mask.
+    Greedy: the mask is locally constant off ties, so kept slots pass
+    the gradient and dropped ones get zero.  Soft thresholding: the
+    exact almost-everywhere Jacobian transpose.  Survivors (|a| > t)
+    pass their gradient unchanged; the threshold element, the
+    larger-magnitude dropped slot (the lower index on a tie, where
+    sparsify24 read t), additionally collects
+    -sign(a_t) * sum(sign(a_i) * g_i) over the survivors, because t
+    tracks its magnitude; the rest get zero.
     """
     a = as_matrix(a)
-    if a.shape[0] % 4:
-        raise ShapeError(f"sparsify24_transposed needs rows divisible by 4, got {a.shape}")
-    return sparsify24(np.ascontiguousarray(a.T), mode)
+    grad = as_matrix(grad)
+    _check_mode(mode)
+    if a.shape != (s.rows, s.cols) or grad.shape != a.shape:
+        raise ShapeError(
+            f"input {a.shape} and gradient {grad.shape} must match the {s.rows}x{s.cols} pack"
+        )
+    keep = kept_mask(s)
+    if mode == GREEDY_MAGNITUDE:
+        return np.where(keep, grad, 0.0)
+    g = a.reshape(a.shape[0], -1, 4)
+    mags = np.abs(g)
+    tpos = np.argmax(np.where(keep.reshape(g.shape), -1.0, mags), axis=-1)[..., None]
+    t = np.take_along_axis(mags, tpos, axis=-1)
+    out = np.where(mags > t, grad.reshape(g.shape), 0.0)
+    coupling = -(np.sign(g) * out).sum(axis=-1, keepdims=True)
+    np.put_along_axis(out, tpos, np.take_along_axis(np.sign(g), tpos, axis=-1) * coupling, axis=-1)
+    return out.reshape(a.shape)
 
 
 def decode24(s: Sparse24Matrix) -> np.ndarray:
@@ -242,6 +199,23 @@ def reencode24(dense, like: Sparse24Matrix) -> Sparse24Matrix:
     return Sparse24Matrix(like.rows, like.cols, values, like.meta)
 
 
+def soft_threshold(a) -> np.ndarray:
+    """Soft-threshold every 4-group of every row: the dense form of
+    sparsify24(a, SOFT_THRESHOLD).
+
+    t is the group's second-smallest magnitude; entries with |x| <= t
+    become 0, the rest move toward zero by t.
+    """
+    return decode24(sparsify24(a, SOFT_THRESHOLD))
+
+
+def soft_threshold_backward(a, grad) -> np.ndarray:
+    """Exact almost-everywhere Jacobian-transpose of soft_threshold at a
+    (see sparsify24_backward); valid wherever the magnitude order within
+    a group is strict."""
+    return sparsify24_backward(a, sparsify24(a, SOFT_THRESHOLD), grad, SOFT_THRESHOLD)
+
+
 def mass_kept_fraction(dense, decoded) -> float:
     """L1 mass of the sparsified matrix over the original's (1.0 when
     nothing was dropped or shrunk)."""
@@ -255,19 +229,39 @@ def mass_kept_fraction(dense, decoded) -> float:
 # ---------------------------------------------------------------------------
 # kernels: each touches only the kept values of the packed operand and
 # tallies its multiplies as it goes.
+#
+# The 2:4 and V:N:M kernels share two loops over (absolute column, kept
+# value) pairs, one slot column at a time: a V:N:M matrix is a 2:4 pack
+# over gathered columns, so only the column lookup differs.
+
+def _gather_mm(cols: np.ndarray, values: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
+    """out[i] = sum_j values[i, j] * b[cols[i, j]]."""
+    rows, n = cols.shape[0], b.shape[1]
+    out = np.zeros((rows, n), dtype=np.float64)
+    for j in range(cols.shape[1]):
+        out += values[:, j : j + 1] * b[cols[:, j]]
+        tally(rows * n, label)
+    return out
+
+
+def _scatter_mm(
+    cols: np.ndarray, values: np.ndarray, b: np.ndarray, out_rows: int, label: str
+) -> np.ndarray:
+    """out[cols[i, j]] += values[i, j] * b[i] over all kept slots."""
+    rows, n = cols.shape[0], b.shape[1]
+    out = np.zeros((out_rows, n), dtype=np.float64)
+    for j in range(cols.shape[1]):
+        np.add.at(out, cols[:, j], values[:, j : j + 1] * b)
+        tally(rows * n, label)
+    return out
+
 
 def spmm24(s: Sparse24Matrix, b, label: str = "spmm24") -> np.ndarray:
     """decode24(s) @ b without decoding: sparse operand on the left."""
     b = as_matrix(b)
     if s.cols != b.shape[0]:
         raise ShapeError(f"spmm24: inner dimensions differ: {s.rows}x{s.cols} times {b.shape}")
-    cols = s.abs_columns()
-    n = b.shape[1]
-    out = np.zeros((s.rows, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        out += s.values[:, j : j + 1] * b[cols[:, j]]
-        tally(s.rows * n, label)
-    return out
+    return _gather_mm(s.abs_columns(), s.values, b, label)
 
 
 def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
@@ -293,13 +287,7 @@ def spmm24_tn(s: Sparse24Matrix, b, label: str = "spmm24_tn") -> np.ndarray:
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
-    cols = s.abs_columns()
-    n = b.shape[1]
-    out = np.zeros((s.cols, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        np.add.at(out, cols[:, j], s.values[:, j : j + 1] * b)
-        tally(s.rows * n, label)
-    return out
+    return _scatter_mm(s.abs_columns(), s.values, b, s.cols, label)
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,7 @@ def run_training(task: ToyTask, schedule: TrainSchedule, lr: float, steps: int) 
     for step in range(steps):
         pol = schedule.per_step_policy(step)
         if pol.act_mode == "venom" and step == sparse_start:
-            cfg = pol.router
-            if cfg is None:
-                raise InputError("venom phase needs a router config on the sparse policy")
-            bank = cluster_columns(params.w1, cfg, seed=task.seed + 29)
+            bank = cluster_columns(params.w1, pol.router, seed=task.seed + 29)
         x, target = task.batch(step)
         # overflow here is not a bug: it is divergence, detected right below
         with np.errstate(over="ignore", invalid="ignore"):

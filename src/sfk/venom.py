@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import tally
 from .errors import CorruptionError, FormatError, InputError, ShapeError
 from .matcore import as_matrix
 from .sparse24 import (
     GREEDY_MAGNITUDE,
     Sparse24Matrix,
+    _gather_mm,
+    _scatter_mm,
     decode24,
     s24_from_bytes,
     s24_to_bytes,
@@ -115,14 +116,19 @@ def _check_block_shape(shape: tuple[int, int], p: VenomParams) -> None:
         raise ShapeError(f"matrix {rows}x{cols} is not divisible into {p.v}x{p.m} blocks")
 
 
-def _gather_strips(a: np.ndarray, col_table: np.ndarray, p: VenomParams) -> np.ndarray:
-    """Pull the retained columns of every block window into a dense
-    rows x 4*(cols/M) strip matrix."""
-    rows = a.shape[0]
-    nw = a.shape[1] // p.m
+def _encode_blocks(a: np.ndarray, key: np.ndarray, p: VenomParams) -> VenomMatrix:
+    """The V:N:M block encoder: per block, retain the 4 columns with the
+    largest key (shape (rows/V, cols/M, M); ties to the lower column
+    index), gather them into a rows x 4*(cols/M) strip matrix and
+    2:4-prune each row's strip by magnitude."""
+    rows, cols = a.shape
+    nw = cols // p.m
+    order = np.argsort(-key, axis=-1, kind="stable")
+    col_table = np.sort(order[..., :4], axis=-1).astype(np.uint8)
     block_row = np.arange(rows) // p.v
     abs_cols = col_table.astype(np.int64)[block_row] + np.arange(nw)[None, :, None] * p.m
-    return a[np.arange(rows)[:, None, None], abs_cols].reshape(rows, 4 * nw)
+    strips = a[np.arange(rows)[:, None, None], abs_cols].reshape(rows, 4 * nw)
+    return VenomMatrix(rows, cols, p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
 
 
 def venom_encode(a, p: VenomParams) -> VenomMatrix:
@@ -136,11 +142,7 @@ def venom_encode(a, p: VenomParams) -> VenomMatrix:
     a = as_matrix(a)
     _check_block_shape(a.shape, p)
     nbr, nw = a.shape[0] // p.v, a.shape[1] // p.m
-    l1 = np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1)
-    order = np.argsort(-l1, axis=-1, kind="stable")
-    col_table = np.sort(order[..., :4], axis=-1).astype(np.uint8)
-    strips = _gather_strips(a, col_table, p)
-    return VenomMatrix(a.shape[0], a.shape[1], p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
+    return _encode_blocks(a, np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1), p)
 
 
 def venom_decode(vm: VenomMatrix) -> np.ndarray:
@@ -194,14 +196,7 @@ def venom_spmm(vm: VenomMatrix, b, label: str = "venom_spmm") -> np.ndarray:
     b = as_matrix(b)
     if vm.cols != b.shape[0]:
         raise ShapeError(f"venom_spmm: inner dimensions differ: {vm.rows}x{vm.cols} times {b.shape}")
-    cols = vm.kept_abs_columns()
-    vals = vm.payload.values
-    n = b.shape[1]
-    out = np.zeros((vm.rows, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        out += vals[:, j : j + 1] * b[cols[:, j]]
-        tally(vm.rows * n, label)
-    return out
+    return _gather_mm(vm.kept_abs_columns(), vm.payload.values, b, label)
 
 
 def venom_spmm_tn(vm: VenomMatrix, b, label: str = "venom_spmm_tn") -> np.ndarray:
@@ -209,14 +204,7 @@ def venom_spmm_tn(vm: VenomMatrix, b, label: str = "venom_spmm_tn") -> np.ndarra
     b = as_matrix(b)
     if vm.rows != b.shape[0]:
         raise ShapeError(f"venom_spmm_tn: row counts differ: {vm.rows}x{vm.cols} vs {b.shape}")
-    cols = vm.kept_abs_columns()
-    vals = vm.payload.values
-    n = b.shape[1]
-    out = np.zeros((vm.cols, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        np.add.at(out, cols[:, j], vals[:, j : j + 1] * b)
-        tally(vm.rows * n, label)
-    return out
+    return _scatter_mm(vm.kept_abs_columns(), vm.payload.values, b, vm.cols, label)
 
 
 # ---------------------------------------------------------------------------

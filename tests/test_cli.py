@@ -66,7 +66,7 @@ def test_sparsify24_transpose_flag(workdir):
                  "--transpose"]) == 0
     st = sfk.load_s24("at.s24")
     assert (st.rows, st.cols) == (16, 8)
-    lib = sfk.sparsify24_transposed(sfk.load_matrix("a.sfk"), sfk.GREEDY_MAGNITUDE)
+    lib = sfk.sparsify24(np.ascontiguousarray(sfk.load_matrix("a.sfk").T), sfk.GREEDY_MAGNITUDE)
     assert np.array_equal(sfk.decode24(st), sfk.decode24(lib))
 
 
@@ -144,7 +144,11 @@ def test_gradcheck_policy_json_flag(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["policy"] == "act24"
 
 
-@pytest.mark.parametrize("doc", ['{"w1_sparse": "false"}', '{"keep_all": false}'])
+@pytest.mark.parametrize("doc", [
+    '{"w1_sparse": "false"}',
+    '{"keep_all": false}',
+    '{"act_mode": "venom", "venom": {"v": 4, "n": 2, "m": 8}}',  # venom without a router
+])
 def test_policy_json_flag_rejects_bad_documents(workdir, capsys, doc):
     (workdir / "pol.json").write_text(doc)
     assert main(["gradcheck", "--policy-json", "pol.json", "--shape", "4,8,8"]) == 2

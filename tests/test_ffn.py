@@ -1,6 +1,6 @@
 """FFN forward/backward: policy plumbing, operand placement, gradient checks."""
 
-import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +42,8 @@ def test_squared_relu_and_backward():
 def test_policy_validation():
     with pytest.raises(InputError):
         sfk.SparsityPolicy(act_mode="venom")  # venom params required
+    with pytest.raises(InputError):
+        sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 2, 8))  # router required
     with pytest.raises(InputError):
         sfk.SparsityPolicy(act_mode="dense", venom=sfk.VenomParams(4, 2, 8))
     with pytest.raises(InputError):
@@ -246,22 +248,36 @@ def test_each_operand_is_sparsified_once_per_step(monkeypatch, name):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for mod in ("sfk.ffn", "sfk.router", "sfk.venom"):
-        monkeypatch.setattr(importlib.import_module(mod), "sparsify24", counted)
+    # every sfk namespace that bound the function by name calls it through that binding
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "sfk" and getattr(mod, "sparsify24", None) is real:
+            monkeypatch.setattr(mod, "sparsify24", counted)
     y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
     sfk.ffn_backward(y3, tape, p, pol)
     assert len(calls) == want
 
 
 def test_weight_sparsify_backward_modes():
+    """sparsify24_backward reads the kept slots from the pack; the soft
+    Jacobian is checked against the formula written out from a sort."""
     w = sfk.rand_matrix(4, 8, seed=1)
     g = sfk.rand_matrix(4, 8, seed=2)
-    hard = sfk.weight_sparsify_backward(w, g, sfk.GREEDY_MAGNITUDE)
-    assert np.array_equal(hard, np.where(sfk.top2_mask(w), g, 0.0))
-    soft = sfk.weight_sparsify_backward(w, g, sfk.SOFT_THRESHOLD)
+    greedy = sfk.sparsify24(w, sfk.GREEDY_MAGNITUDE)
+    hard = sfk.sparsify24_backward(w, greedy, g, sfk.GREEDY_MAGNITUDE)
+    assert np.array_equal(hard, np.where(sfk.kept_mask(greedy), g, 0.0))
+    soft = sfk.sparsify24_backward(w, sfk.sparsify24(w, sfk.SOFT_THRESHOLD), g, sfk.SOFT_THRESHOLD)
+    groups, grads = w.reshape(4, 2, 4), g.reshape(4, 2, 4)
+    tpos = np.argsort(np.abs(groups), axis=-1)[..., 1:2]  # second-smallest magnitude
+    t = np.take_along_axis(np.abs(groups), tpos, axis=-1)
+    want = np.where(np.abs(groups) > t, grads, 0.0)
+    coupling = -(np.sign(groups) * want).sum(axis=-1, keepdims=True)
+    np.put_along_axis(want, tpos, np.take_along_axis(np.sign(groups), tpos, axis=-1) * coupling, -1)
+    np.testing.assert_allclose(soft, want.reshape(4, 8), rtol=0.0, atol=1e-15)
     assert np.array_equal(soft, sfk.soft_threshold_backward(w, g))
     with pytest.raises(InputError):
-        sfk.weight_sparsify_backward(w, g, "l1")
+        sfk.sparsify24_backward(w, greedy, g, "l1")
+    with pytest.raises(ShapeError):
+        sfk.sparsify24_backward(w.T, greedy, g.T, sfk.GREEDY_MAGNITUDE)
 
 
 # -------------------------------------------------------------- gradcheck ---
@@ -279,6 +295,13 @@ def test_gradcheck_dense_quick():
 def test_gradcheck_venom_quick():
     rep = sfk.gradcheck(sfk.ablation_policy("venom"), shape=(8, 8, 16), seed=0)
     assert rep.max_rel < 1e-4
+
+
+@pytest.mark.parametrize("tag", ["w1", "w1t", "w2", "w2t"])
+def test_gradcheck_greedy_weight_ablations(tag):
+    pol = sfk.ablation_policy(tag, sfk.GREEDY_MAGNITUDE)
+    rep = sfk.gradcheck(pol, shape=(8, 16, 32), seed=0)
+    assert rep.max_rel <= 1e-4
 
 
 def test_gradcheck_caps_problem_size():

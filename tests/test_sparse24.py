@@ -47,7 +47,8 @@ def test_greedy_tie_break_prefers_lower_index():
     a = np.array([[2.0, -2.0, 2.0, 2.0]])
     d = sfk.decode24(sfk.sparsify24(a, sfk.GREEDY_MAGNITUDE))
     assert np.array_equal(d, [[2.0, -2.0, 0.0, 0.0]])
-    assert np.array_equal(sfk.top2_mask(a), [[True, True, False, False]])
+    s = sfk.sparsify24(a, sfk.GREEDY_MAGNITUDE)
+    assert np.array_equal(sfk.kept_mask(s), [[True, True, False, False]])
 
 
 def test_meta_is_two_ascending_slots_per_group():
@@ -65,13 +66,6 @@ def test_sparsify_rejects_bad_inputs():
         sfk.sparsify24(np.ones((4, 4)), mode="bogus")
     with pytest.raises(ShapeError):
         sfk.sparsify24(np.ones((4, 6)))
-
-
-def test_transposed_packing_equals_packing_the_transpose():
-    a = sfk.rand_matrix(12, 16, seed=7)
-    st_ = sfk.sparsify24_transposed(a)
-    assert (st_.rows, st_.cols) == (16, 12)
-    assert np.array_equal(sfk.decode24(st_), sfk.decode24(sfk.sparsify24(a.T)))
 
 
 def test_reencode_reuses_mask_with_new_values():
