@@ -31,6 +31,16 @@ def gemm_naive(a, b):
     return out
 
 
+def scatter_naive(cols, values, b, out_rows):
+    """Transposed-product oracle in the packed kernels' pinned order:
+    out[cols[i, j]] += values[i, j] * b[i], one np.add.at per slot j, so
+    each output row accumulates its entries in (slot, row) order."""
+    out = np.zeros((out_rows, b.shape[1]), dtype=np.float64)
+    for j in range(cols.shape[1]):
+        np.add.at(out, cols[:, j], values[:, j : j + 1] * b)
+    return out
+
+
 def dealt_bank(d_model, d_ffn, m, num_experts, seed=0):
     """Build an ExpertBank whose column sets are dealt round-robin as 4-column
     packs inside every m-wide window.

@@ -40,6 +40,21 @@ def test_venom_counts_exactly_n_over_m():
     assert dense_c.total * p.n == sparse_c.total * p.m
 
 
+def test_transposed_kernels_count_exactly():
+    rows, cols, m, n = 12, 32, 5, 7
+    s = sfk.sparsify24(sfk.rand_matrix(rows, cols, seed=9))
+    with count_multiplies() as c:
+        sfk.spmm24_rhs(sfk.rand_matrix(m, rows, seed=10), s)
+        sfk.spmm24_tn(s, sfk.rand_matrix(rows, n, seed=11))
+    assert c.per_op == {"spmm24_rhs": m * rows * (cols // 2), "spmm24_tn": rows * (cols // 2) * n}
+
+    p = sfk.VenomParams(4, 2, 16)
+    vm = sfk.venom_encode(sfk.rand_matrix(16, 64, seed=12), p)
+    with count_multiplies() as c:
+        sfk.venom_spmm_tn(vm, sfk.rand_matrix(16, n, seed=13))
+    assert c.per_op == {"venom_spmm_tn": 16 * 64 * p.n // p.m * n}
+
+
 def test_counters_nest_and_label():
     with count_multiplies() as outer:
         tally(3, "x")
@@ -87,6 +102,10 @@ def test_no_counter_active_is_free():
 def test_custom_labels_flow_through_kernels():
     s = sfk.sparsify24(sfk.rand_matrix(4, 8, seed=6))
     b = sfk.rand_matrix(8, 2, seed=7)
+    vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=8), sfk.VenomParams(4, 2, 8))
     with count_multiplies() as c:
         sfk.spmm24(s, b, label="fwd_y1")
-    assert list(c.per_op) == ["fwd_y1"]
+        sfk.spmm24_rhs(b[:4].T, s, label="fwd_y3")
+        sfk.spmm24_tn(s, b[:4], label="bwd_dw2")
+        sfk.venom_spmm_tn(vm, b[:4], label="bwd_dw1")
+    assert c.per_op == {"fwd_y1": 4 * 4 * 2, "fwd_y3": 2 * 4 * 4, "bwd_dw2": 4 * 4 * 2, "bwd_dw1": 4 * 2 * 2}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfk
 from sfk import FormatError, InputError, ShapeError
 from sfk.sparse24 import S24_MAGIC, s24_from_bytes, s24_to_bytes
-from conftest import gemm_naive
+from conftest import gemm_naive, scatter_naive
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -181,6 +181,28 @@ def test_packed_kernel_oracle_property(seed):
     np.testing.assert_allclose(
         sfk.spmm24(s, b), sfk.gemm(sfk.decode24(s), b), rtol=0.0, atol=1e-10
     )
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 10_000),
+    st.sampled_from(["normal", "relu", "zeros"]),
+)
+@settings(max_examples=60)
+def test_transposed_kernels_pin_summation_order(rows, groups, n, seed, kind):
+    """spmm24_rhs accumulates k ascending (bitwise gemm on the decoded
+    matrix); spmm24_tn accumulates each output row in (slot, row) order.
+    One row leaves half the output rows of spmm24_tn unhit; "zeros"
+    packs store nothing but zeros."""
+    a = sfk.rand_matrix(rows, 4 * groups, seed=seed)
+    a = {"normal": a, "relu": np.maximum(a, 0.0), "zeros": np.zeros_like(a)}[kind]
+    s = sfk.sparsify24(a, sfk.MODES[seed % 2])
+    lhs = sfk.rand_matrix(n, rows, seed=seed + 1)
+    c = sfk.rand_matrix(rows, n, seed=seed + 2)
+    assert np.array_equal(sfk.spmm24_rhs(lhs, s), sfk.gemm(lhs, sfk.decode24(s)))
+    assert np.array_equal(sfk.spmm24_tn(s, c), scatter_naive(s.abs_columns(), s.values, c, s.cols))
 
 
 def test_kernel_shape_errors():

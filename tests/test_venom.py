@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sfk
 from sfk import FormatError, InputError, ShapeError
 from sfk.venom import VNM_MAGIC
+from conftest import scatter_naive
 
 
 def test_params_validation():
@@ -122,6 +123,25 @@ def test_kernel_oracle_property(seed, m):
     b = sfk.rand_matrix(2 * m, 3, seed=seed + 1)
     np.testing.assert_allclose(sfk.venom_spmm(vm, b), sfk.gemm(d, b), rtol=0.0, atol=1e-10)
     assert sfk.venom_check(d, p)
+
+
+@given(
+    st.integers(0, 3_000),
+    st.sampled_from([8, 16, 32, 64]),
+    st.sampled_from([1, 4]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+@settings(max_examples=40)
+def test_spmm_tn_pins_summation_order(seed, m, v, blocks, windows, n):
+    """Each output row of venom_spmm_tn accumulates in (slot, row) order;
+    columns outside the column table get no entry at all."""
+    p = sfk.VenomParams(v, 2, m)
+    vm = sfk.venom_encode(sfk.rand_matrix(v * blocks, m * windows, seed=seed), p)
+    c = sfk.rand_matrix(vm.rows, n, seed=seed + 1)
+    want = scatter_naive(vm.kept_abs_columns(), vm.payload.values, c, vm.cols)
+    assert np.array_equal(sfk.venom_spmm_tn(vm, c), want)
 
 
 def test_venom_file_roundtrip(tmp_path):
