@@ -247,12 +247,26 @@ def _gather_mm(cols: np.ndarray, values: np.ndarray, b: np.ndarray, label: str) 
 def _scatter_mm(
     cols: np.ndarray, values: np.ndarray, b: np.ndarray, out_rows: int, label: str
 ) -> np.ndarray:
-    """out[cols[i, j]] += values[i, j] * b[i] over all kept slots."""
+    """out[cols[i, j]] += values[i, j] * b[i] over all kept slots.
+
+    Each output row accumulates its entries in (slot, row) order, the
+    order of one np.add.at per slot.  Entries are sorted by (column,
+    slot, row); pass p adds the p-th entry of every output row at once,
+    so no row appears twice in a pass.
+    """
     rows, n = cols.shape[0], b.shape[1]
+    col = cols.T.ravel()  # entry e is slot e // rows, row e % rows
+    by_col = np.argsort(col, kind="stable")
+    sorted_col = col[by_col]
+    rank = np.arange(col.size) - np.searchsorted(sorted_col, sorted_col)  # p, per output row
+    e = by_col[np.argsort(rank, kind="stable")]
+    dst, src, val = col[e], e % rows, values.T.ravel()[e]
     out = np.zeros((out_rows, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        np.add.at(out, cols[:, j], values[:, j : j + 1] * b)
-        tally(rows * n, label)
+    hi = 0
+    for size in np.bincount(rank).tolist():
+        lo, hi = hi, hi + size
+        out[dst[lo:hi]] += val[lo:hi, None] * b[src[lo:hi]]
+        tally(size * n, label)
     return out
 
 
@@ -268,18 +282,20 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
     """a @ decode24(s) without decoding: sparse operand on the right.
 
     Accumulates k strictly ascending, so on an already-compliant s the
-    result is bit-identical to gemm(a, decode24(s)).
+    result is bit-identical to gemm(a, decode24(s)).  The output is built
+    transposed, so kept row k of s scatters into contiguous rows.
     """
     a = as_matrix(a)
     if a.shape[1] != s.rows:
         raise ShapeError(f"spmm24_rhs: inner dimensions differ: {a.shape} times {s.rows}x{s.cols}")
     cols = s.abs_columns()
-    out = np.zeros((a.shape[0], s.cols), dtype=np.float64)
+    a_t = np.ascontiguousarray(a.T)
+    out_t = np.zeros((s.cols, a.shape[0]), dtype=np.float64)
     half = s.slots_per_row
     for k in range(s.rows):
-        out[:, cols[k]] += a[:, k : k + 1] * s.values[k]
+        out_t[cols[k]] += s.values[k][:, None] * a_t[k]
         tally(a.shape[0] * half, label)
-    return out
+    return np.ascontiguousarray(out_t.T)
 
 
 def spmm24_tn(s: Sparse24Matrix, b, label: str = "spmm24_tn") -> np.ndarray:

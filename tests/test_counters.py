@@ -53,6 +53,8 @@ def test_transposed_kernels_count_exactly():
     with count_multiplies() as c:
         sfk.venom_spmm_tn(vm, sfk.rand_matrix(16, n, seed=13))
     assert c.per_op == {"venom_spmm_tn": 16 * 64 * p.n // p.m * n}
+    # plain ints, so a ledger of them serializes to JSON
+    assert type(c.total) is int and type(c.per_op["venom_spmm_tn"]) is int
 
 
 def test_counters_nest_and_label():
