@@ -20,6 +20,7 @@ arithmetic change made on purpose, and name every digest that moved:
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -79,16 +80,11 @@ def _kernels() -> dict:
 
 
 TRAIN_TAGS = sfk.ABLATIONS + ("recipe",)
-GROUPS = {
-    **{f"train.{tag}.{mode}": (_train, tag, mode) for tag in TRAIN_TAGS for mode in WEIGHT_MODES},
-    **{f"gradcheck.{tag}.{mode}": (_gradcheck, tag, mode) for tag in sfk.ABLATIONS for mode in WEIGHT_MODES},
-    "kernels": (_kernels,),
+GROUPS = {  # name -> zero-argument function returning {key: digest}
+    **{f"train.{t}.{m}": functools.partial(_train, t, m) for t in TRAIN_TAGS for m in WEIGHT_MODES},
+    **{f"gradcheck.{t}.{m}": functools.partial(_gradcheck, t, m) for t in sfk.ABLATIONS for m in WEIGHT_MODES},
+    "kernels": _kernels,
 }
-
-
-def _compute(group: str) -> dict:
-    fn, *args = GROUPS[group]
-    return fn(*args)
 
 
 def _versions() -> dict:
@@ -102,7 +98,7 @@ def _load() -> dict:
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_outputs_match_golden_digests(group):
     golden = _load()
-    want, got = golden["digests"][group], _compute(group)
+    want, got = golden["digests"][group], GROUPS[group]()
     moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not moved, (
         f"digests differ from tests/golden.json: {moved}; "
@@ -118,7 +114,7 @@ def main(argv) -> int:
     if argv != ["--write"]:
         print(__doc__)
         return 2
-    doc = {"versions": _versions(), "digests": {g: _compute(g) for g in sorted(GROUPS)}}
+    doc = {"versions": _versions(), "digests": {g: GROUPS[g]() for g in sorted(GROUPS)}}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {sum(map(len, doc['digests'].values()))} digests to {GOLDEN}")
     return 0
