@@ -33,7 +33,6 @@ import pytest
 import sfk
 
 GOLDEN = Path(__file__).with_name("golden.json")
-WEIGHT_MODES = (sfk.SOFT_THRESHOLD, sfk.GREEDY_MAGNITUDE)
 
 
 def _digest(arr) -> str:
@@ -66,7 +65,7 @@ def _kernels() -> dict:
     out = {}
     for i, (rows, cols, n) in enumerate(((1, 8, 3), (12, 16, 5), (33, 48, 7))):
         a = sfk.rand_matrix(rows, cols, seed=100 + i)
-        for mode in WEIGHT_MODES:
+        for mode in sfk.MODES:
             s = sfk.sparsify24(a, mode)
             shape = f"{rows}x{cols}x{n}.{mode}"
             out[f"spmm24.{shape}"] = _digest(sfk.spmm24(s, sfk.rand_matrix(cols, n, seed=200 + i)))
@@ -81,8 +80,8 @@ def _kernels() -> dict:
 
 TRAIN_TAGS = sfk.ABLATIONS + ("recipe",)
 GROUPS = {  # name -> zero-argument function returning {key: digest}
-    **{f"train.{t}.{m}": functools.partial(_train, t, m) for t in TRAIN_TAGS for m in WEIGHT_MODES},
-    **{f"gradcheck.{t}.{m}": functools.partial(_gradcheck, t, m) for t in sfk.ABLATIONS for m in WEIGHT_MODES},
+    **{f"train.{t}.{m}": functools.partial(_train, t, m) for t in TRAIN_TAGS for m in sfk.MODES},
+    **{f"gradcheck.{t}.{m}": functools.partial(_gradcheck, t, m) for t in sfk.ABLATIONS for m in sfk.MODES},
     "kernels": _kernels,
 }
 
