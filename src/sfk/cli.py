@@ -160,6 +160,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_roofline(args) -> int:
+    if args.out is not None and not args.sweep:
+        raise InputError("--out writes the --sweep CSV; pass --sweep with it")
     with open(args.config) as fh:
         configs = load_configs(fh.read())
     if args.sweep:
@@ -191,10 +193,10 @@ def _cmd_roofline(args) -> int:
 
 def _cmd_schedule(args) -> int:
     sched = build_schedule(args.total, args.sparse, args.warmup)
+    speedup = schedule_speedup(sched, args.per_iter_speedup)
     lo, hi = sched.sparse_range
     print(f"dense [0, {lo}), sparse [{lo}, {hi}), dense [{hi}, {sched.total_steps})")
-    print(f"schedule_speedup at per-iteration speedup {args.per_iter_speedup:g}: "
-          f"{schedule_speedup(sched, args.per_iter_speedup):.6f}")
+    print(f"schedule_speedup at per-iteration speedup {args.per_iter_speedup:g}: {speedup:.6f}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(config_to_json(sched))
@@ -230,6 +232,8 @@ def _cmd_bench(args) -> int:
     m, n, k = _parse_ints(args.shape, 3, "--shape")
     if m < 1 or n < 1 or k < 1:
         raise InputError(f"bench shape must be positive, got {(m, n, k)}")
+    if args.repeat < 1:
+        raise InputError(f"--repeat must be at least 1, got {args.repeat}")
     if m * n * k > MAX_BENCH_FLOPS and not args.force:
         raise GuardError(
             f"bench shape {(m, n, k)} exceeds {MAX_BENCH_FLOPS} multiplies; "
@@ -307,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="FLOP fractions and theoretical speedups")
     p.add_argument("--config", required=True, help="model config JSON (object or list)")
-    p.add_argument("--sweep", action="store_true", help="emit the component-fraction CSV")
-    p.add_argument("--out", default=None, help="CSV output path (stdout otherwise)")
-    p.add_argument("--overhead", action="store_true", help="print the conversion overhead model")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--sweep", action="store_true", help="emit the component-fraction CSV")
+    mode.add_argument("--overhead", action="store_true", help="print the conversion overhead model")
+    p.add_argument("--out", default=None, help="CSV output path for --sweep (stdout otherwise)")
     p.add_argument("--venom", default="64,2,16", help="V,N,M for --overhead")
     p.add_argument("--experts", type=int, default=16, help="expert count for --overhead")
     p.set_defaults(func=_cmd_roofline)

@@ -62,7 +62,6 @@ from .sparse24 import (
     spmm24_tn,
 )
 from .venom import (
-    VenomMatrix,
     VenomParams,
     venom_kept_mask,
     venom_reencode,
@@ -340,32 +339,34 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         log.append(("dy2", "none"))
         return gemm(dy3_rows, _t(w2.eff))
 
-    if pol.act_mode == "venom":
-        vm: VenomMatrix = tape.y2
-        plan, layout = tape.plan, tape.layout
-        dy3p = pad_rows(apply_permutation(dy3, plan), layout)
-        dw2_eff = venom_spmm_tn(vm, dy3p, label="ffn.dw2")
+    if pol.act_mode != "dense":
+        # act24 and venom differentiate alike: y2 is a 2:4 pack (over the
+        # gathered columns for venom) and dy1 is re-encoded on its slots.
+        # Venom works in routed rows (permuted and padded), act24 in the
+        # caller's.  The kernels are looked up per call, so a rebinding of
+        # this module's names (perfbench's tracer does that) reaches them.
+        if pol.act_mode == "venom":
+            reencode, spmm, spmm_tn = venom_reencode, venom_spmm, venom_spmm_tn
+
+            def rows(a):
+                return pad_rows(apply_permutation(a, tape.plan), tape.layout)
+
+            def unrows(a):
+                return invert_permutation(unpad_rows(a, tape.layout), tape.plan)
+        else:
+            reencode, spmm, spmm_tn = reencode24, spmm24, spmm24_tn
+
+            def rows(a):
+                return a
+            unrows = rows
+        dy3r = rows(dy3)
+        dw2_eff = spmm_tn(tape.y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
-        dy2p = np.where(tape.act_mask, dy2_product(dy3p), 0.0)
-        y1p = pad_rows(apply_permutation(tape.y1, plan), layout)
-        dy1p = squared_relu_backward(dy2p, y1p)
-        vm_dy1 = venom_reencode(dy1p, vm)
-        dxp = venom_spmm(vm_dy1, _t(w1.eff), label="ffn.dx")
+        dy2 = np.where(tape.act_mask, dy2_product(dy3r), 0.0)
+        dy1 = reencode(squared_relu_backward(dy2, rows(tape.y1)), tape.y2)
+        dx = unrows(spmm(dy1, _t(w1.eff), label="ffn.dx"))
         log.append(("dx", "dy1"))
-        dx = invert_permutation(unpad_rows(dxp, layout), plan)
-        xp = pad_rows(apply_permutation(tape.x, plan), layout)
-        dw1_eff = _t(venom_spmm_tn(vm_dy1, xp, label="ffn.dw1"))
-        log.append(("dw1", "dy1"))
-    elif pol.act_mode == "act24":
-        s_y2: Sparse24Matrix = tape.y2
-        dw2_eff = spmm24_tn(s_y2, dy3, label="ffn.dw2")
-        log.append(("dw2", "y2"))
-        dy2 = np.where(tape.act_mask, dy2_product(dy3), 0.0)
-        dy1 = squared_relu_backward(dy2, tape.y1)
-        s_dy1 = reencode24(dy1, s_y2)
-        dx = spmm24(s_dy1, _t(w1.eff), label="ffn.dx")
-        log.append(("dx", "dy1"))
-        dw1_eff = _t(spmm24_tn(s_dy1, tape.x, label="ffn.dw1"))
+        dw1_eff = _t(spmm_tn(dy1, rows(tape.x), label="ffn.dw1"))
         log.append(("dw1", "dy1"))
     else:
         y2 = tape.y2

@@ -56,19 +56,11 @@ def gemm(a, b) -> np.ndarray:
     return out
 
 
-def rand_matrix(rows: int, cols: int, seed: int, dist: str = "normal") -> np.ndarray:
-    """Seeded random matrix from a PCG64 stream; same seed, same bits.
-
-    dist "normal" draws standard normals, "uniform" draws from [0, 1).
-    """
+def rand_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Seeded standard-normal matrix from a PCG64 stream; same seed, same bits."""
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if dist == "normal":
-        return rng.standard_normal((rows, cols))
-    if dist == "uniform":
-        return rng.uniform(0.0, 1.0, size=(rows, cols))
-    raise InputError(f"unknown distribution {dist!r} (expected 'normal' or 'uniform')")
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal((rows, cols))
 
 
 def save_matrix(m, path, dtype: str = "real64") -> None:

@@ -74,7 +74,7 @@ def ffn_fraction(c: RooflineConfig) -> float:
 
 def end_to_end_speedup(c: RooflineConfig, ffn_speedup: float) -> float:
     """Amdahl's law with the FFN fraction as the accelerated share."""
-    if ffn_speedup < 1.0:
+    if not ffn_speedup >= 1.0:  # also rejects nan; inf gives the 1 / (1 - p) ceiling
         raise InputError(f"ffn_speedup must be >= 1, got {ffn_speedup}")
     p = ffn_fraction(c)
     return 1.0 / ((1.0 - p) + p / ffn_speedup)

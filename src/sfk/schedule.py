@@ -8,6 +8,7 @@ recovers accuracy.  Warmup steps count toward the dense budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -97,8 +98,8 @@ def build_schedule(
 def schedule_speedup(s: TrainSchedule, per_iter_speedup: float) -> float:
     """End-to-end speedup when sparse steps run per_iter_speedup times
     faster: total / (dense + sparse / per_iter_speedup)."""
-    if per_iter_speedup < 1.0:
-        raise InputError(f"per-iteration speedup must be >= 1, got {per_iter_speedup}")
+    if not 1.0 <= per_iter_speedup < math.inf:  # also rejects nan
+        raise InputError(f"per-iteration speedup must be finite and >= 1, got {per_iter_speedup}")
     # single division: total*s / (dense*s + sparse) loses less than
     # dividing sparse/s first, and is exact for round step counts
     return (s.total_steps * per_iter_speedup) / (

@@ -47,8 +47,8 @@ class ToyTask:
                 raise InputError(f"{name} must be a multiple of 4, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be positive, got {self.batch_size}")
-        if self.noise_std < 0:
-            raise InputError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < np.inf:  # also rejects nan
+            raise InputError(f"noise_std must be finite and non-negative, got {self.noise_std}")
         if self.teacher is None:
             self.teacher = init_ffn_params(
                 self.input_dim, self.hidden_dim, self.output_dim, seed=self.seed
@@ -134,8 +134,8 @@ def run_training(task: ToyTask, schedule: TrainSchedule, lr: float, steps: int) 
     """
     if steps != schedule.total_steps:
         raise InputError(f"steps {steps} must equal schedule.total_steps {schedule.total_steps}")
-    if lr <= 0:
-        raise InputError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < np.inf:  # also rejects nan
+        raise InputError(f"learning rate must be finite and positive, got {lr}")
     sp = schedule.sparse_policy
     if sp.act_mode == "venom" and schedule.sparse_steps > 0:
         if task.hidden_dim % sp.venom.m:

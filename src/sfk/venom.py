@@ -30,7 +30,6 @@ from .sparse24 import (
     Sparse24Matrix,
     _gather_mm,
     _scatter_mm,
-    decode24,
     s24_from_bytes,
     s24_to_bytes,
     sparsify24,
@@ -148,12 +147,8 @@ def venom_encode(a, p: VenomParams) -> VenomMatrix:
 def venom_decode(vm: VenomMatrix) -> np.ndarray:
     """Expand back to dense; the result always passes venom_check."""
     vm.validate()
-    strips = decode24(vm.payload).reshape(vm.rows, vm.windows, 4)
-    nw = vm.windows
-    block_row = np.arange(vm.rows) // vm.params.v
-    abs_cols = vm.col_table.astype(np.int64)[block_row] + np.arange(nw)[None, :, None] * vm.params.m
     out = np.zeros((vm.rows, vm.cols), dtype=np.float64)
-    out[np.arange(vm.rows)[:, None, None], abs_cols] = strips
+    out[np.arange(vm.rows)[:, None], vm.kept_abs_columns()] = vm.payload.values
     return out
 
 

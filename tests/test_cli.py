@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import shlex
 import sys
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import sfk
 from sfk import FormatError
-from sfk.cli import main
+from sfk.cli import build_parser, main
 
 
 @pytest.fixture
@@ -23,6 +24,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def test_console_script_is_declared():
@@ -47,6 +49,24 @@ def test_console_script_is_declared():
         installed = [ep.value for ep in dist.entry_points
                      if ep.group == "console_scripts" and ep.name == "sfk"]
         assert installed == ["sfk.cli:main"]
+
+
+def test_readme_commands_parse():
+    """Every `sfk ...` line in README's fenced blocks is accepted by the parser
+    (nothing is run)."""
+    fenced, lines = False, []
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("sfk "):
+            lines.append(line)
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_sparsify24_check_spmm_pipeline(workdir, capsys):
@@ -182,6 +202,18 @@ def test_roofline_sweep_and_overhead(config_file, capsys):
     assert "expert_matmul" in out and "compute-bound" in out
 
 
+def test_roofline_rejects_flags_it_would_ignore(config_file, workdir, capsys):
+    # --sweep --overhead used to print only the CSV; argparse now rejects the pair
+    with pytest.raises(SystemExit) as exc:
+        main(["roofline", "--config", config_file, "--sweep", "--overhead"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    # --out without --sweep used to write nothing and exit 0
+    assert main(["roofline", "--config", config_file, "--out", "fractions.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "fractions.csv").exists()
+
+
 @pytest.mark.parametrize("edit", [
     {"num_heads": 0, "head_dim": 128},  # used to divide by zero
     {"d_model": "abc"},  # used to raise ValueError from int()
@@ -204,6 +236,8 @@ def test_schedule_command(workdir, capsys):
     assert "1.375000" in out
     back = sfk.config_from_json(sfk.TrainSchedule, (workdir / "sched.json").read_text())
     assert back.total_steps == 1000 and back.sparse_range == (0, 500)
+    assert main(["schedule", "--total", "1000", "--sparse", "500",
+                 "--per-iter-speedup", "nan"]) == 2  # used to print nan and exit 0
 
 
 def test_train_command_writes_csv_and_summary(workdir, capsys):
@@ -239,6 +273,9 @@ def test_bench_reports_ceiling_ratios(workdir, capsys):
 def test_bench_guards_oversized_problems(workdir, capsys):
     assert main(["bench", "--shape", "4096,4096,1024", "--format", "s24"]) == 3
     assert "guard:" in capsys.readouterr().err
+    for repeat in ("0", "-2"):  # used to divide by zero
+        assert main(["bench", "--shape", "32,64,16", "--repeat", repeat]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_subcommand_exits_2():

@@ -295,6 +295,12 @@ def test_gradcheck_dense_quick():
 def test_gradcheck_venom_quick():
     rep = sfk.gradcheck(sfk.ablation_policy("venom"), shape=(8, 8, 16), seed=0)
     assert rep.max_rel < 1e-4
+    # Top-2 routing puts tokens with different column sets in one block, so
+    # some kept slots are unrouted for some rows; only the backward's
+    # activation mask keeps dy1 off them.
+    top2 = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 2, 8),
+                              router=sfk.RouterConfig(num_experts=4, top_k=2, align_m=8))
+    assert sfk.gradcheck(top2, shape=(8, 8, 64), seed=0).max_rel < 1e-4
 
 
 @pytest.mark.parametrize("tag", ["w1", "w1t", "w2", "w2t"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfk
-from sfk import FormatError, InputError, ShapeError
+from sfk import FormatError, ShapeError
 from conftest import gemm_naive
 
 
@@ -53,10 +53,6 @@ def test_rand_matrix_deterministic_and_distinct():
     c = sfk.rand_matrix(16, 16, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    u = sfk.rand_matrix(64, 64, seed=3, dist="uniform")
-    assert u.min() >= 0.0 and u.max() < 1.0
-    with pytest.raises(InputError):
-        sfk.rand_matrix(2, 2, seed=0, dist="cauchy")
 
 
 def test_matrix_file_roundtrip(tmp_path):

@@ -41,6 +41,8 @@ def test_end_to_end_speedup_amdahl():
     assert sfk.end_to_end_speedup(c, 1.0) == 1.0
     with pytest.raises(InputError):
         sfk.end_to_end_speedup(c, 0.9)
+    with pytest.raises(InputError):
+        sfk.end_to_end_speedup(c, float("nan"))
 
 
 def test_flop_fraction_sweep_rows():

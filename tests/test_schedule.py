@@ -39,6 +39,10 @@ def test_schedule_validation():
         sfk.build_schedule(total=10, sparse=8, warmup=4)
     with pytest.raises(InputError):
         sfk.build_schedule(total=0, sparse=0)
+    s = sfk.build_schedule(total=1000, sparse=500, warmup=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            sfk.schedule_speedup(s, bad)
 
 
 def test_schedule_speedup_exact_values():

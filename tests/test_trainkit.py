@@ -23,8 +23,9 @@ def test_task_validation():
         sfk.ToyTask(input_dim=30)
     with pytest.raises(InputError):
         small_task(batch_size=0)
-    with pytest.raises(InputError):
-        small_task(noise_std=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            small_task(noise_std=bad)
 
 
 def test_batches_are_reproducible_and_step_dependent():
@@ -101,8 +102,9 @@ def test_run_training_validation():
     sched = sfk.build_schedule(20, 0, 0)
     with pytest.raises(InputError):
         sfk.run_training(task, sched, lr=0.05, steps=10)
-    with pytest.raises(InputError):
-        sfk.run_training(task, sched, lr=0.0, steps=20)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            sfk.run_training(task, sched, lr=bad, steps=20)
     venom_sched = sfk.build_schedule(10, 10, 0)  # default policy wants M=16
     with pytest.raises(InputError):
         sfk.run_training(small_task(hidden_dim=12), venom_sched, lr=0.05, steps=10)
