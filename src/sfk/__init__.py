@@ -36,7 +36,6 @@ from .ffn import (
 from .matcore import as_matrix, gemm, load_matrix, rand_matrix, save_matrix
 from .roofline import (
     RooflineConfig,
-    config_from_dict,
     conversion_overhead_model,
     end_to_end_speedup,
     ffn_fraction,

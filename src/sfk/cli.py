@@ -21,7 +21,6 @@ from .errors import GuardError, InputError, SfkError
 from .ffn import ABLATIONS, SparsityPolicy, ablation_policy, gradcheck
 from .matcore import MAGIC, gemm, load_matrix, rand_matrix, save_matrix
 from .roofline import (
-    RooflineConfig,
     conversion_overhead_model,
     end_to_end_speedup,
     ffn_fraction,
@@ -67,6 +66,11 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
         raise InputError(f"{what} wants integers, got {text!r}") from exc
 
 
+def _venom_params(text: str | None) -> VenomParams:
+    """The --venom flag as VenomParams; an absent flag means 64,2,16."""
+    return VenomParams(*_parse_ints("64,2,16" if text is None else text, 3, "--venom"))
+
+
 def _sniff_format(path: str) -> str:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -101,8 +105,7 @@ def _cmd_sparsify24(args) -> int:
 
 def _cmd_venom_encode(args) -> int:
     a = load_matrix(args.infile)
-    v, n, m = _parse_ints(args.venom, 3, "--venom")
-    p = VenomParams(v, n, m)
+    p = _venom_params(args.venom)
     vm = venom_encode(a, p)
     save_venom(vm, args.outfile)
     dec = venom_decode(vm)
@@ -162,6 +165,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_roofline(args) -> int:
     if args.out is not None and not args.sweep:
         raise InputError("--out writes the --sweep CSV; pass --sweep with it")
+    if not args.overhead and (args.venom is not None or args.experts is not None):
+        raise InputError("--venom and --experts apply to --overhead; pass --overhead with them")
+    experts = 16 if args.experts is None else args.experts
+    venom = _venom_params(args.venom)
     with open(args.config) as fh:
         configs = load_configs(fh.read())
     if args.sweep:
@@ -174,14 +181,13 @@ def _cmd_roofline(args) -> int:
             sys.stdout.write(csv)
         return 0
     for c in configs:
-        label = c.name or "config"
+        label = c.model or "config"
         print(f"{label}: total_flops {total_flops(c)}")
         print(f"{label}: ffn_fraction {ffn_fraction(c):.6f}")
         for s in (1.5, 7.0):
             print(f"{label}: end_to_end_speedup at ffn_speedup {s:g}: {end_to_end_speedup(c, s):.6f}")
         if args.overhead:
-            v, n, m = _parse_ints(args.venom, 3, "--venom")
-            rep = conversion_overhead_model(c, VenomParams(v, n, m), args.experts)
+            rep = conversion_overhead_model(c, venom, experts)
             for stepname in ("routing", "permutation", "sparsify_scan", "expert_matmul"):
                 st = rep[stepname]
                 print(
@@ -234,6 +240,8 @@ def _cmd_bench(args) -> int:
         raise InputError(f"bench shape must be positive, got {(m, n, k)}")
     if args.repeat < 1:
         raise InputError(f"--repeat must be at least 1, got {args.repeat}")
+    if args.venom is not None and args.format != "venom":
+        raise InputError("--venom applies to --format venom; pass --format venom with it")
     if m * n * k > MAX_BENCH_FLOPS and not args.force:
         raise GuardError(
             f"bench shape {(m, n, k)} exceeds {MAX_BENCH_FLOPS} multiplies; "
@@ -247,8 +255,7 @@ def _cmd_bench(args) -> int:
     elif args.format == "s24":
         operand, kernel, theoretical = sparsify24(a, GREEDY_MAGNITUDE), spmm24, 2.0
     else:
-        v, nn, mm = _parse_ints(args.venom, 3, "--venom")
-        p = VenomParams(v, nn, mm)
+        p = _venom_params(args.venom)
         operand, kernel, theoretical = venom_encode(a, p), venom_spmm, p.m / p.n
 
     with count_multiplies() as dense_counter:
@@ -315,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sweep", action="store_true", help="emit the component-fraction CSV")
     mode.add_argument("--overhead", action="store_true", help="print the conversion overhead model")
     p.add_argument("--out", default=None, help="CSV output path for --sweep (stdout otherwise)")
-    p.add_argument("--venom", default="64,2,16", help="V,N,M for --overhead")
-    p.add_argument("--experts", type=int, default=16, help="expert count for --overhead")
+    p.add_argument("--venom", help="V,N,M for --overhead (default 64,2,16)")
+    p.add_argument("--experts", type=int, help="expert count for --overhead (default 16)")
     p.set_defaults(func=_cmd_roofline)
 
     p = sub.add_parser("schedule", help="plan sparse/dense phases and their speedup")
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="multiply-count microbenchmark of the sparse kernels")
     p.add_argument("--shape", required=True, help="m,n,k")
     p.add_argument("--format", choices=("dense", "s24", "venom"), default="s24")
-    p.add_argument("--venom", default="64,2,16", help="V,N,M when --format venom")
+    p.add_argument("--venom", help="V,N,M when --format venom (default 64,2,16)")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true", help="bypass the desk-scale size guard")

@@ -2,10 +2,11 @@
 
 ``config_to_json`` writes every field of a (possibly nested) config
 dataclass.  ``config_from_json`` reads a document back into a given
-dataclass type using its annotations: nested and ``Optional`` dataclass
-fields recurse, absent keys take the dataclass default, and an unknown
-key, a missing required key or a value of the wrong JSON type raises
-InputError naming the dotted field.  A bool field accepts only
+dataclass type (or a ``list[T]`` of one) using its annotations: nested
+dataclass, ``Optional`` and ``list[T]`` fields recurse, absent keys take
+the dataclass default, and an unknown key, a missing required key or a
+value of the wrong JSON type raises InputError naming the dotted field
+(``column_sets[2][0]`` inside a list).  A bool field accepts only
 true/false; an int field accepts only a JSON integer (never a bool, a
 float or a string).  Value checks stay in each class's __post_init__.
 """
@@ -29,13 +30,22 @@ def config_to_json(obj) -> str:
     return json.dumps(dataclasses.asdict(obj), indent=1)
 
 
-def config_from_json(cls, text: str):
-    """Parse ``text`` into an instance of the dataclass ``cls``."""
+def config_from_json(cls, text: str | bytes):
+    """Parse ``text`` into an instance of the dataclass ``cls`` (or a list
+    of instances, for ``cls = list[T]``)."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"{cls.__name__} JSON does not parse: {exc}") from exc
+        raise InputError(f"{_where(cls, '')} does not parse: {exc}") from exc
     return _decode(cls, doc, "")
+
+
+def _where(tp, path: str) -> str:
+    """Name the value at ``path`` for an error: a field, or the whole document."""
+    if path:
+        return f"field {path!r}"
+    args = typing.get_args(tp)
+    return f"{tp.__name__}[{args[0].__name__}] JSON" if args else f"{tp.__name__} JSON"
 
 
 def _decode(tp, value, path: str):
@@ -46,19 +56,25 @@ def _decode(tp, value, path: str):
         (tp,) = [a for a in args if a is not type(None)]
     if dataclasses.is_dataclass(tp):
         return _decode_dataclass(tp, value, path)
+    if typing.get_origin(tp) is list:
+        if type(value) is not list:
+            raise InputError(
+                f"{_where(tp, path)} must be an array, got {_JSON_NAME[type(value)]}"
+            )
+        (item,) = typing.get_args(tp)
+        return [_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if tp not in _EXPECTED:
         raise TypeError(f"config_from_json cannot decode a field of type {tp!r}")
     if type(value) is not tp:
         raise InputError(
-            f"field {path!r} must be {_EXPECTED[tp]}, got {_JSON_NAME[type(value)]}"
+            f"{_where(tp, path)} must be {_EXPECTED[tp]}, got {_JSON_NAME[type(value)]}"
         )
     return value
 
 
 def _decode_dataclass(cls, doc, path: str):
     if not isinstance(doc, dict):
-        where = f"field {path!r}" if path else f"{cls.__name__} JSON"
-        raise InputError(f"{where} must be an object, got {_JSON_NAME[type(doc)]}")
+        raise InputError(f"{_where(cls, path)} must be an object, got {_JSON_NAME[type(doc)]}")
     prefix = path + "." if path else ""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in doc:

@@ -60,6 +60,8 @@ def rand_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Seeded standard-normal matrix from a PCG64 stream; same seed, same bits."""
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed)).standard_normal((rows, cols))
 
 

@@ -9,10 +9,10 @@ excluded from that closed form and added only in the component sweep.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
+from .codec import config_from_json
 from .errors import InputError
 from .venom import VenomParams
 
@@ -21,54 +21,69 @@ BYTES_PER_REAL = 8  # real64 throughout the reference
 
 @dataclass(frozen=True)
 class RooflineConfig:
-    """Transformer training shape: batch b, sequence t, model width d,
-    depth l, FFN hidden width f, query heads n_q, key/value heads k_kv,
-    head dim h.  b and l may be zero (degenerate but well-defined);
+    """Transformer training shape, with the model config JSON's field names:
+    batch_size sequences of seq_len tokens through num_layers blocks of
+    width d_model, FFN hidden width d_ffn, num_heads query heads and
+    num_kv_heads key/value heads of width head_dim.  num_kv_heads
+    defaults to num_heads and head_dim to d_model / num_heads.
+    batch_size and num_layers may be zero (degenerate but well-defined);
     everything else must be positive."""
 
-    b: int
-    t: int
-    d: int
-    l: int
-    f: int
-    n_q: int
-    k_kv: int
-    h: int
-    name: str = ""
+    num_layers: int
+    d_model: int
+    d_ffn: int
+    num_heads: int
+    batch_size: int
+    seq_len: int
+    num_kv_heads: int | None = None
+    head_dim: int | None = None
+    model: str = ""
 
     def __post_init__(self):
-        if self.b < 0 or self.l < 0:
-            raise InputError("batch and depth must be non-negative")
-        for field_name in ("t", "d", "f", "n_q", "k_kv", "h"):
+        if self.num_heads < 1:
+            raise InputError(f"num_heads must be positive, got {self.num_heads}")
+        if self.num_kv_heads is None:
+            object.__setattr__(self, "num_kv_heads", self.num_heads)
+        if self.head_dim is None:
+            if self.d_model % self.num_heads:
+                raise InputError(
+                    f"d_model {self.d_model} is not divisible by num_heads {self.num_heads}; "
+                    f"give head_dim"
+                )
+            object.__setattr__(self, "head_dim", self.d_model // self.num_heads)
+        if self.batch_size < 0 or self.num_layers < 0:
+            raise InputError("batch_size and num_layers must be non-negative")
+        for field_name in ("seq_len", "d_model", "d_ffn", "num_kv_heads", "head_dim"):
             if getattr(self, field_name) < 1:
                 raise InputError(f"{field_name} must be positive")
-        if self.d != self.n_q * self.h:
+        if self.d_model != self.num_heads * self.head_dim:
             warnings.warn(
-                f"heads do not tile the model dim: d={self.d} != n_q*h={self.n_q * self.h}",
+                f"heads do not tile the model dim: d_model={self.d_model} != "
+                f"num_heads*head_dim={self.num_heads * self.head_dim}",
                 stacklevel=2,
             )
 
     @property
     def ffn_term(self) -> int:
-        return 3 * self.d * self.f
+        return 3 * self.d_model * self.d_ffn
 
     @property
     def attn_term(self) -> int:
-        return 2 * self.d * (self.n_q + self.k_kv) * self.h
+        return 2 * self.d_model * (self.num_heads + self.num_kv_heads) * self.head_dim
 
 
 def param_count(c: RooflineConfig) -> int:
     """Block parameters counted by the 6*tokens*params estimate."""
-    return (c.ffn_term + c.attn_term) * c.l
+    return (c.ffn_term + c.attn_term) * c.num_layers
 
 
 def total_flops(c: RooflineConfig) -> int:
     """6 * B * T * (3DF + 2D(N_q + K_kv)H) * L, exact."""
-    return 6 * c.b * c.t * param_count(c)
+    return 6 * c.batch_size * c.seq_len * param_count(c)
 
 
 def ffn_fraction(c: RooflineConfig) -> float:
-    """3DF / (3DF + 2D(N_q+K_kv)H); independent of b, t, l."""
+    """3DF / (3DF + 2D(N_q+K_kv)H); independent of batch, sequence and depth."""
     return c.ffn_term / (c.ffn_term + c.attn_term)
 
 
@@ -91,15 +106,18 @@ def flop_fraction_sweep(configs: list[RooflineConfig]) -> list[dict]:
         raise InputError("sweep needs at least one config")
     rows = []
     for c in configs:
-        ffn = 6 * c.b * c.t * c.ffn_term * c.l
-        attn = 6 * c.b * c.t * c.attn_term * c.l
-        sdpa = 12 * c.b * c.t * c.t * c.d * c.l
+        tokens = c.batch_size * c.seq_len
+        ffn = 6 * tokens * c.ffn_term * c.num_layers
+        attn = 6 * tokens * c.attn_term * c.num_layers
+        sdpa = 12 * tokens * c.seq_len * c.d_model * c.num_layers
         total = ffn + attn + sdpa
         if total == 0:
-            raise InputError(f"config {c.name or c} has zero total FLOPs (b or l is zero)")
+            raise InputError(
+                f"config {c.model or c} has zero total FLOPs (batch_size or num_layers is zero)"
+            )
         rows.append(
             {
-                "model": c.name,
+                "model": c.model,
                 "params": param_count(c),
                 "ffn_frac": ffn / total,
                 "attn_linear_frac": attn / total,
@@ -128,7 +146,7 @@ def conversion_overhead_model(
     """Byte-traffic and boundedness estimates for the steps that turn a
     dense activation into the routed V:N:M operand.
 
-    rows = b*t tokens enter the FFN.  A step is compute-bound when its
+    rows = batch_size*seq_len tokens enter the FFN.  A step is compute-bound when its
     byte-per-FLOP ratio is at or below the machine balance (bytes of
     memory traffic the machine can serve per FLOP), memory-bound
     otherwise; zero-FLOP steps are always memory-bound.
@@ -137,7 +155,7 @@ def conversion_overhead_model(
         raise InputError(f"num_experts must be positive, got {num_experts}")
     if machine_balance <= 0:
         raise InputError(f"machine balance must be positive, got {machine_balance}")
-    rows = c.b * c.t
+    rows = c.batch_size * c.seq_len
 
     def step(bytes_moved: int, flops: int) -> dict:
         if flops == 0:
@@ -147,15 +165,15 @@ def conversion_overhead_model(
         return {"bytes": int(bytes_moved), "flops": int(flops), "bound": bound}
 
     # routing: read the [rows, D] input once; score matmul against E means
-    routing = step(rows * c.d * BYTES_PER_REAL, rows * c.d * num_experts)
+    routing = step(rows * c.d_model * BYTES_PER_REAL, rows * c.d_model * num_experts)
     # permutation: read + write the [rows, D] matrix, no arithmetic
-    permutation = step(2 * rows * c.d * BYTES_PER_REAL, 0)
+    permutation = step(2 * rows * c.d_model * BYTES_PER_REAL, 0)
     # elementwise 2:4 scan of the [rows, F] activation: read + write, no multiplies
-    scan = step(2 * rows * c.f * BYTES_PER_REAL, 0)
+    scan = step(2 * rows * c.d_ffn * BYTES_PER_REAL, 0)
     # batched expert matmul: packed [rows, 4F/M] activation times [F, D] weight
-    packed_cols = 4 * c.f // p.m
-    matmul_bytes = (rows * packed_cols + c.f * c.d + rows * c.d) * BYTES_PER_REAL
-    matmul_flops = rows * c.d * c.f * p.n // p.m
+    packed_cols = 4 * c.d_ffn // p.m
+    matmul_bytes = (rows * packed_cols + c.d_ffn * c.d_model + rows * c.d_model) * BYTES_PER_REAL
+    matmul_flops = rows * c.d_model * c.d_ffn * p.n // p.m
     matmul = step(matmul_bytes, matmul_flops)
 
     return {
@@ -168,48 +186,11 @@ def conversion_overhead_model(
     }
 
 
-def _int_field(doc: dict, key: str, default: int | None = None) -> int:
-    if key not in doc:
-        if default is None:
-            raise InputError(f"model config is missing field {key!r}")
-        return default
-    v = doc[key]
-    if type(v) is not int:  # a JSON integer: no floats, strings or booleans
-        raise InputError(f"model config field {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def config_from_dict(doc: dict) -> RooflineConfig:
-    """Build a config from the JSON field names (num_layers, d_model,
-    d_ffn, num_heads, batch_size, seq_len, optional num_kv_heads,
-    head_dim, model); head_dim defaults to d_model / num_heads.  Every
-    number must be a JSON integer; anything else raises InputError."""
-    d = _int_field(doc, "d_model")
-    f = _int_field(doc, "d_ffn")
-    l = _int_field(doc, "num_layers")
-    n_q = _int_field(doc, "num_heads")
-    b = _int_field(doc, "batch_size")
-    t = _int_field(doc, "seq_len")
-    if n_q < 1:
-        raise InputError(f"num_heads must be positive, got {n_q}")
-    k_kv = _int_field(doc, "num_kv_heads", n_q)
-    if d % n_q and "head_dim" not in doc:
-        raise InputError(f"d_model {d} is not divisible by num_heads {n_q}; give head_dim")
-    h = _int_field(doc, "head_dim", d // n_q)
-    name = doc.get("model", "")
-    if not isinstance(name, str):
-        raise InputError(f"model config field 'model' must be a string, got {name!r}")
-    return RooflineConfig(b=b, t=t, d=d, l=l, f=f, n_q=n_q, k_kv=k_kv, h=h, name=name)
-
-
 def load_configs(text: str) -> list[RooflineConfig]:
-    """Parse one JSON object or a JSON list of them into configs."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model config JSON does not parse: {exc}") from exc
-    if isinstance(doc, dict):
-        doc = [doc]
-    if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
-        raise InputError("model config JSON must be an object or a list of objects")
-    return [config_from_dict(d) for d in doc]
+    """Decode one JSON object, or a non-empty JSON list of them, into configs."""
+    if not text.lstrip(" \t\n\r").startswith("["):
+        return [config_from_json(RooflineConfig, text)]
+    configs = config_from_json(list[RooflineConfig], text)
+    if not configs:
+        raise InputError("model config list is empty")
+    return configs

@@ -13,12 +13,12 @@ which for normalized means rank experts exactly like cosine similarity.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import config_from_json, config_to_json
 from .errors import InputError, ShapeError
 from .matcore import as_matrix, gemm, load_matrix, save_matrix
 from .venom import VenomMatrix, VenomParams, _encode_blocks
@@ -106,25 +106,35 @@ class ExpertBank:
         return mask
 
 
+@dataclass(frozen=True)
+class _BankManifest:
+    """<prefix>.json of a saved bank; means_file names the SFK1 file of
+    expert means next to it."""
+
+    num_experts: int
+    column_sets: list[list[int]]
+    means_file: str
+
+    def __post_init__(self):
+        name = self.means_file
+        if name != os.path.basename(name) or "\0" in name or name in ("", ".", ".."):
+            raise InputError(f"means_file must be a file name, got {name!r}")
+        if not all(0 <= c < 2**63 for cs in self.column_sets for c in cs):
+            raise InputError("column_sets must hold column indices in [0, 2**63)")
+
+
 def save_bank(bank: ExpertBank, prefix) -> None:
     """Write <prefix>.json (manifest) and <prefix>.means.sfk (SFK1)."""
     prefix = str(prefix)
     means_file = prefix + ".means.sfk"
     save_matrix(bank.means, means_file)
-    manifest = {
-        "num_experts": bank.num_experts,
-        "column_sets": [cs.tolist() for cs in bank.column_sets],
-        "means_file": os.path.basename(means_file),
-    }
+    manifest = _BankManifest(
+        num_experts=bank.num_experts,
+        column_sets=[cs.tolist() for cs in bank.column_sets],
+        means_file=os.path.basename(means_file),
+    )
     with open(prefix + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-
-
-def _is_index_list(v) -> bool:
-    return isinstance(v, list) and all(type(c) is int and 0 <= c < 2**63 for c in v)
-
-
-_MANIFEST_KEYS = {"num_experts", "column_sets", "means_file"}
+        fh.write(config_to_json(manifest))
 
 
 def load_bank(prefix) -> ExpertBank:
@@ -135,33 +145,15 @@ def load_bank(prefix) -> ExpertBank:
     with open(prefix + ".json", "rb") as fh:
         text = fh.read()
     try:
-        manifest = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"{prefix}.json: manifest does not parse: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InputError(f"{prefix}.json: manifest must be an object")
-    if set(manifest) != _MANIFEST_KEYS:
-        raise InputError(
-            f"{prefix}.json: manifest keys {sorted(manifest)} are not {sorted(_MANIFEST_KEYS)}"
-        )
-    if type(manifest["num_experts"]) is not int:
-        raise InputError(f"{prefix}.json: num_experts must be an integer")
-    column_sets = manifest["column_sets"]
-    if not (isinstance(column_sets, list) and all(map(_is_index_list, column_sets))):
-        raise InputError(f"{prefix}.json: column_sets must be a list of lists of column indices")
-    name = manifest["means_file"]
-    plain = isinstance(name, str) and name == os.path.basename(name) and "\0" not in name
-    if not plain or name in ("", ".", ".."):
-        raise InputError(f"{prefix}.json: means_file must be a file name, got {name!r}")
+        manifest = config_from_json(_BankManifest, text)
+    except InputError as exc:
+        raise InputError(f"{prefix}.json: {exc}") from exc
+    name = manifest.means_file
     try:
         means = load_matrix(os.path.join(os.path.dirname(prefix), name))
     except OSError as exc:
         raise InputError(f"{prefix}.json: means_file {name!r} cannot be read: {exc}") from exc
-    return ExpertBank(
-        num_experts=manifest["num_experts"],
-        means=means,
-        column_sets=[np.asarray(cs, dtype=np.int64) for cs in column_sets],
-    )
+    return ExpertBank(manifest.num_experts, means, manifest.column_sets)
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,14 @@ def test_criterion_6_roofline_arithmetic(capsys):
     with criterion(capsys, 6, "FFN FLOP fraction 0.75 exactly for both reference "
                                "configs; Amdahl 4/3 exactly; schedule speedup 1.375 "
                                "exactly and within 0.03 / 10% of reported figures"):
-        one_b = sfk.RooflineConfig(b=2, t=8192, d=2048, l=22, f=8192, n_q=16, k_kv=16, h=128)
-        seven_b = sfk.RooflineConfig(b=2, t=8192, d=4096, l=32, f=16384, n_q=32, k_kv=32, h=128)
+        one_b = sfk.RooflineConfig(
+            batch_size=2, seq_len=8192, d_model=2048, num_layers=22,
+            d_ffn=8192, num_heads=16, num_kv_heads=16, head_dim=128,
+        )
+        seven_b = sfk.RooflineConfig(
+            batch_size=2, seq_len=8192, d_model=4096, num_layers=32,
+            d_ffn=16384, num_heads=32, num_kv_heads=32, head_dim=128,
+        )
         assert sfk.ffn_fraction(one_b) == 0.75
         assert sfk.ffn_fraction(seven_b) == 0.75
         assert sfk.end_to_end_speedup(one_b, 1.5) == 4 / 3

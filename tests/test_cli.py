@@ -51,15 +51,21 @@ def test_console_script_is_declared():
         assert installed == ["sfk.cli:main"]
 
 
-def test_readme_commands_parse():
-    """Every `sfk ...` line in README's fenced blocks is accepted by the parser
-    (nothing is run)."""
+def _readme_commands() -> list[str]:
+    """The `sfk ...` lines of README's fenced blocks."""
     fenced, lines = False, []
     for line in README.read_text().splitlines():
         if line.startswith("```"):
             fenced = not fenced
         elif fenced and line.startswith("sfk "):
             lines.append(line)
+    return lines
+
+
+def test_readme_commands_parse():
+    """Every `sfk ...` line in README's fenced blocks is accepted by the parser
+    (nothing is run)."""
+    lines = _readme_commands()
     assert len(lines) >= 9
     parser = build_parser()
     for line in lines:
@@ -67,6 +73,25 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_roofline_commands_run(tmp_path, monkeypatch, capsys):
+    """Every README `sfk roofline` line whose config ships in the repo exits 0.
+    It runs in a scratch directory, so an --out file does not land in the repo."""
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in _readme_commands():
+        argv = shlex.split(line, comments=True)[1:]
+        if argv[0] != "roofline":
+            continue
+        at = argv.index("--config") + 1
+        config = README.parent / argv[at]
+        if not config.is_file():
+            continue
+        argv[at] = str(config)
+        assert main(argv) == 0, f"{line}\n{capsys.readouterr().err}"
+        ran += 1
+    assert ran >= 4
 
 
 def test_sparsify24_check_spmm_pipeline(workdir, capsys):
@@ -212,6 +237,14 @@ def test_roofline_rejects_flags_it_would_ignore(config_file, workdir, capsys):
     assert main(["roofline", "--config", config_file, "--out", "fractions.csv"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (workdir / "fractions.csv").exists()
+    # --venom/--experts without --overhead, and --venom without --format venom,
+    # used to be ignored (the invalid V:N:M was never even parsed) and exit 0
+    for argv in (["roofline", "--config", config_file, "--venom", "1,2,3", "--experts", "0"],
+                 ["roofline", "--config", config_file, "--experts", "16"],
+                 ["bench", "--shape", "8,8,8", "--format", "s24", "--venom", "9,9,9"],
+                 ["bench", "--shape", "8,8,8", "--format", "dense", "--venom", "4,2,8"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("edit", [
@@ -219,12 +252,20 @@ def test_roofline_rejects_flags_it_would_ignore(config_file, workdir, capsys):
     {"d_model": "abc"},  # used to raise ValueError from int()
     {"d_model": 64.9},  # used to truncate to 64
     {"num_layers": True},  # used to read as 1
-], ids=["zero-heads", "string", "float", "bool"])
+    {"num_kv_head": 1},  # a typo: used to run with num_kv_heads = num_heads and exit 0
+    {"num_heads": 0},  # without head_dim: rejected before d_model % num_heads
+], ids=["zero-heads", "string", "float", "bool", "unknown-key", "zero-heads-no-head-dim"])
 def test_roofline_config_rejects_non_integers(config_file, workdir, capsys, edit):
     doc = json.loads((workdir / config_file).read_text())
     doc[0].update(edit)
     (workdir / config_file).write_text(json.dumps(doc))
     assert main(["roofline", "--config", config_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_roofline_rejects_an_empty_config_list(workdir, capsys):
+    (workdir / "configs.json").write_text("[]")  # used to print nothing and exit 0
+    assert main(["roofline", "--config", "configs.json"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -258,6 +299,17 @@ def test_train_command_writes_csv_and_summary(workdir, capsys):
 
 def test_train_rejects_bad_dims(workdir):
     assert main(["train", "--steps", "4", "--lr", "0.05", "--dims", "6,16,8"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--steps", "4", "--seed", "-1"],
+    ["bench", "--shape", "8,8,8", "--seed", "-1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(workdir, capsys, argv):
+    # both used to end in a ValueError traceback from PCG64 and exit 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_bench_reports_ceiling_ratios(workdir, capsys):

@@ -62,6 +62,17 @@ def test_rejects_with_dotted_field_name(cls, doc, field):
         sfk.config_from_json(cls, json.dumps(doc))
 
 
+def test_lists_decode_item_by_item():
+    two = json.dumps([VENOM, dict(VENOM, m=16)])
+    want = [VenomParams(4, 2, 8), VenomParams(4, 2, 16)]
+    assert sfk.config_from_json(list[VenomParams], two) == want
+    assert sfk.config_from_json(list[VenomParams], "[]") == []
+    with pytest.raises(InputError, match=r"'\[1\]\.n'"):
+        sfk.config_from_json(list[VenomParams], json.dumps([VENOM, dict(VENOM, n="2")]))
+    with pytest.raises(InputError, match=r"list\[VenomParams\] JSON must be an array"):
+        sfk.config_from_json(list[VenomParams], json.dumps(VENOM))
+
+
 @pytest.mark.parametrize(
     "cls, doc",
     [

@@ -2,24 +2,35 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 import sfk
 from sfk import InputError
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-LLAMA_1B = dict(b=2, t=8192, d=2048, l=22, f=8192, n_q=16, k_kv=16, h=128, name="1b")
-LLAMA_7B = dict(b=2, t=8192, d=4096, l=32, f=16384, n_q=32, k_kv=32, h=128, name="7b")
+LLAMA_1B = dict(
+    batch_size=2, seq_len=8192, d_model=2048, num_layers=22, d_ffn=8192,
+    num_heads=16, num_kv_heads=16, head_dim=128, model="1b",
+)
+LLAMA_7B = dict(
+    batch_size=2, seq_len=8192, d_model=4096, num_layers=32, d_ffn=16384,
+    num_heads=32, num_kv_heads=32, head_dim=128, model="7b",
+)
 
 
 def test_total_flops_tiny_hand_computed():
     # per layer: 3*4*8=96 FFN mults + 2*4*(1+1)*4=64 attention-linear mults,
     # times 6*B*T = 12 -> 1920; param count is the per-layer sum itself
-    c = sfk.RooflineConfig(b=1, t=2, d=4, l=1, f=8, n_q=1, k_kv=1, h=4)
+    c = sfk.RooflineConfig(
+        batch_size=1, seq_len=2, d_model=4, num_layers=1,
+        d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+    )
     assert sfk.total_flops(c) == 1920
     assert sfk.param_count(c) == 160
-    assert sfk.total_flops(c) == 6 * c.b * c.t * sfk.param_count(c)
+    assert sfk.total_flops(c) == 6 * c.batch_size * c.seq_len * sfk.param_count(c)
 
 
 def test_ffn_fraction_is_three_quarters_for_both_reference_models():
@@ -46,7 +57,10 @@ def test_end_to_end_speedup_amdahl():
 
 
 def test_flop_fraction_sweep_rows():
-    tiny = sfk.RooflineConfig(b=1, t=2, d=4, l=1, f=8, n_q=1, k_kv=1, h=4)
+    tiny = sfk.RooflineConfig(
+        batch_size=1, seq_len=2, d_model=4, num_layers=1,
+        d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+    )
     big = sfk.RooflineConfig(**LLAMA_1B)
     rows = sfk.flop_fraction_sweep([tiny, big])
     for row in rows:
@@ -70,14 +84,27 @@ def test_sweep_csv_format():
 
 def test_config_validation_and_warning():
     with pytest.raises(InputError):
-        sfk.RooflineConfig(b=1, t=0, d=4, l=1, f=8, n_q=1, k_kv=1, h=4)
+        sfk.RooflineConfig(
+            batch_size=1, seq_len=0, d_model=4, num_layers=1,
+            d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+        )
     with pytest.raises(InputError):
-        sfk.RooflineConfig(b=-1, t=1, d=4, l=1, f=8, n_q=1, k_kv=1, h=4)
+        sfk.RooflineConfig(
+            batch_size=-1, seq_len=1, d_model=4, num_layers=1,
+            d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+        )
     # zero batch/layers is allowed (degenerate but well-defined totals)
-    assert sfk.total_flops(sfk.RooflineConfig(b=0, t=1, d=4, l=1, f=8, n_q=1, k_kv=1, h=4)) == 0
+    degenerate = sfk.RooflineConfig(
+        batch_size=0, seq_len=1, d_model=4, num_layers=1,
+        d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+    )
+    assert sfk.total_flops(degenerate) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sfk.RooflineConfig(b=1, t=1, d=8, l=1, f=8, n_q=1, k_kv=1, h=4)
+        sfk.RooflineConfig(
+            batch_size=1, seq_len=1, d_model=8, num_layers=1,
+            d_ffn=8, num_heads=1, num_kv_heads=1, head_dim=4,
+        )
     assert any("head" in str(w.message) for w in caught)
 
 
@@ -91,33 +118,62 @@ def test_config_from_dict_and_load_configs():
         "batch_size": 2,
         "seq_len": 8192,
     }
-    c = sfk.config_from_dict(doc)
-    assert (c.l, c.d, c.f, c.n_q, c.k_kv, c.h) == (22, 2048, 8192, 16, 16, 128)
-    assert c.name == "1b"
+    (c,) = sfk.load_configs(json.dumps(doc))
+    assert (c.num_layers, c.d_model, c.d_ffn, c.num_heads, c.num_kv_heads, c.head_dim) == (
+        22, 2048, 8192, 16, 16, 128)
+    assert c.model == "1b"
     doc2 = dict(doc, num_kv_heads=4, head_dim=128)
-    c2 = sfk.config_from_dict(doc2)
-    assert (c2.k_kv, c2.h) == (4, 128)
+    (c2,) = sfk.load_configs(json.dumps(doc2))
+    assert (c2.num_kv_heads, c2.head_dim) == (4, 128)
     configs = sfk.load_configs(json.dumps([doc, doc2]))
-    assert len(configs) == 2 and configs[0].name == "1b"
+    assert len(configs) == 2 and configs[0].model == "1b"
     with pytest.raises(InputError):
-        sfk.config_from_dict({"model": "x"})
+        sfk.load_configs(json.dumps({"model": "x"}))
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"num_kv_head": 1}, "num_kv_head"),  # a typo used to run with num_kv_heads = num_heads
+    ({"num_heads": 0}, "num_heads"),  # checked before d_model % num_heads
+    ({"d_model": 2050}, "head_dim"),  # not divisible, and no head_dim given
+], ids=["unknown-key", "zero-heads", "indivisible"])
+def test_load_configs_rejects_and_names_the_key(edit, key):
+    doc = dict(num_layers=22, d_model=2048, d_ffn=8192, num_heads=16, batch_size=2, seq_len=8192)
+    with pytest.raises(InputError, match=key):
+        sfk.load_configs(json.dumps([dict(doc, **edit)]))
+
+
+@pytest.mark.parametrize("text", ["[]", " [ ] ", "[{}, 3]", "3", "null", "[", "{"])
+def test_load_configs_rejects_non_config_documents(text):
+    with pytest.raises(InputError):
+        sfk.load_configs(text)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    (c,) = sfk.load_configs(path.read_text())
+    assert c.model == path.stem.replace("_", "-")
+    assert c.num_kv_heads == c.num_heads and c.d_model == c.num_heads * c.head_dim
+    assert sfk.ffn_fraction(c) == 0.75
 
 
 def test_conversion_overhead_model():
     c = sfk.RooflineConfig(**LLAMA_1B)
     p = sfk.VenomParams(64, 2, 16)
     ov = sfk.conversion_overhead_model(c, p, num_experts=16)
-    assert ov["rows"] == c.b * c.t
+    assert ov["rows"] == c.batch_size * c.seq_len
     assert set(ov) >= {"rows", "machine_balance", "routing", "permutation", "sparsify_scan", "expert_matmul"}
     # routing reads every token embedding once: rows * d * 8 bytes
-    assert ov["routing"]["bytes"] == c.b * c.t * c.d * 8
-    assert ov["routing"]["flops"] == c.b * c.t * c.d * 16
+    assert ov["routing"]["bytes"] == c.batch_size * c.seq_len * c.d_model * 8
+    assert ov["routing"]["flops"] == c.batch_size * c.seq_len * c.d_model * 16
     # pure data movement never counts as compute-bound
     assert ov["permutation"]["flops"] == 0 and ov["permutation"]["bound"] == "memory"
     assert ov["sparsify_scan"]["bound"] == "memory"
     assert ov["expert_matmul"]["bound"] == "compute"
     # with a single token per row budget the routing traffic is b*d*8 exactly
-    tiny = sfk.RooflineConfig(b=4, t=1, d=2048, l=1, f=8192, n_q=16, k_kv=16, h=128)
+    tiny = sfk.RooflineConfig(
+        batch_size=4, seq_len=1, d_model=2048, num_layers=1,
+        d_ffn=8192, num_heads=16, num_kv_heads=16, head_dim=128,
+    )
     ov2 = sfk.conversion_overhead_model(tiny, p, num_experts=16)
     assert ov2["routing"]["bytes"] == 4 * 2048 * 8
     # a generous machine balance flips borderline stages to compute-bound
