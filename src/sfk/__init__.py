@@ -102,12 +102,7 @@ from .venom import (
     load_venom,
     save_venom,
     venom_check,
-    venom_decode,
     venom_encode,
-    venom_kept_mask,
-    venom_reencode,
-    venom_spmm,
-    venom_spmm_tn,
 )
 
 __version__ = "0.1.0"

@@ -46,9 +46,7 @@ from .venom import (
     VenomParams,
     load_venom,
     save_venom,
-    venom_decode,
     venom_encode,
-    venom_spmm,
 )
 
 MAX_BENCH_FLOPS = 2**33
@@ -108,7 +106,7 @@ def _cmd_venom_encode(args) -> int:
     p = _venom_params(args.venom)
     vm = venom_encode(a, p)
     save_venom(vm, args.outfile)
-    dec = venom_decode(vm)
+    dec = decode24(vm)
     nnz = float(np.count_nonzero(dec) / dec.size)
     print(
         f"wrote {args.outfile}: {vm.rows}x{vm.cols} at {p.v}:{p.n}:{p.m}, "
@@ -141,10 +139,8 @@ def _cmd_spmm(args) -> int:
     with count_multiplies() as counter:
         if kind == "sfk1":
             out = gemm(load_matrix(args.a), b)
-        elif kind == "s24":
-            out = spmm24(load_s24(args.a), b)
         else:
-            out = venom_spmm(load_venom(args.a), b)
+            out = spmm24(load_s24(args.a) if kind == "s24" else load_venom(args.a), b)
     save_matrix(out, args.outfile)
     print(f"wrote {args.outfile}: {out.shape[0]}x{out.shape[1]}, {counter.total} multiplies")
     return 0
@@ -256,7 +252,7 @@ def _cmd_bench(args) -> int:
         operand, kernel, theoretical = sparsify24(a, GREEDY_MAGNITUDE), spmm24, 2.0
     else:
         p = _venom_params(args.venom)
-        operand, kernel, theoretical = venom_encode(a, p), venom_spmm, p.m / p.n
+        operand, kernel, theoretical = venom_encode(a, p), spmm24, p.m / p.n
 
     with count_multiplies() as dense_counter:
         gemm(a, b)

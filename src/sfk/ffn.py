@@ -61,13 +61,7 @@ from .sparse24 import (
     spmm24_rhs,
     spmm24_tn,
 )
-from .venom import (
-    VenomParams,
-    venom_kept_mask,
-    venom_reencode,
-    venom_spmm,
-    venom_spmm_tn,
-)
+from .venom import VenomParams
 
 ACT_MODES = ("dense", "act24", "venom")
 
@@ -237,6 +231,24 @@ def _master_weight_grad(w, g_eff, pw: PackedWeight, mode: str) -> np.ndarray:
     return as_matrix(g_eff)
 
 
+def _row_maps(tape: FfnTape):
+    """(rows, unrows): from the caller's token rows to the rows the
+    activation pack lives in, and back.  The identity under act24; under
+    venom, rows permutes by the routing plan and zero-pads each expert
+    group, and unrows drops the pad rows and restores token order."""
+    if tape.plan is None:
+        def rows(a):
+            return a
+        return rows, rows
+
+    def rows(a):
+        return pad_rows(apply_permutation(a, tape.plan), tape.layout)
+
+    def unrows(a):
+        return invert_permutation(unpad_rows(a, tape.layout), tape.plan)
+    return rows, unrows
+
+
 def ffn_forward(
     x,
     p: FfnParams,
@@ -276,40 +288,36 @@ def ffn_forward(
 
     tape = FfnTape(x=x, y1=y1, y2=y2, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
 
-    if pol.act_mode == "venom":
-        if bank is None:
-            raise InputError("venom activation mode requires an expert bank")
-        if bank.d_ffn != p.d_ffn:
-            raise ShapeError(f"bank covers {bank.d_ffn} features, w1 produces {p.d_ffn}")
-        plan = frozen.plan if frozen is not None else route_tokens(x, bank, pol.router.top_k)
-        layout = padded_layout(plan, pol.venom.v)
-        tape.plan, tape.layout = plan, layout
-        y2_perm = apply_permutation(y2, plan)
+    if pol.act_mode != "dense":
+        # act24 and venom share one chain: y2 is a 2:4 pack (over the
+        # gathered columns for venom) and the sparse operand of y3.  Only
+        # the encoder and venom's routed mask differ; a frozen tape
+        # re-encodes y2 on its slots in either mode.
+        if pol.act_mode == "venom":
+            if bank is None:
+                raise InputError("venom activation mode requires an expert bank")
+            if bank.d_ffn != p.d_ffn:
+                raise ShapeError(f"bank covers {bank.d_ffn} features, w1 produces {p.d_ffn}")
+            tape.plan = frozen.plan if frozen is not None else route_tokens(x, bank, pol.router.top_k)
+            tape.layout = padded_layout(tape.plan, pol.venom.v)
+        rows, unrows = _row_maps(tape)
         if frozen is not None:
-            y2p = np.where(frozen.act_mask, pad_rows(y2_perm, layout), 0.0)
-            vm = venom_reencode(y2p, frozen.y2)
+            tape.y2 = reencode24(np.where(frozen.act_mask, rows(y2), 0.0), frozen.y2)
             tape.act_mask = frozen.act_mask
+        elif pol.act_mode == "venom":
+            tape.y2 = moe_to_venom(apply_permutation(y2, tape.plan), tape.plan, bank, pol.venom)
+            tape.act_mask = kept_mask(tape.y2) & routed_feature_mask(tape.plan, bank, tape.layout)
         else:
-            vm = moe_to_venom(y2_perm, plan, bank, pol.venom)
-            allowed = routed_feature_mask(plan, bank, layout)
-            tape.act_mask = venom_kept_mask(vm) & allowed
-        tape.y2 = vm
-        y3p = venom_spmm(vm, w2.eff, label="ffn.y3")
+            tape.y2 = sparsify24(y2, GREEDY_MAGNITUDE)
+            tape.act_mask = kept_mask(tape.y2)
+        y3 = unrows(spmm24(tape.y2, w2.eff, label="ffn.y3"))
         log.append(("y3", "y2"))
-        y3 = invert_permutation(unpad_rows(y3p, layout), plan)
-    elif pol.act_mode == "act24":
-        s_y2 = reencode24(y2, frozen.y2) if frozen is not None else sparsify24(y2, GREEDY_MAGNITUDE)
-        tape.y2 = s_y2
-        tape.act_mask = kept_mask(s_y2)
-        y3 = spmm24(s_y2, w2.eff, label="ffn.y3")
-        log.append(("y3", "y2"))
+    elif pol.w2_sparse:
+        y3 = spmm24_rhs(y2, w2.own, label="ffn.y3")
+        log.append(("y3", "w2"))
     else:
-        if pol.w2_sparse:
-            y3 = spmm24_rhs(y2, w2.own, label="ffn.y3")
-            log.append(("y3", "w2"))
-        else:
-            y3 = gemm(y2, w2.eff)
-            log.append(("y3", "none"))
+        y3 = gemm(y2, w2.eff)
+        log.append(("y3", "none"))
     return y3, tape
 
 
@@ -340,33 +348,17 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         return gemm(dy3_rows, _t(w2.eff))
 
     if pol.act_mode != "dense":
-        # act24 and venom differentiate alike: y2 is a 2:4 pack (over the
-        # gathered columns for venom) and dy1 is re-encoded on its slots.
-        # Venom works in routed rows (permuted and padded), act24 in the
-        # caller's.  The kernels are looked up per call, so a rebinding of
-        # this module's names (perfbench's tracer does that) reaches them.
-        if pol.act_mode == "venom":
-            reencode, spmm, spmm_tn = venom_reencode, venom_spmm, venom_spmm_tn
-
-            def rows(a):
-                return pad_rows(apply_permutation(a, tape.plan), tape.layout)
-
-            def unrows(a):
-                return invert_permutation(unpad_rows(a, tape.layout), tape.plan)
-        else:
-            reencode, spmm, spmm_tn = reencode24, spmm24, spmm24_tn
-
-            def rows(a):
-                return a
-            unrows = rows
+        # the forward's activation chain in reverse: dy1 is re-encoded on
+        # y2's slots, so dx and dw1 stay activation-sparse.
+        rows, unrows = _row_maps(tape)
         dy3r = rows(dy3)
-        dw2_eff = spmm_tn(tape.y2, dy3r, label="ffn.dw2")
+        dw2_eff = spmm24_tn(tape.y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
         dy2 = np.where(tape.act_mask, dy2_product(dy3r), 0.0)
-        dy1 = reencode(squared_relu_backward(dy2, rows(tape.y1)), tape.y2)
-        dx = unrows(spmm(dy1, _t(w1.eff), label="ffn.dx"))
+        dy1 = reencode24(squared_relu_backward(dy2, rows(tape.y1)), tape.y2)
+        dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))
         log.append(("dx", "dy1"))
-        dw1_eff = _t(spmm_tn(dy1, rows(tape.x), label="ffn.dw1"))
+        dw1_eff = _t(spmm24_tn(dy1, rows(tape.x), label="ffn.dw1"))
         log.append(("dw1", "dy1"))
     else:
         y2 = tape.y2
@@ -494,6 +486,8 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     b, d_model, d_ffn = (int(v) for v in shape)
     if max(b, d_model, d_ffn) > 64:
         raise GuardError(f"gradcheck shapes are capped at 64 per dim, got {shape}")
+    if seed < 0:  # the draws below use seed + 3, + 7 and + 13
+        raise InputError(f"seed must be non-negative, got {seed}")
 
     for attempt in range(64):
         seed_eff = seed + 1000 * attempt

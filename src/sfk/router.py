@@ -197,23 +197,20 @@ def cluster_columns(w1, cfg: RouterConfig, seed: int) -> ExpertBank:
         raise InputError(
             f"each expert would own {d_ffn // e} columns; counts must be multiples of 4"
         )
-    if cfg.align_m is not None and d_ffn % cfg.align_m:
-        raise InputError(f"d_ffn {d_ffn} is not divisible by align_m {cfg.align_m}")
+    m = cfg.align_m or d_ffn  # unaligned: one window spanning every column
+    if d_ffn % m:
+        raise InputError(f"d_ffn {d_ffn} is not divisible by align_m {m}")
     points = np.ascontiguousarray(w1.T)  # one point per column
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = points[rng.choice(d_ffn, size=e, replace=False)].copy()
     assign = None
     for _ in range(50):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        if cfg.align_m is None:
-            new_assign = _greedy_capacity_fill(d2, np.full(e, d_ffn // e, dtype=np.int64))
-        else:
-            m = cfg.align_m
-            new_assign = np.empty(d_ffn, dtype=np.int64)
-            for w0 in range(0, d_ffn, m):
-                new_assign[w0 : w0 + m] = _greedy_capacity_fill(
-                    d2[w0 : w0 + m], np.full(e, m // e, dtype=np.int64)
-                )
+        new_assign = np.empty(d_ffn, dtype=np.int64)
+        for w0 in range(0, d_ffn, m):
+            new_assign[w0 : w0 + m] = _greedy_capacity_fill(
+                d2[w0 : w0 + m], np.full(e, m // e, dtype=np.int64)
+            )
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -238,6 +235,8 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RoutingPlan:
+    """Tokens grouped by primary expert; checked once, on construction."""
+
     assignments: np.ndarray  # (tokens, top_k) expert ids, best score first
     permutation: np.ndarray  # (tokens,) stable sort of token indices by primary expert
     group_bounds: tuple[tuple[int, int], ...]  # per expert: row range after permutation
@@ -254,7 +253,7 @@ class RoutingPlan:
     def num_experts(self) -> int:
         return len(self.group_bounds)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         perm = self.permutation
         if np.sort(perm).tolist() != list(range(self.num_tokens)):
             raise InputError("permutation is not a bijection on token indices")
@@ -302,9 +301,7 @@ def route_tokens(x, bank: ExpertBank, top_k: int = 1) -> RoutingPlan:
         )
         for e in range(bank.num_experts)
     )
-    plan = RoutingPlan(assignments, permutation, bounds)
-    plan.validate()
-    return plan
+    return RoutingPlan(assignments, permutation, bounds)
 
 
 def apply_permutation(x, plan: RoutingPlan) -> np.ndarray:
@@ -401,7 +398,6 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
     columns is an error (the pattern could not be filled).
     """
     y2 = as_matrix(y2)
-    plan.validate()
     if bank.num_experts != plan.num_experts:
         raise InputError("plan and bank disagree on the number of experts")
     if y2.shape[0] != plan.num_tokens:
@@ -451,7 +447,6 @@ def batched_expert_matmul(x_perm, plan: RoutingPlan, w1, bank: ExpertBank) -> np
     """
     x_perm = as_matrix(x_perm)
     w1 = as_matrix(w1)
-    plan.validate()
     if x_perm.shape[0] != plan.num_tokens:
         raise ShapeError(f"matrix has {x_perm.shape[0]} rows, plan covers {plan.num_tokens} tokens")
     if w1.shape != (x_perm.shape[1], bank.d_ffn):

@@ -21,6 +21,10 @@ Both sparsifiers leave their input untouched and pick kept slots by
 input magnitude with a deterministic tie-break: larger magnitude first,
 then lower column index.
 
+decode24, kept_mask, reencode24, spmm24 and spmm24_tn read a pack only
+through rows, cols, values, abs_columns(), with_values() and
+validate(), so a VenomMatrix (sfk.venom) passes through them as well.
+
 S24F file layout (little-endian): magic ``S24F``, u64 rows, u64 cols,
 values block (rows x cols/2 real64, row-major), then the metadata block
 (2-bit indices, row-major, each row padded to a whole byte).
@@ -30,12 +34,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .counters import tally
 from .errors import CorruptionError, FormatError, InputError, ShapeError
 from .matcore import as_matrix
+
+if TYPE_CHECKING:
+    from .venom import VenomMatrix
 
 SOFT_THRESHOLD = "soft_threshold"
 GREEDY_MAGNITUDE = "greedy_magnitude"
@@ -80,6 +88,10 @@ class Sparse24Matrix:
         idx = self.meta_indices().astype(np.int64)
         groups = np.arange(self.slots_per_row) // 2
         return groups * 4 + idx
+
+    def with_values(self, values: np.ndarray) -> Sparse24Matrix:
+        """The same slots holding other values."""
+        return Sparse24Matrix(self.rows, self.cols, values, self.meta)
 
     def validate(self) -> None:
         """Raise CorruptionError unless each group holds two strictly
@@ -174,7 +186,7 @@ def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def decode24(s: Sparse24Matrix) -> np.ndarray:
+def decode24(s: Sparse24Matrix | VenomMatrix) -> np.ndarray:
     """Expand packed storage back to a dense rows x cols matrix."""
     s.validate()
     out = np.zeros((s.rows, s.cols), dtype=np.float64)
@@ -182,21 +194,20 @@ def decode24(s: Sparse24Matrix) -> np.ndarray:
     return out
 
 
-def kept_mask(s: Sparse24Matrix) -> np.ndarray:
+def kept_mask(s: Sparse24Matrix | VenomMatrix) -> np.ndarray:
     """Dense boolean mask of the kept slots (True even for stored zeros)."""
     out = np.zeros((s.rows, s.cols), dtype=bool)
     out[np.arange(s.rows)[:, None], s.abs_columns()] = True
     return out
 
 
-def reencode24(dense, like: Sparse24Matrix) -> Sparse24Matrix:
-    """Pack ``dense`` using the slot structure of ``like`` (values are
+def reencode24(dense, like: Sparse24Matrix | VenomMatrix) -> Sparse24Matrix | VenomMatrix:
+    """Pack ``dense`` into the slot structure of ``like`` (values are
     gathered at like's kept positions, everything else is dropped)."""
     dense = as_matrix(dense)
     if dense.shape != (like.rows, like.cols):
         raise ShapeError(f"expected {like.rows}x{like.cols}, got {dense.shape}")
-    values = dense[np.arange(like.rows)[:, None], like.abs_columns()]
-    return Sparse24Matrix(like.rows, like.cols, values, like.meta)
+    return like.with_values(dense[np.arange(like.rows)[:, None], like.abs_columns()])
 
 
 def soft_threshold(a) -> np.ndarray:
@@ -228,54 +239,24 @@ def mass_kept_fraction(dense, decoded) -> float:
 
 # ---------------------------------------------------------------------------
 # kernels: each touches only the kept values of the packed operand and
-# tallies its multiplies as it goes.
-#
-# The 2:4 and V:N:M kernels share two loops over (absolute column, kept
-# value) pairs, one slot column at a time: a V:N:M matrix is a 2:4 pack
-# over gathered columns, so only the column lookup differs.
+# tallies its multiplies as it goes.  spmm24 and spmm24_tn loop over
+# (absolute column, kept value) pairs one slot column at a time, so they
+# serve a V:N:M matrix as well: it is a 2:4 pack over gathered columns.
 
-def _gather_mm(cols: np.ndarray, values: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
-    """out[i] = sum_j values[i, j] * b[cols[i, j]]."""
-    rows, n = cols.shape[0], b.shape[1]
-    out = np.zeros((rows, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        out += values[:, j : j + 1] * b[cols[:, j]]
-        tally(rows * n, label)
-    return out
+def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
+    """decode24(s) @ b without decoding: sparse operand on the left.
 
-
-def _scatter_mm(
-    cols: np.ndarray, values: np.ndarray, b: np.ndarray, out_rows: int, label: str
-) -> np.ndarray:
-    """out[cols[i, j]] += values[i, j] * b[i] over all kept slots.
-
-    Each output row accumulates its entries in (slot, row) order, the
-    order of one np.add.at per slot.  Entries are sorted by (column,
-    slot, row); pass p adds the p-th entry of every output row at once,
-    so no row appears twice in a pass.
+    out[i] = sum_j values[i, j] * b[cols[i, j]], kept slot j ascending.
     """
-    rows, n = cols.shape[0], b.shape[1]
-    col = cols.T.ravel()  # entry e is slot e // rows, row e % rows
-    by_col = np.argsort(col, kind="stable")
-    sorted_col = col[by_col]
-    rank = np.arange(col.size) - np.searchsorted(sorted_col, sorted_col)  # p, per output row
-    e = by_col[np.argsort(rank, kind="stable")]
-    dst, src, val = col[e], e % rows, values.T.ravel()[e]
-    out = np.zeros((out_rows, n), dtype=np.float64)
-    hi = 0
-    for size in np.bincount(rank).tolist():
-        lo, hi = hi, hi + size
-        out[dst[lo:hi]] += val[lo:hi, None] * b[src[lo:hi]]
-        tally(size * n, label)
-    return out
-
-
-def spmm24(s: Sparse24Matrix, b, label: str = "spmm24") -> np.ndarray:
-    """decode24(s) @ b without decoding: sparse operand on the left."""
     b = as_matrix(b)
     if s.cols != b.shape[0]:
         raise ShapeError(f"spmm24: inner dimensions differ: {s.rows}x{s.cols} times {b.shape}")
-    return _gather_mm(s.abs_columns(), s.values, b, label)
+    cols, values, n = s.abs_columns(), s.values, b.shape[1]
+    out = np.zeros((s.rows, n), dtype=np.float64)
+    for j in range(cols.shape[1]):
+        out += values[:, j : j + 1] * b[cols[:, j]]
+        tally(s.rows * n, label)
+    return out
 
 
 def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
@@ -298,12 +279,32 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
     return np.ascontiguousarray(out_t.T)
 
 
-def spmm24_tn(s: Sparse24Matrix, b, label: str = "spmm24_tn") -> np.ndarray:
-    """decode24(s).T @ b without decoding (s carries the sparsity)."""
+def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> np.ndarray:
+    """decode24(s).T @ b without decoding (s carries the sparsity).
+
+    out[cols[i, j]] += values[i, j] * b[i] over all kept slots.  Each
+    output row accumulates its entries in (slot, row) order, the order
+    of one np.add.at per slot.  Entries are sorted by (column, slot,
+    row); pass p adds the p-th entry of every output row at once, so no
+    row appears twice in a pass.
+    """
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
-    return _scatter_mm(s.abs_columns(), s.values, b, s.cols, label)
+    rows, n = s.rows, b.shape[1]
+    col = s.abs_columns().T.ravel()  # entry e is slot e // rows, row e % rows
+    by_col = np.argsort(col, kind="stable")
+    sorted_col = col[by_col]
+    rank = np.arange(col.size) - np.searchsorted(sorted_col, sorted_col)  # p, per output row
+    e = by_col[np.argsort(rank, kind="stable")]
+    dst, src, val = col[e], e % rows, s.values.T.ravel()[e]
+    out = np.zeros((s.cols, n), dtype=np.float64)
+    hi = 0
+    for size in np.bincount(rank).tolist():
+        lo, hi = hi, hi + size
+        out[dst[lo:hi]] += val[lo:hi, None] * b[src[lo:hi]]
+        tally(size * n, label)
+    return out
 
 
 # ---------------------------------------------------------------------------

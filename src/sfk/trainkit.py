@@ -38,7 +38,7 @@ class ToyTask:
     noise_std: float = 0.0
     seed: int = 0
     fixed_batch: bool = False
-    teacher: FfnParams = None
+    teacher: FfnParams = field(init=False)
     _fixed: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -49,10 +49,9 @@ class ToyTask:
             raise InputError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 <= self.noise_std < np.inf:  # also rejects nan
             raise InputError(f"noise_std must be finite and non-negative, got {self.noise_std}")
-        if self.teacher is None:
-            self.teacher = init_ffn_params(
-                self.input_dim, self.hidden_dim, self.output_dim, seed=self.seed
-            )
+        self.teacher = init_ffn_params(
+            self.input_dim, self.hidden_dim, self.output_dim, seed=self.seed
+        )
 
     def batch(self, step: int):
         """Deterministic (x, target) pair for a step.

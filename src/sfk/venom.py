@@ -8,7 +8,8 @@ Storage reuses the packed 2:4 type: the 4 retained columns of every
 block window are gathered into a strip, strips are concatenated into a
 rows x 4*(cols/M) matrix, and that strip matrix is 2:4 packed.  A
 per-block column table (4 sorted byte offsets into the M-wide window)
-records which columns were retained.
+records which columns were retained.  A VenomMatrix reads like a
+Sparse24Matrix, so sparse24's pack ops and kernels serve it as they are.
 
 VNMF file layout (little-endian): magic ``VNMF``, u64 rows, u64 cols,
 u32 V, u32 N, u32 M, the column table (uint8, 4 entries per block,
@@ -28,11 +29,13 @@ from .matcore import as_matrix
 from .sparse24 import (
     GREEDY_MAGNITUDE,
     Sparse24Matrix,
-    _gather_mm,
-    _scatter_mm,
+    kept_mask,
+    reencode24,
     s24_from_bytes,
     s24_to_bytes,
     sparsify24,
+    spmm24,
+    spmm24_tn,
 )
 
 VNM_MAGIC = b"VNMF"
@@ -95,7 +98,18 @@ class VenomMatrix:
             raise CorruptionError("column table offsets not strictly increasing")
         self.payload.validate()
 
-    def kept_abs_columns(self) -> np.ndarray:
+    @property
+    def values(self) -> np.ndarray:
+        """The kept values, shape (rows, 2*windows): the payload's."""
+        return self.payload.values
+
+    def with_values(self, values: np.ndarray) -> VenomMatrix:
+        """The same slots (column table and 2:4 metadata) holding other values."""
+        return VenomMatrix(
+            self.rows, self.cols, self.params, self.col_table, self.payload.with_values(values)
+        )
+
+    def abs_columns(self) -> np.ndarray:
         """Absolute column of every kept payload slot, shape (rows, 2*windows).
 
         Ascending within each row: windows are visited left to right and
@@ -144,14 +158,6 @@ def venom_encode(a, p: VenomParams) -> VenomMatrix:
     return _encode_blocks(a, np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1), p)
 
 
-def venom_decode(vm: VenomMatrix) -> np.ndarray:
-    """Expand back to dense; the result always passes venom_check."""
-    vm.validate()
-    out = np.zeros((vm.rows, vm.cols), dtype=np.float64)
-    out[np.arange(vm.rows)[:, None], vm.kept_abs_columns()] = vm.payload.values
-    return out
-
-
 def venom_check(a, p: VenomParams) -> bool:
     """True iff a dense matrix already satisfies the V:N:M pattern."""
     a = as_matrix(a)
@@ -165,41 +171,11 @@ def venom_check(a, p: VenomParams) -> bool:
     return True
 
 
-def venom_kept_mask(vm: VenomMatrix) -> np.ndarray:
-    """Dense boolean mask of kept slots (True even where a zero is stored)."""
-    out = np.zeros((vm.rows, vm.cols), dtype=bool)
-    out[np.arange(vm.rows)[:, None], vm.kept_abs_columns()] = True
-    return out
-
-
-def venom_reencode(dense, like: VenomMatrix) -> VenomMatrix:
-    """Pack ``dense`` into the exact slot structure of ``like`` (same
-    column table, same 2:4 metadata; only the stored values change)."""
-    dense = as_matrix(dense)
-    if dense.shape != (like.rows, like.cols):
-        raise ShapeError(f"expected {like.rows}x{like.cols}, got {dense.shape}")
-    values = dense[np.arange(like.rows)[:, None], like.kept_abs_columns()]
-    payload = Sparse24Matrix(like.payload.rows, like.payload.cols, values, like.payload.meta)
-    return VenomMatrix(like.rows, like.cols, like.params, like.col_table, payload)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-
-def venom_spmm(vm: VenomMatrix, b, label: str = "venom_spmm") -> np.ndarray:
-    """venom_decode(vm) @ b touching only the rows*cols*N/M kept slots."""
-    b = as_matrix(b)
-    if vm.cols != b.shape[0]:
-        raise ShapeError(f"venom_spmm: inner dimensions differ: {vm.rows}x{vm.cols} times {b.shape}")
-    return _gather_mm(vm.kept_abs_columns(), vm.payload.values, b, label)
-
-
-def venom_spmm_tn(vm: VenomMatrix, b, label: str = "venom_spmm_tn") -> np.ndarray:
-    """venom_decode(vm).T @ b (the V:N:M operand carries the sparsity)."""
-    b = as_matrix(b)
-    if vm.rows != b.shape[0]:
-        raise ShapeError(f"venom_spmm_tn: row counts differ: {vm.rows}x{vm.cols} vs {b.shape}")
-    return _scatter_mm(vm.kept_abs_columns(), vm.payload.values, b, vm.cols, label)
+# Old names of the shared ops, kept only because perfbench's tracer looks
+# them up by name; the op ledger of ROADMAP item 4 deletes them.
+venom_kept_mask, venom_reencode, venom_spmm, venom_spmm_tn = (
+    kept_mask, reencode24, spmm24, spmm24_tn
+)
 
 
 # ---------------------------------------------------------------------------

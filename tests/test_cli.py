@@ -123,7 +123,7 @@ def test_venom_encode_check_spmm(workdir, capsys):
     assert "pattern sparsity 0.750000" in out
     assert "OK venom" in out
     vm = sfk.load_venom("a.vnm")
-    assert np.array_equal(sfk.load_matrix("c.sfk"), sfk.venom_spmm(vm, sfk.load_matrix("b.sfk")))
+    assert np.array_equal(sfk.load_matrix("c.sfk"), sfk.spmm24(vm, sfk.load_matrix("b.sfk")))
 
 
 def test_check_reports_dense_and_rejects_junk(workdir, capsys):
@@ -304,12 +304,16 @@ def test_train_rejects_bad_dims(workdir):
 @pytest.mark.parametrize("argv", [
     ["train", "--steps", "4", "--seed", "-1"],
     ["bench", "--shape", "8,8,8", "--seed", "-1"],
+    # gradcheck draws from seed + 3/7/13: -1 used to run and exit 0, and
+    # -5 used to name the offset seed (-2)
+    pytest.param(["gradcheck", "--policy", "dense", "--seed", "-1"], id="gradcheck-1"),
+    pytest.param(["gradcheck", "--policy", "dense", "--seed", "-5"], id="gradcheck-5"),
 ], ids=lambda argv: argv[0])
 def test_negative_seed_exits_2(workdir, capsys, argv):
-    # both used to end in a ValueError traceback from PCG64 and exit 1
+    # train and bench used to end in a ValueError traceback from PCG64 and exit 1
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "seed" in err
+    assert err.startswith("error: ") and f"seed must be non-negative, got {argv[-1]}" in err
 
 
 def test_bench_reports_ceiling_ratios(workdir, capsys):

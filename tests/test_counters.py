@@ -34,9 +34,9 @@ def test_venom_counts_exactly_n_over_m():
     vm = sfk.venom_encode(sfk.rand_matrix(16, 32, seed=4), p)
     b = sfk.rand_matrix(32, 8, seed=5)
     with count_multiplies() as dense_c:
-        sfk.gemm(sfk.venom_decode(vm), b)
+        sfk.gemm(sfk.decode24(vm), b)
     with count_multiplies() as sparse_c:
-        sfk.venom_spmm(vm, b)
+        sfk.spmm24(vm, b)
     assert dense_c.total * p.n == sparse_c.total * p.m
 
 
@@ -51,10 +51,10 @@ def test_transposed_kernels_count_exactly():
     p = sfk.VenomParams(4, 2, 16)
     vm = sfk.venom_encode(sfk.rand_matrix(16, 64, seed=12), p)
     with count_multiplies() as c:
-        sfk.venom_spmm_tn(vm, sfk.rand_matrix(16, n, seed=13))
-    assert c.per_op == {"venom_spmm_tn": 16 * 64 * p.n // p.m * n}
+        sfk.spmm24_tn(vm, sfk.rand_matrix(16, n, seed=13))
+    assert c.per_op == {"spmm24_tn": 16 * 64 * p.n // p.m * n}
     # plain ints, so a ledger of them serializes to JSON
-    assert type(c.total) is int and type(c.per_op["venom_spmm_tn"]) is int
+    assert type(c.total) is int and type(c.per_op["spmm24_tn"]) is int
 
 
 def test_counters_nest_and_label():
@@ -109,5 +109,5 @@ def test_custom_labels_flow_through_kernels():
         sfk.spmm24(s, b, label="fwd_y1")
         sfk.spmm24_rhs(b[:4].T, s, label="fwd_y3")
         sfk.spmm24_tn(s, b[:4], label="bwd_dw2")
-        sfk.venom_spmm_tn(vm, b[:4], label="bwd_dw1")
+        sfk.spmm24_tn(vm, b[:4], label="bwd_dw1")
     assert c.per_op == {"fwd_y1": 4 * 4 * 2, "fwd_y3": 2 * 4 * 4, "bwd_dw2": 4 * 4 * 2, "bwd_dw1": 4 * 2 * 2}

@@ -132,12 +132,12 @@ def test_venom_forward_routes_pads_and_unwinds():
     vm = sfk.moe_to_venom(sfk.apply_permutation(y2, plan), plan, bank, pol.venom)
     layout = sfk.padded_layout(plan, pol.venom.v)
     want = sfk.invert_permutation(
-        sfk.unpad_rows(sfk.gemm(sfk.venom_decode(vm), p.w2), layout), plan
+        sfk.unpad_rows(sfk.gemm(sfk.decode24(vm), p.w2), layout), plan
     )
     assert np.array_equal(y3, want)
     assert tape.plan is not None and tape.layout is not None
     assert tape.act_mask.shape == (layout.rows, 32)
-    mask = sfk.venom_kept_mask(vm) & sfk.routed_feature_mask(plan, bank, layout)
+    mask = sfk.kept_mask(vm) & sfk.routed_feature_mask(plan, bank, layout)
     assert np.array_equal(tape.act_mask, mask)
 
 
@@ -147,14 +147,16 @@ def test_venom_requires_bank():
         sfk.ffn_forward(x, p, sfk.ablation_policy("venom"))
 
 
-def test_frozen_tape_reproduces_forward_bitwise():
+@pytest.mark.parametrize("tag", ["act24", "venom"])
+def test_frozen_tape_reproduces_forward_bitwise(tag):
     x, p = small_problem(d_ffn=32)
-    pol = sfk.ablation_policy("venom")
-    bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
+    pol = sfk.ablation_policy(tag)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if tag == "venom" else None
     y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
     y3f, tape_f = sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)
     assert np.array_equal(y3, y3f)
     assert np.array_equal(tape_f.act_mask, tape.act_mask)
+    assert np.array_equal(sfk.decode24(tape_f.y2), sfk.decode24(tape.y2))
 
 
 # --------------------------------------------------- sparse operand placement

@@ -73,8 +73,8 @@ def _kernels() -> dict:
             out[f"spmm24_tn.{shape}"] = _digest(sfk.spmm24_tn(s, sfk.rand_matrix(rows, n, seed=400 + i)))
     for m in (8, 16, 32, 64):
         vm = sfk.venom_encode(sfk.rand_matrix(8, 2 * m, seed=500 + m), sfk.VenomParams(4, 2, m))
-        out[f"venom_spmm.M{m}"] = _digest(sfk.venom_spmm(vm, sfk.rand_matrix(2 * m, 5, seed=600 + m)))
-        out[f"venom_spmm_tn.M{m}"] = _digest(sfk.venom_spmm_tn(vm, sfk.rand_matrix(8, 5, seed=700 + m)))
+        out[f"venom_spmm.M{m}"] = _digest(sfk.spmm24(vm, sfk.rand_matrix(2 * m, 5, seed=600 + m)))
+        out[f"venom_spmm_tn.M{m}"] = _digest(sfk.spmm24_tn(vm, sfk.rand_matrix(8, 5, seed=700 + m)))
     return out
 
 

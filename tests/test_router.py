@@ -132,6 +132,15 @@ def test_route_tokens_errors():
         sfk.route_tokens(sfk.rand_matrix(3, 8, seed=0), bank)
 
 
+def test_routing_plan_is_checked_on_construction():
+    _, _, _, plan = make_plan(tokens=10)
+    sfk.RoutingPlan(plan.assignments, plan.permutation, plan.group_bounds)
+    twice = plan.permutation.copy()
+    twice[1] = twice[0]  # not a bijection: one token twice, another never
+    with pytest.raises(InputError, match="bijection"):
+        sfk.RoutingPlan(plan.assignments, twice, plan.group_bounds)
+
+
 def test_permutation_roundtrip_and_balance():
     x, _, _, plan = make_plan(tokens=10)
     xp = sfk.apply_permutation(x, plan)
@@ -165,7 +174,7 @@ def test_moe_to_venom_passes_format_check():
     plan = sfk.route_tokens(x, bank, top_k=1)
     y2 = np.abs(sfk.rand_matrix(10, 32, seed=2))
     vm = sfk.moe_to_venom(sfk.apply_permutation(y2, plan), plan, bank, p)
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     layout = sfk.padded_layout(plan, p.v)
     assert d.shape == (layout.rows, 32)
     assert sfk.venom_check(d, p)
@@ -204,7 +213,7 @@ def test_moe_to_venom_starved_window_is_an_error():
     plan = sfk.route_tokens(x, bank, top_k=1)
     y2 = sfk.apply_permutation(np.abs(sfk.rand_matrix(4, 16, seed=6)), plan)
     vm = sfk.moe_to_venom(y2, plan, bank, p)  # expert 1's window falls back to zeros
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     assert np.array_equal(d[:, 8:], np.zeros((4, 8)))
     assert sfk.venom_check(d, p)
 

@@ -38,13 +38,13 @@ def test_encode_decode_roundtrip_and_check():
     p = sfk.VenomParams(4, 2, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
     vm = sfk.venom_encode(a, p)
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     assert d.shape == a.shape
     assert sfk.venom_check(d, p)
     assert not sfk.venom_check(a, p)  # dense input is not already block-sparse
     # fixpoint: encoding the decoded matrix loses nothing
     again = sfk.venom_encode(d, p)
-    assert np.array_equal(sfk.venom_decode(again), d)
+    assert np.array_equal(sfk.decode24(again), d)
 
 
 def test_encode_keeps_largest_l1_columns_per_block():
@@ -56,7 +56,7 @@ def test_encode_keeps_largest_l1_columns_per_block():
     assert np.array_equal(vm.col_table[0, 0], want)
     # retained strip is the greedy 2:4 packing of those columns
     strip = sfk.decode24(sfk.sparsify24(a[:, want], sfk.GREEDY_MAGNITUDE))
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     assert np.array_equal(d[:, want], strip)
     dropped = np.setdiff1d(np.arange(8), want)
     assert np.array_equal(d[:, dropped], np.zeros((4, 4)))
@@ -74,10 +74,10 @@ def test_kept_mask_counts():
     p = sfk.VenomParams(4, 2, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
     vm = sfk.venom_encode(a, p)
-    km = sfk.venom_kept_mask(vm)
+    km = sfk.kept_mask(vm)
     # per 4-row x 8-col block: each of the 4 rows keeps 2 slots in its strip
     assert km.sum() == (8 // 4) * (16 // 8) * 4 * 2
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     assert np.array_equal(d[~km], np.zeros((~km).sum()))
 
 
@@ -86,9 +86,9 @@ def test_reencode_reuses_pattern_with_new_values():
     a = sfk.rand_matrix(4, 8, seed=1)
     vm = sfk.venom_encode(a, p)
     fresh = sfk.rand_matrix(4, 8, seed=2)
-    r = sfk.venom_reencode(fresh, vm)
-    km = sfk.venom_kept_mask(vm)
-    assert np.array_equal(sfk.venom_decode(r), np.where(km, fresh, 0.0))
+    r = sfk.reencode24(fresh, vm)
+    km = sfk.kept_mask(vm)
+    assert np.array_equal(sfk.decode24(r), np.where(km, fresh, 0.0))
     assert np.array_equal(r.col_table, vm.col_table)
 
 
@@ -103,15 +103,15 @@ def test_encode_shape_errors():
 def test_kernels_match_decode_then_gemm():
     p = sfk.VenomParams(4, 2, 8)
     vm = sfk.venom_encode(sfk.rand_matrix(8, 16, seed=0), p)
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     b = sfk.rand_matrix(16, 3, seed=1)
     c = sfk.rand_matrix(8, 3, seed=2)
-    assert np.array_equal(sfk.venom_spmm(vm, b), sfk.gemm(d, b))
-    np.testing.assert_allclose(sfk.venom_spmm_tn(vm, c), sfk.gemm(d.T, c), rtol=0.0, atol=1e-10)
+    assert np.array_equal(sfk.spmm24(vm, b), sfk.gemm(d, b))
+    np.testing.assert_allclose(sfk.spmm24_tn(vm, c), sfk.gemm(d.T, c), rtol=0.0, atol=1e-10)
     with pytest.raises(ShapeError):
-        sfk.venom_spmm(vm, np.ones((5, 2)))
+        sfk.spmm24(vm, np.ones((5, 2)))
     with pytest.raises(ShapeError):
-        sfk.venom_spmm_tn(vm, np.ones((5, 2)))
+        sfk.spmm24_tn(vm, np.ones((5, 2)))
 
 
 @given(st.integers(0, 3_000), st.sampled_from([8, 16]))
@@ -119,9 +119,9 @@ def test_kernels_match_decode_then_gemm():
 def test_kernel_oracle_property(seed, m):
     p = sfk.VenomParams(4, 2, m)
     vm = sfk.venom_encode(sfk.rand_matrix(8, 2 * m, seed=seed), p)
-    d = sfk.venom_decode(vm)
+    d = sfk.decode24(vm)
     b = sfk.rand_matrix(2 * m, 3, seed=seed + 1)
-    np.testing.assert_allclose(sfk.venom_spmm(vm, b), sfk.gemm(d, b), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(sfk.spmm24(vm, b), sfk.gemm(d, b), rtol=0.0, atol=1e-10)
     assert sfk.venom_check(d, p)
 
 
@@ -135,13 +135,13 @@ def test_kernel_oracle_property(seed, m):
 )
 @settings(max_examples=40)
 def test_spmm_tn_pins_summation_order(seed, m, v, blocks, windows, n):
-    """Each output row of venom_spmm_tn accumulates in (slot, row) order;
-    columns outside the column table get no entry at all."""
+    """Each output row of spmm24_tn on a V:N:M pack accumulates in (slot,
+    row) order; columns outside the column table get no entry at all."""
     p = sfk.VenomParams(v, 2, m)
     vm = sfk.venom_encode(sfk.rand_matrix(v * blocks, m * windows, seed=seed), p)
     c = sfk.rand_matrix(vm.rows, n, seed=seed + 1)
-    want = scatter_naive(vm.kept_abs_columns(), vm.payload.values, c, vm.cols)
-    assert np.array_equal(sfk.venom_spmm_tn(vm, c), want)
+    want = scatter_naive(vm.abs_columns(), vm.payload.values, c, vm.cols)
+    assert np.array_equal(sfk.spmm24_tn(vm, c), want)
 
 
 def test_venom_file_roundtrip(tmp_path):
@@ -152,7 +152,7 @@ def test_venom_file_roundtrip(tmp_path):
     back = sfk.load_venom(path)
     assert back.params == vm.params
     assert np.array_equal(back.col_table, vm.col_table)
-    assert np.array_equal(sfk.venom_decode(back), sfk.venom_decode(vm))
+    assert np.array_equal(sfk.decode24(back), sfk.decode24(vm))
     assert path.read_bytes()[:4] == VNM_MAGIC == b"VNMF"
 
 
