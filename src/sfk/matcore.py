@@ -2,11 +2,15 @@
 reference GEMM, seeded random matrices, and the SFK1 file format.
 
 All numeric work happens in float64 on plain numpy arrays.  ``gemm``
-accumulates the reduction dimension strictly left to right, one rank-1
-update per k index, which makes it bit-identical to the classic triple
-loop.  That fixed summation order is what lets the sparse kernels be
-checked against it at tight tolerances, and it keeps every result
-reproducible across runs.
+sums every output entry from zero with k ascending, which makes it
+bit-identical to the classic triple loop.  Small outputs take k in
+chunks: the plain products of a chunk are stacked behind the running
+sum along the outer axis of one buffer, and ``np.add.reduce`` folds
+that axis in order, because numpy sums pairwise only along the fast
+axis in memory.  Large outputs add one rank-1 update per k index into a
+reused buffer.  That fixed summation order is what lets the sparse
+kernels be checked against it at tight tolerances, and it keeps every
+result reproducible across runs.
 
 SFK1 layout (little-endian): 4-byte magic ``SFK1``, one dtype code byte
 (1 = real32, 2 = real64), three reserved zero bytes, u64 rows, u64
@@ -27,6 +31,8 @@ MAGIC = b"SFK1"
 _DTYPE_OF_CODE = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_OF_NAME = {"real32": 1, "real64": 2}
 _HEADER_LEN = 24
+# float64 elements in gemm's chunk buffer; 2**16 is 512 KiB of products
+_CHUNK_ELEMS = 2**16
 
 
 def as_matrix(a) -> np.ndarray:
@@ -40,8 +46,18 @@ def as_matrix(a) -> np.ndarray:
 def gemm(a, b) -> np.ndarray:
     """Reference matrix product with a fixed summation order.
 
-    The k dimension is accumulated left to right via rank-1 updates, so
-    the result matches the naive triple loop bit for bit.
+    Every output entry is summed from zero with k ascending, so the
+    result matches the naive triple loop bit for bit.  An m x n output
+    with ``2 <= m*n <= _CHUNK_ELEMS // 4`` takes k in chunks of
+    ``c = _CHUNK_ELEMS // (m*n)``: a C-contiguous ``(c+1, m, n)``
+    buffer holds the running sum in slot 0 and the plain products
+    ``a[:, k] * b[k]`` in slots 1..c, and ``np.add.reduce`` folds its
+    outer axis into the output.  That axis has stride ``8*m*n``, so
+    unless the output is a single entry it is never the fast axis, the
+    only one numpy sums pairwise.  Larger outputs, whose chunks would be
+    too short to pay for the strided reduction, and 1 x 1 outputs, whose
+    outer axis is the fast one, add one rank-1 update per k into a
+    reused buffer.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -50,8 +66,22 @@ def gemm(a, b) -> np.ndarray:
     m, k = a.shape
     n = b.shape[1]
     out = np.zeros((m, n), dtype=np.float64)
+    if k and 2 <= m * n <= _CHUNK_ELEMS // 4:
+        c = min(_CHUNK_ELEMS // (m * n), k)
+        buf = np.empty((c + 1, m, n), dtype=np.float64)
+        buf[0] = 0.0
+        for k0 in range(0, k, c):
+            w = min(c, k - k0)
+            np.einsum("ik,kj->kij", a[:, k0 : k0 + w], b[k0 : k0 + w], out=buf[1 : w + 1])
+            np.add.reduce(buf[: w + 1], axis=0, out=out)
+            buf[0] = out
+            tally(m * n * w, "gemm")
+        return out
+    a_t = np.ascontiguousarray(a.T)
+    tmp = np.empty((m, n), dtype=np.float64)
     for kk in range(k):
-        out += a[:, kk : kk + 1] * b[kk]
+        np.einsum("i,j->ij", a_t[kk], b[kk], out=tmp)
+        out += tmp
         tally(m * n, "gemm")
     return out
 

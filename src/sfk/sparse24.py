@@ -231,10 +231,13 @@ def mass_kept_fraction(dense, decoded) -> float:
     """L1 mass of the sparsified matrix over the original's (1.0 when
     nothing was dropped or shrunk)."""
     dense = as_matrix(dense)
+    decoded = as_matrix(decoded)
+    if decoded.shape != dense.shape:
+        raise ShapeError(f"mass_kept_fraction: shapes differ: {dense.shape} vs {decoded.shape}")
     total = float(np.abs(dense).sum())
     if total == 0.0:
         return 1.0
-    return float(np.abs(as_matrix(decoded)).sum()) / total
+    return float(np.abs(decoded).sum()) / total
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,8 @@ def max_loss_jump(report: TrainReport) -> float:
 
 def loss_jump_quantile(report: TrainReport, q: float = 0.95) -> float:
     """Quantile of the per-step |loss change| distribution."""
+    if not 0.0 <= q <= 1.0:
+        raise InputError(f"quantile q must be in [0, 1], got {q}")
     if report.steps < 2:
         return 0.0
     return float(np.quantile(np.abs(np.diff(np.asarray(report.losses))), q))

@@ -31,6 +31,17 @@ def gemm_naive(a, b):
     return out
 
 
+def gemm_rank1(a, b):
+    """Rank-1 matmul oracle: one broadcast outer product per k, added in
+    index order, so it sums like gemm_naive at numpy speed."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
+    for kk in range(a.shape[1]):
+        out += a[:, kk : kk + 1] * b[kk]
+    return out
+
+
 def scatter_naive(cols, values, b, out_rows):
     """Transposed-product oracle in the packed kernels' pinned order:
     out[cols[i, j]] += values[i, j] * b[i], one np.add.at per slot j, so

@@ -9,12 +9,15 @@ from sfk.counters import count_multiplies, tally
 
 
 def test_gemm_counts_mkn():
-    a = sfk.rand_matrix(6, 8, seed=0)
-    b = sfk.rand_matrix(8, 5, seed=1)
-    with count_multiplies() as c:
-        sfk.gemm(a, b)
-    assert c.total == 6 * 8 * 5
-    assert c.per_op == {"gemm": 6 * 8 * 5}
+    # one chunk; three chunks (k = 37 is not a multiple of c = 16); rank-1 updates
+    for m, k, n in [(6, 8, 5), (32, 37, 128), (130, 3, 130)]:
+        a = sfk.rand_matrix(m, k, seed=0)
+        b = sfk.rand_matrix(k, n, seed=1)
+        with count_multiplies() as c:
+            sfk.gemm(a, b)
+        assert c.total == m * k * n
+        assert c.per_op == {"gemm": m * k * n}
+        assert type(c.per_op["gemm"]) is int
 
 
 def test_spmm24_counts_exactly_half():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sfk
 from sfk import FormatError, ShapeError
-from conftest import gemm_naive
+from conftest import gemm_naive, gemm_rank1
 
 
 def test_gemm_matches_naive_oracle_bitwise():
@@ -19,12 +19,41 @@ def test_gemm_matches_naive_oracle_bitwise():
     assert np.array_equal(got, want)
 
 
-@given(m=st.integers(1, 6), k=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 99))
-@settings(max_examples=40)
-def test_gemm_matches_naive_oracle_property(m, k, n, seed):
-    a = sfk.rand_matrix(m, k, seed=seed)
-    b = sfk.rand_matrix(k, n, seed=seed + 1)
+def _spread(rows, cols, seed, neg_zero):
+    """Normals scaled over 24 orders of magnitude, so almost any change to
+    the summation order changes the rounded result."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    x = g.standard_normal((rows, cols)) * 10.0 ** g.integers(-12, 13, size=(rows, cols))
+    if neg_zero:
+        x[g.random((rows, cols)) < 0.25] = -0.0
+    return x
+
+
+# k reaches past the 8-wide block of numpy's pairwise summation, so a
+# reduction over the fast axis in memory would not match the oracle.
+@given(m=st.integers(1, 6), k=st.integers(0, 48), n=st.integers(1, 6), seed=st.integers(0, 99),
+       neg_zero=st.booleans())
+@settings(max_examples=60)
+def test_gemm_matches_naive_oracle_property(m, k, n, seed, neg_zero):
+    a = _spread(m, k, seed, neg_zero)
+    b = _spread(k, n, seed + 1, neg_zero)
     assert np.array_equal(sfk.gemm(a, b), gemm_naive(a, b))
+
+
+# gemm chunks k for outputs of 2..2**14 entries and adds rank-1 updates
+# otherwise: single-entry outputs, the cutoff itself and just past it.
+@pytest.mark.parametrize("m,k,n", [
+    (1, 40, 1), (1, 41, 2), (2, 40, 1), (40, 41, 1), (1, 40, 37),
+    (128, 13, 128), (128, 13, 129), (131, 9, 127), (192, 10, 96),
+])
+def test_gemm_matches_rank1_oracle_on_both_paths(m, k, n):
+    for seed in range(4):
+        a = _spread(m, k, seed, neg_zero=seed == 3)
+        b = _spread(k, n, seed + 10, neg_zero=seed == 3)
+        want = gemm_rank1(a, b)
+        assert np.array_equal(sfk.gemm(a, b), want)
+        if m * n <= 64:  # cross-check the oracle where the triple loop is cheap
+            assert np.array_equal(want, gemm_naive(a, b))
 
 
 def test_gemm_empty_inner_dim():

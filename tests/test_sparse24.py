@@ -154,6 +154,8 @@ def test_mass_kept_fraction_bounds():
     soft = sfk.mass_kept_fraction(a, sfk.decode24(sfk.sparsify24(a, sfk.SOFT_THRESHOLD)))
     assert 0.0 < soft < greedy < 1.0
     assert sfk.mass_kept_fraction(a, a) == 1.0
+    with pytest.raises(ShapeError):
+        sfk.mass_kept_fraction(np.ones((4, 8)), np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------- kernels ---

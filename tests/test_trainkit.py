@@ -126,6 +126,9 @@ def test_report_final_loss_and_jumps():
     assert sfk.max_loss_jump(rep) == 4.0
     assert sfk.loss_jump_quantile(rep, 1.0) == 4.0
     assert sfk.loss_jump_quantile(rep, 0.0) == 0.5
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(InputError):
+            sfk.loss_jump_quantile(rep, bad)
     assert rep.act_zero_frac == [0.5] * 4
     long = sfk.TrainReport(losses=[9.0] * 50 + [1.0] * 100, act_zero_frac=[0.5] * 150,
                            policy_tags=["dense"] * 150, schedule=None, lr=0.1)
