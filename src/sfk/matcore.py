@@ -7,10 +7,11 @@ bit-identical to the classic triple loop.  Small outputs take k in
 chunks: the plain products of a chunk are stacked behind the running
 sum along the outer axis of one buffer, and ``np.add.reduce`` folds
 that axis in order, because numpy sums pairwise only along the fast
-axis in memory.  Large outputs add one rank-1 update per k index into a
-reused buffer.  That fixed summation order is what lets the sparse
-kernels be checked against it at tight tolerances, and it keeps every
-result reproducible across runs.
+axis in memory.  The packed kernels of ``sfk.sparse24`` fold their
+small products with the same helper.  Large outputs add one rank-1
+update per k index into a reused buffer.  That fixed summation order is
+what lets the sparse kernels be checked against it bit for bit, and it
+keeps every result reproducible across runs.
 
 SFK1 layout (little-endian): 4-byte magic ``SFK1``, one dtype code byte
 (1 = real32, 2 = real64), three reserved zero bytes, u64 rows, u64
@@ -19,6 +20,7 @@ cols, then the values row-major.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -31,7 +33,8 @@ MAGIC = b"SFK1"
 _DTYPE_OF_CODE = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_OF_NAME = {"real32": 1, "real64": 2}
 _HEADER_LEN = 24
-# float64 elements in gemm's chunk buffer; 2**16 is 512 KiB of products
+# float64 elements in the fold buffer of gemm, spmm24 and spmm24_rhs;
+# 2**16 is 512 KiB of products
 _CHUNK_ELEMS = 2**16
 
 
@@ -43,21 +46,49 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
+def _fold_in_order(shape, terms, products, mults, label):
+    """Sum ``terms`` plain products into a new float64 array of ``shape``,
+    every entry from +0.0 with the term index ascending, or return None.
+
+    The terms go in chunks of ``c = _CHUNK_ELEMS // size`` (size = the
+    number of output entries): a C-contiguous ``(c+1, *shape)`` buffer
+    holds the running sum in slot 0 and ``products(t0, dst)`` writes
+    terms t0, t0+1, ... into ``dst``, slots 1..w of it.  ``np.add.reduce``
+    then folds the outer axis into the output, in order: that axis has
+    stride ``8*size``, so unless the output is a single entry it is never
+    the fast axis in memory, the only one numpy sums pairwise.  Each
+    chunk tallies ``mults`` multiplies per term under ``label``.
+
+    Returns None, having done nothing, for a 1-entry output, an output of
+    more than ``_CHUNK_ELEMS // 4`` entries (chunks too short to pay for
+    the strided reduction) or no terms; the caller then adds one term at
+    a time, in the same order.
+    """
+    size = math.prod(shape)
+    if not terms or not 2 <= size <= _CHUNK_ELEMS // 4:
+        return None
+    c = min(_CHUNK_ELEMS // size, terms)
+    out = np.zeros(shape, dtype=np.float64)
+    buf = np.empty((c + 1, *shape), dtype=np.float64)
+    buf[0] = 0.0
+    for t0 in range(0, terms, c):
+        w = min(c, terms - t0)
+        products(t0, buf[1 : w + 1])
+        np.add.reduce(buf[: w + 1], axis=0, out=out)
+        buf[0] = out
+        tally(mults * w, label)
+    return out
+
+
 def gemm(a, b) -> np.ndarray:
     """Reference matrix product with a fixed summation order.
 
     Every output entry is summed from zero with k ascending, so the
     result matches the naive triple loop bit for bit.  An m x n output
-    with ``2 <= m*n <= _CHUNK_ELEMS // 4`` takes k in chunks of
-    ``c = _CHUNK_ELEMS // (m*n)``: a C-contiguous ``(c+1, m, n)``
-    buffer holds the running sum in slot 0 and the plain products
-    ``a[:, k] * b[k]`` in slots 1..c, and ``np.add.reduce`` folds its
-    outer axis into the output.  That axis has stride ``8*m*n``, so
-    unless the output is a single entry it is never the fast axis, the
-    only one numpy sums pairwise.  Larger outputs, whose chunks would be
-    too short to pay for the strided reduction, and 1 x 1 outputs, whose
-    outer axis is the fast one, add one rank-1 update per k into a
-    reused buffer.
+    of 2 to ``_CHUNK_ELEMS // 4`` entries folds the plain products
+    ``a[:, k] * b[k]`` in chunks (``_fold_in_order``).  Larger outputs,
+    whose chunks would be too short to pay for the strided reduction,
+    and 1 x 1 outputs add one rank-1 update per k into a reused buffer.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -65,18 +96,14 @@ def gemm(a, b) -> np.ndarray:
         raise ShapeError(f"gemm: inner dimensions differ: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
-    if k and 2 <= m * n <= _CHUNK_ELEMS // 4:
-        c = min(_CHUNK_ELEMS // (m * n), k)
-        buf = np.empty((c + 1, m, n), dtype=np.float64)
-        buf[0] = 0.0
-        for k0 in range(0, k, c):
-            w = min(c, k - k0)
-            np.einsum("ik,kj->kij", a[:, k0 : k0 + w], b[k0 : k0 + w], out=buf[1 : w + 1])
-            np.add.reduce(buf[: w + 1], axis=0, out=out)
-            buf[0] = out
-            tally(m * n * w, "gemm")
+
+    def products(k0, dst):
+        np.einsum("ik,kj->kij", a[:, k0 : k0 + len(dst)], b[k0 : k0 + len(dst)], out=dst)
+
+    out = _fold_in_order((m, n), k, products, m * n, "gemm")
+    if out is not None:
         return out
+    out = np.zeros((m, n), dtype=np.float64)
     a_t = np.ascontiguousarray(a.T)
     tmp = np.empty((m, n), dtype=np.float64)
     for kk in range(k):

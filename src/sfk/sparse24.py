@@ -1,10 +1,14 @@
 """2:4 semi-structured sparsity: sparsifiers, packed storage, kernels.
 
 A 2:4-sparse matrix keeps at most two of every four consecutive
-elements in a row.  Packed storage holds exactly two values per group
-(zeros are stored as kept values when fewer than two entries survive)
-plus a 2-bit in-group column index per kept value, four indices to a
-metadata byte.
+elements in a row.  A pack holds exactly two values per group (zeros
+are stored as kept values when fewer than two entries survive) and the
+in-group column 0..3 of each.  The pack is checked once, when it is
+built: each group's two indices must be strictly increasing, or the
+constructor raises CorruptionError.  The absolute column of every slot
+is computed then as well, and the indices and columns are read-only
+from there on, so no later op re-derives or re-checks them.  The 2-bit
+metadata bytes exist only in the S24F file format.
 
 Two sparsifiers:
 
@@ -24,6 +28,8 @@ then lower column index.
 decode24, kept_mask, reencode24, spmm24 and spmm24_tn read a pack only
 through rows, cols, values, abs_columns(), with_values() and
 validate(), so a VenomMatrix (sfk.venom) passes through them as well.
+validate() checks only that the values are finite; decode24, the
+writers and the readers call it.
 
 S24F file layout (little-endian): magic ``S24F``, u64 rows, u64 cols,
 values block (rows x cols/2 real64, row-major), then the metadata block
@@ -33,14 +39,14 @@ values block (rows x cols/2 real64, row-major), then the metadata block
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .counters import tally
 from .errors import CorruptionError, FormatError, InputError, ShapeError
-from .matcore import as_matrix
+from .matcore import _fold_in_order, as_matrix
 
 if TYPE_CHECKING:
     from .venom import VenomMatrix
@@ -57,53 +63,71 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"unknown sparsify mode {mode!r} (expected one of {MODES})")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a (a itself stays writable)."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class Sparse24Matrix:
-    """Packed 2:4 matrix: two kept values per 4-group plus 2-bit indices."""
+    """Packed 2:4 matrix: two kept values per 4-group and the in-group
+    column of each, checked once when built (see the module docstring)."""
 
     rows: int
     cols: int
     values: np.ndarray  # (rows, cols // 2) float64
-    meta: np.ndarray  # (rows, ceil(cols/8)) uint8, packed 2-bit in-group indices
+    slots: np.ndarray  # (rows, cols // 2) integers, the in-group column 0..3 of each value
+    _abs_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cols % 4 or self.cols <= 0 or self.rows <= 0:
             raise ShapeError(f"2:4 matrix needs positive cols divisible by 4, got {self.rows}x{self.cols}")
-        slots = self.cols // 2
-        if self.values.shape != (self.rows, slots):
-            raise ShapeError(f"values block must be {self.rows}x{slots}, got {self.values.shape}")
-        if self.meta.shape != (self.rows, _meta_bytes_per_row(self.cols)):
-            raise ShapeError(f"meta block has wrong shape {self.meta.shape}")
+        half = self.cols // 2
+        if self.values.shape != (self.rows, half):
+            raise ShapeError(f"values block must be {self.rows}x{half}, got {self.values.shape}")
+        if self.slots.shape != (self.rows, half):
+            raise ShapeError(f"slot block must be {self.rows}x{half}, got {self.slots.shape}")
+        pair = self.slots.reshape(self.rows, -1, 2)
+        # x >> 2 is nonzero for any index outside 0..3, negative ones included
+        if (self.slots >> 2).any() or not (pair[..., 0] < pair[..., 1]).all():
+            raise CorruptionError(
+                "in-group indices are not two strictly increasing values in 0..3 per group"
+            )
+        object.__setattr__(self, "slots", _read_only(self.slots))
+        abs_cols = (np.arange(half) >> 1 << 2) + self.slots  # slot j is in group j // 2
+        abs_cols.flags.writeable = False
+        object.__setattr__(self, "_abs_cols", abs_cols)
 
     @property
     def slots_per_row(self) -> int:
         return self.cols // 2
 
-    def meta_indices(self) -> np.ndarray:
-        """Unpacked in-group column indices, shape (rows, cols // 2)."""
-        return _unpack_indices(self.meta, self.slots_per_row)
-
     def abs_columns(self) -> np.ndarray:
-        """Absolute column index of every kept slot, shape (rows, cols // 2)."""
-        idx = self.meta_indices().astype(np.int64)
-        groups = np.arange(self.slots_per_row) // 2
-        return groups * 4 + idx
+        """Absolute column of every kept slot, shape (rows, cols // 2), read-only."""
+        return self._abs_cols
 
     def with_values(self, values: np.ndarray) -> Sparse24Matrix:
-        """The same slots holding other values."""
-        return Sparse24Matrix(self.rows, self.cols, values, self.meta)
+        """The same slots holding other values; the checked slots and
+        columns are shared, not rebuilt."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.values.shape:
+            raise ShapeError(f"values block must be {self.values.shape}, got {values.shape}")
+        return _with(self, values=values)
 
     def validate(self) -> None:
-        """Raise CorruptionError unless each group holds two strictly
-        increasing in-group indices (collisions would double-book a slot)."""
-        idx = self.meta_indices().reshape(self.rows, -1, 2)
-        if not (idx[:, :, 0] < idx[:, :, 1]).all():
-            bad = np.argwhere(~(idx[:, :, 0] < idx[:, :, 1]))[0]
-            raise CorruptionError(
-                f"meta indices not strictly increasing in row {bad[0]}, group {bad[1]}"
-            )
+        """Raise CorruptionError unless every stored value is finite."""
         if not np.isfinite(self.values).all():
             raise CorruptionError("non-finite value in packed 2:4 payload")
+
+
+def _with(pack, **fields):
+    """A copy of a checked pack with some fields replaced, skipping
+    __post_init__: only for fields that cannot break its checks."""
+    new = object.__new__(type(pack))
+    new.__dict__.update(pack.__dict__, **fields)
+    return new
 
 
 def _meta_bytes_per_row(cols: int) -> int:
@@ -111,6 +135,7 @@ def _meta_bytes_per_row(cols: int) -> int:
 
 
 def _pack_indices(idx: np.ndarray) -> np.ndarray:
+    """2-bit in-group indices, four to a byte, each row padded to a whole byte."""
     rows, slots = idx.shape
     pad = (-slots) % 4
     if pad:
@@ -148,9 +173,8 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
     if mode == SOFT_THRESHOLD:
         t = np.take_along_axis(mags, order[..., 2:3], axis=-1)
         kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
-    values = kept.reshape(a.shape[0], -1)
-    meta = _pack_indices(slots.reshape(a.shape[0], -1))
-    return Sparse24Matrix(a.shape[0], a.shape[1], values, meta)
+    rows = a.shape[0]
+    return Sparse24Matrix(rows, a.shape[1], kept.reshape(rows, -1), slots.reshape(rows, -1))
 
 
 def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
@@ -245,16 +269,33 @@ def mass_kept_fraction(dense, decoded) -> float:
 # tallies its multiplies as it goes.  spmm24 and spmm24_tn loop over
 # (absolute column, kept value) pairs one slot column at a time, so they
 # serve a V:N:M matrix as well: it is a 2:4 pack over gathered columns.
+# spmm24 and spmm24_rhs fold small outputs in order with gemm's helper.
+
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
     """decode24(s) @ b without decoding: sparse operand on the left.
 
-    out[i] = sum_j values[i, j] * b[cols[i, j]], kept slot j ascending.
+    out[i] = sum_j values[i, j] * b[cols[i, j]], kept slot j ascending,
+    so the result is bit-identical to gemm(decode24(s), b): the dropped
+    columns add only +-0.0 products there.  Outputs of 2 to 2**14
+    entries fold the gathered products of a chunk of slots at once
+    (matcore._fold_in_order); others add one slot at a time.
     """
     b = as_matrix(b)
     if s.cols != b.shape[0]:
         raise ShapeError(f"spmm24: inner dimensions differ: {s.rows}x{s.cols} times {b.shape}")
     cols, values, n = s.abs_columns(), s.values, b.shape[1]
+    cols_t, values_t = cols.T, values.T
+
+    def products(j0, dst):
+        j1 = j0 + len(dst)
+        # the columns are in range; "clip" only skips a buffered bounds check
+        np.take(b, cols_t[j0:j1], axis=0, out=dst, mode="clip")
+        dst *= values_t[j0:j1, :, None]
+
+    out = _fold_in_order((s.rows, n), cols.shape[1], products, s.rows * n, label)
+    if out is not None:
+        return out
     out = np.zeros((s.rows, n), dtype=np.float64)
     for j in range(cols.shape[1]):
         out += values[:, j : j + 1] * b[cols[:, j]]
@@ -265,20 +306,31 @@ def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndar
 def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
     """a @ decode24(s) without decoding: sparse operand on the right.
 
-    Accumulates k strictly ascending, so on an already-compliant s the
-    result is bit-identical to gemm(a, decode24(s)).  The output is built
-    transposed, so kept row k of s scatters into contiguous rows.
+    Accumulates k strictly ascending, so the result is bit-identical to
+    gemm(a, decode24(s)).  The output is built transposed, so kept row k
+    of s scatters into contiguous rows.  Outputs of 2 to 2**14 entries
+    fold a chunk of rows k at once (matcore._fold_in_order), each
+    product zero outside row k's kept columns; others scatter one row k
+    at a time.
     """
     a = as_matrix(a)
     if a.shape[1] != s.rows:
         raise ShapeError(f"spmm24_rhs: inner dimensions differ: {a.shape} times {s.rows}x{s.cols}")
-    cols = s.abs_columns()
+    m, cols, values, half = a.shape[0], s.abs_columns(), s.values, s.slots_per_row
     a_t = np.ascontiguousarray(a.T)
-    out_t = np.zeros((s.cols, a.shape[0]), dtype=np.float64)
-    half = s.slots_per_row
-    for k in range(s.rows):
-        out_t[cols[k]] += s.values[k][:, None] * a_t[k]
-        tally(a.shape[0] * half, label)
+
+    def products(k0, dst):
+        k1 = k0 + len(dst)
+        dst.fill(0.0)
+        at = cols[k0:k1] + (np.arange(k1 - k0) * s.cols)[:, None]
+        dst.reshape(-1, m)[at.ravel()] = np.einsum("kh,ki->khi", values[k0:k1], a_t[k0:k1]).reshape(-1, m)
+
+    out_t = _fold_in_order((s.cols, m), s.rows, products, m * half, label)
+    if out_t is None:
+        out_t = np.zeros((s.cols, m), dtype=np.float64)
+        for k in range(s.rows):
+            out_t[cols[k]] += values[k][:, None] * a_t[k]
+            tally(m * half, label)
     return np.ascontiguousarray(out_t.T)
 
 
@@ -320,7 +372,7 @@ def s24_to_bytes(s: Sparse24Matrix) -> bytes:
             S24_MAGIC,
             struct.pack("<QQ", s.rows, s.cols),
             np.ascontiguousarray(s.values, dtype="<f8").tobytes(),
-            np.ascontiguousarray(s.meta).tobytes(),
+            _pack_indices(s.slots).tobytes(),
         )
     )
 
@@ -349,11 +401,12 @@ def s24_from_bytes(blob: bytes, origin: str = "<bytes>") -> Sparse24Matrix:
     if len(body) > need:
         raise FormatError(f"{origin}: {len(body) - need} trailing bytes after the payload")
     values = np.frombuffer(body[: nval * 8], dtype="<f8").astype(np.float64).reshape(rows, cols // 2)
-    meta = np.frombuffer(body[nval * 8 : nval * 8 + nmeta], dtype=np.uint8).copy()
-    s = Sparse24Matrix(rows, cols, values, meta.reshape(rows, -1))
-    s.validate()
-    if not np.array_equal(_pack_indices(s.meta_indices()), s.meta):
+    meta = np.frombuffer(body[nval * 8 :], dtype=np.uint8).reshape(rows, -1)
+    slots = _unpack_indices(meta, cols // 2)
+    if not np.array_equal(_pack_indices(slots), meta):
         raise FormatError(f"{origin}: nonzero padding bits in the metadata block")
+    s = Sparse24Matrix(rows, cols, values, slots)
+    s.validate()
     return s
 
 

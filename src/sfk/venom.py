@@ -8,8 +8,12 @@ Storage reuses the packed 2:4 type: the 4 retained columns of every
 block window are gathered into a strip, strips are concatenated into a
 rows x 4*(cols/M) matrix, and that strip matrix is 2:4 packed.  A
 per-block column table (4 sorted byte offsets into the M-wide window)
-records which columns were retained.  A VenomMatrix reads like a
-Sparse24Matrix, so sparse24's pack ops and kernels serve it as they are.
+records which columns were retained.  The table is checked once, when
+the pack is built (in range and strictly increasing per block, or
+CorruptionError), and the absolute column of every kept slot is
+computed then; both are read-only afterwards.  A VenomMatrix reads like
+a Sparse24Matrix, so sparse24's pack ops and kernels serve it as they
+are.
 
 VNMF file layout (little-endian): magic ``VNMF``, u64 rows, u64 cols,
 u32 V, u32 N, u32 M, the column table (uint8, 4 entries per block,
@@ -20,7 +24,7 @@ record.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +33,8 @@ from .matcore import as_matrix
 from .sparse24 import (
     GREEDY_MAGNITUDE,
     Sparse24Matrix,
+    _read_only,
+    _with,
     kept_mask,
     reencode24,
     s24_from_bytes,
@@ -66,11 +72,15 @@ class VenomParams:
 
 @dataclass(frozen=True, eq=False)
 class VenomMatrix:
+    """V:N:M pack: a column table per block and a 2:4 pack of the
+    strips, checked once when built (see the module docstring)."""
+
     rows: int
     cols: int
     params: VenomParams
     col_table: np.ndarray  # (rows//V, cols//M, 4) uint8, strictly increasing offsets < M
     payload: Sparse24Matrix  # rows x 4*(cols//M), one 2:4 group per window
+    _abs_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -85,17 +95,28 @@ class VenomMatrix:
             raise ShapeError(
                 f"payload must be {self.rows}x{4 * nw}, got {self.payload.rows}x{self.payload.cols}"
             )
+        table = self.col_table.astype(np.int64)
+        if table.min() < 0 or table.max() >= p.m:
+            raise CorruptionError("column table offset out of range")
+        if not (np.diff(table, axis=-1) > 0).all():
+            raise CorruptionError("column table offsets not strictly increasing")
+        object.__setattr__(self, "col_table", _read_only(self.col_table))
+        # payload slot j of a row sits in window w = strip column // 4;
+        # windows go left to right and the table is sorted inside each,
+        # so the absolute columns ascend along every row
+        strip_cols = self.payload.abs_columns()
+        w = strip_cols // 4
+        block_row = np.arange(self.rows) // p.v
+        abs_cols = w * p.m + table[block_row[:, None], w, strip_cols % 4]
+        abs_cols.flags.writeable = False
+        object.__setattr__(self, "_abs_cols", abs_cols)
 
     @property
     def windows(self) -> int:
         return self.cols // self.params.m
 
     def validate(self) -> None:
-        ct = self.col_table.astype(np.int64)
-        if ct.min() < 0 or ct.max() >= self.params.m:
-            raise CorruptionError("column table offset out of range")
-        if not (np.diff(ct, axis=-1) > 0).all():
-            raise CorruptionError("column table offsets not strictly increasing")
+        """Raise CorruptionError unless every stored value is finite."""
         self.payload.validate()
 
     @property
@@ -104,23 +125,14 @@ class VenomMatrix:
         return self.payload.values
 
     def with_values(self, values: np.ndarray) -> VenomMatrix:
-        """The same slots (column table and 2:4 metadata) holding other values."""
-        return VenomMatrix(
-            self.rows, self.cols, self.params, self.col_table, self.payload.with_values(values)
-        )
+        """The same slots (column table and 2:4 slots) holding other
+        values; the checked table and columns are shared, not rebuilt."""
+        return _with(self, payload=self.payload.with_values(values))
 
     def abs_columns(self) -> np.ndarray:
-        """Absolute column of every kept payload slot, shape (rows, 2*windows).
-
-        Ascending within each row: windows are visited left to right and
-        the column table is sorted inside each window.
-        """
-        strip_cols = self.payload.abs_columns()  # (rows, 2*windows), strip coords
-        w = strip_cols // 4
-        offs = strip_cols % 4
-        block_row = np.arange(self.rows) // self.params.v
-        table = self.col_table.astype(np.int64)[block_row[:, None], w, offs]
-        return w * self.params.m + table
+        """Absolute column of every kept payload slot, shape (rows,
+        2*windows), ascending within each row, read-only."""
+        return self._abs_cols
 
 
 def _check_block_shape(shape: tuple[int, int], p: VenomParams) -> None:

@@ -42,6 +42,17 @@ def gemm_rank1(a, b):
     return out
 
 
+def spread(rows, cols, seed, neg_zero):
+    """Normals scaled over 24 orders of magnitude, so almost any change to
+    the summation order changes the rounded result; with neg_zero, a
+    quarter of the entries are -0.0."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    x = g.standard_normal((rows, cols)) * 10.0 ** g.integers(-12, 13, size=(rows, cols))
+    if neg_zero:
+        x[g.random((rows, cols)) < 0.25] = -0.0
+    return x
+
+
 def scatter_naive(cols, values, b, out_rows):
     """Transposed-product oracle in the packed kernels' pinned order:
     out[cols[i, j]] += values[i, j] * b[i], one np.add.at per slot j, so

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sfk
 from sfk import FormatError, ShapeError
-from conftest import gemm_naive, gemm_rank1
+from conftest import gemm_naive, gemm_rank1, spread
 
 
 def test_gemm_matches_naive_oracle_bitwise():
@@ -19,24 +19,14 @@ def test_gemm_matches_naive_oracle_bitwise():
     assert np.array_equal(got, want)
 
 
-def _spread(rows, cols, seed, neg_zero):
-    """Normals scaled over 24 orders of magnitude, so almost any change to
-    the summation order changes the rounded result."""
-    g = np.random.Generator(np.random.PCG64(seed))
-    x = g.standard_normal((rows, cols)) * 10.0 ** g.integers(-12, 13, size=(rows, cols))
-    if neg_zero:
-        x[g.random((rows, cols)) < 0.25] = -0.0
-    return x
-
-
 # k reaches past the 8-wide block of numpy's pairwise summation, so a
 # reduction over the fast axis in memory would not match the oracle.
 @given(m=st.integers(1, 6), k=st.integers(0, 48), n=st.integers(1, 6), seed=st.integers(0, 99),
        neg_zero=st.booleans())
 @settings(max_examples=60)
 def test_gemm_matches_naive_oracle_property(m, k, n, seed, neg_zero):
-    a = _spread(m, k, seed, neg_zero)
-    b = _spread(k, n, seed + 1, neg_zero)
+    a = spread(m, k, seed, neg_zero)
+    b = spread(k, n, seed + 1, neg_zero)
     assert np.array_equal(sfk.gemm(a, b), gemm_naive(a, b))
 
 
@@ -48,8 +38,8 @@ def test_gemm_matches_naive_oracle_property(m, k, n, seed, neg_zero):
 ])
 def test_gemm_matches_rank1_oracle_on_both_paths(m, k, n):
     for seed in range(4):
-        a = _spread(m, k, seed, neg_zero=seed == 3)
-        b = _spread(k, n, seed + 10, neg_zero=seed == 3)
+        a = spread(m, k, seed, neg_zero=seed == 3)
+        b = spread(k, n, seed + 10, neg_zero=seed == 3)
         want = gemm_rank1(a, b)
         assert np.array_equal(sfk.gemm(a, b), want)
         if m * n <= 64:  # cross-check the oracle where the triple loop is cheap

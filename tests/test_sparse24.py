@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfk
-from sfk import FormatError, InputError, ShapeError
-from sfk.sparse24 import S24_MAGIC, s24_from_bytes, s24_to_bytes
-from conftest import gemm_naive, scatter_naive
+from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
+from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
+from conftest import gemm_naive, scatter_naive, spread
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -75,7 +75,35 @@ def test_reencode_reuses_mask_with_new_values():
     r = sfk.reencode24(fresh, s)
     mask = sfk.kept_mask(s)
     assert np.array_equal(sfk.decode24(r), np.where(mask, fresh, 0.0))
-    assert np.array_equal(r.meta, s.meta)
+    assert np.array_equal(r.abs_columns(), s.abs_columns())
+
+
+def test_pack_structure_is_checked_once_when_built():
+    """Bad in-group indices fail at construction; afterwards the slots and
+    columns are read-only, and a re-encoded pack shares them."""
+    for bad in ([[1, 1]], [[2, 1]], [[2, 4]], [[-1, 2]]):
+        with pytest.raises(CorruptionError):
+            Sparse24Matrix(1, 4, np.ones((1, 2)), np.array(bad))
+    s = sfk.sparsify24(sfk.rand_matrix(4, 8, seed=0))
+    for arr in (s.abs_columns(), s.slots):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert sfk.reencode24(np.ones((4, 8)), s).abs_columns() is s.abs_columns()
+
+
+def test_only_the_s24f_codec_packs_2bit_indices(monkeypatch):
+    """A recipe step never touches the 2-bit metadata encoding."""
+    def refuse(*args):
+        raise AssertionError("2-bit indices packed or unpacked outside the S24F codec")
+
+    monkeypatch.setattr(sparse24, "_unpack_indices", refuse)
+    monkeypatch.setattr(sparse24, "_pack_indices", refuse)
+    pol = sfk.default_sparse_policy()
+    x, p = sfk.rand_matrix(16, 16, seed=0), sfk.init_ffn_params(16, 32, 16, seed=1)
+    y3, tape = sfk.ffn_forward(x, p, pol, bank=sfk.cluster_columns(p.w1, pol.router, seed=3))
+    sfk.ffn_backward(y3, tape, p, pol)
+    with pytest.raises(AssertionError):
+        s24_to_bytes(tape.w1.own)
 
 
 @given(st.integers(0, 10_000))
@@ -207,6 +235,39 @@ def test_transposed_kernels_pin_summation_order(rows, groups, n, seed, kind):
     assert np.array_equal(sfk.spmm24_tn(s, c), scatter_naive(s.abs_columns(), s.values, c, s.cols))
 
 
+# spmm24 and spmm24_rhs fold outputs of 2 to 2**14 entries in chunks and
+# add one term at a time otherwise: 1 x 1 and small outputs, the cutoff
+# itself (128 x 128) and just past it.  spmm24_rhs's shapes are (m,
+# groups), for an m x 4*groups output, so it has no 1 x 1 case.  Up to
+# 24 terms reach past the 8-wide block of numpy's pairwise summation.
+@given(
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (5, 3), (128, 128), (128, 129), (129, 128)]),
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, groups, seed, neg_zero):
+    rows, n = out_shape
+    s = sfk.sparsify24(spread(rows, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
+    b = spread(4 * groups, n, seed + 1, neg_zero)
+    assert np.array_equal(sfk.spmm24(s, b), sfk.gemm(sfk.decode24(s), b))
+
+
+@given(
+    st.sampled_from([(1, 1), (2, 1), (3, 2), (7, 5), (128, 32), (129, 32), (128, 33)]),
+    st.integers(1, 24),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, k, seed, neg_zero):
+    m, groups = out_shape
+    s = sfk.sparsify24(spread(k, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
+    a = spread(m, k, seed + 1, neg_zero)
+    assert np.array_equal(sfk.spmm24_rhs(a, s), sfk.gemm(a, sfk.decode24(s)))
+
+
 def test_kernel_shape_errors():
     s = sfk.sparsify24(sfk.rand_matrix(4, 8, seed=0))
     with pytest.raises(ShapeError):
@@ -227,7 +288,7 @@ def test_s24_file_roundtrip(tmp_path):
     back = sfk.load_s24(path)
     assert (back.rows, back.cols) == (s.rows, s.cols)
     assert np.array_equal(back.values, s.values)
-    assert np.array_equal(back.meta, s.meta)
+    assert np.array_equal(back.abs_columns(), s.abs_columns())
     assert path.read_bytes()[:4] == S24_MAGIC == b"S24F"
 
 

@@ -111,12 +111,17 @@ def test_run_training_validation():
 
 
 def test_divergence_raises_with_step_and_no_warnings():
-    task = small_task()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            sfk.run_training(task, sfk.build_schedule(50, 0, 0), lr=1e4, steps=50)
-    assert 0 <= exc.value.step < 50
+    """Dense, act24 and the recipe all end in DivergenceError: the pack
+    checks never see the non-finite activations first."""
+    act24 = sfk.SparsityPolicy(act_mode="act24")
+    for sparse_steps, pol in ((0, None), (50, act24), (50, sfk.default_sparse_policy())):
+        task = small_task()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                sched = sfk.build_schedule(50, sparse_steps, 0, sparse_policy=pol)
+                sfk.run_training(task, sched, lr=1e4, steps=50)
+        assert 0 <= exc.value.step < 50
 
 
 def test_report_final_loss_and_jumps():

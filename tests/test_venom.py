@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfk
-from sfk import FormatError, InputError, ShapeError
+from sfk import CorruptionError, FormatError, InputError, ShapeError
 from sfk.venom import VNM_MAGIC
-from conftest import scatter_naive
+from conftest import scatter_naive, spread
 
 
 def test_params_validation():
@@ -70,6 +70,21 @@ def test_column_table_is_ascending_and_in_range():
     assert vm.col_table.max() < 16
 
 
+def test_column_table_is_checked_once_when_built():
+    """A bad column table fails at construction; afterwards the table and
+    the columns are read-only, and a re-encoded pack shares them."""
+    p = sfk.VenomParams(4, 2, 8)
+    vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=1), p)
+    for bad in ([0, 1, 2, 8], [0, 2, 1, 3], [1, 1, 2, 3]):
+        table = np.array(bad, dtype=np.uint8).reshape(1, 1, 4)
+        with pytest.raises(CorruptionError):
+            sfk.VenomMatrix(4, 8, p, table, vm.payload)
+    for arr in (vm.abs_columns(), vm.col_table):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert sfk.reencode24(np.ones((4, 8)), vm).abs_columns() is vm.abs_columns()
+
+
 def test_kept_mask_counts():
     p = sfk.VenomParams(4, 2, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
@@ -123,6 +138,24 @@ def test_kernel_oracle_property(seed, m):
     b = sfk.rand_matrix(2 * m, 3, seed=seed + 1)
     np.testing.assert_allclose(sfk.spmm24(vm, b), sfk.gemm(d, b), rtol=0.0, atol=1e-10)
     assert sfk.venom_check(d, p)
+
+
+# spmm24 folds outputs of 2 to 2**14 entries in chunks and adds one slot
+# at a time otherwise: (V, rows, n) for 1 x 1 and small outputs, the
+# cutoff itself (128 x 128) and just past it.
+@given(
+    st.sampled_from([(1, 1, 1), (1, 1, 2), (4, 8, 3), (4, 128, 128), (4, 128, 129), (1, 129, 128)]),
+    st.sampled_from([8, 16]),
+    st.integers(1, 6),
+    st.integers(0, 3_000),
+    st.booleans(),
+)
+@settings(max_examples=30)
+def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(shape, m, windows, seed, neg_zero):
+    v, rows, n = shape
+    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, 2, m))
+    b = spread(m * windows, n, seed + 1, neg_zero)
+    assert np.array_equal(sfk.spmm24(vm, b), sfk.gemm(sfk.decode24(vm), b))
 
 
 @given(
