@@ -51,7 +51,6 @@ from .router import (
     RouterConfig,
     RoutingPlan,
     apply_permutation,
-    batched_expert_matmul,
     cluster_columns,
     expert_balance,
     invert_permutation,
@@ -60,6 +59,7 @@ from .router import (
     pad_rows,
     padded_layout,
     route_tokens,
+    routed_columns,
     routed_feature_mask,
     save_bank,
     unpad_rows,

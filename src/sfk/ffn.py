@@ -14,6 +14,11 @@ operand is packed into a sparse format:
     dy1 @ W1.T and dy1.T @ x, so the weight operand of those four
     products is never the packed one.
 
+The products whose inputs the activation mask discards are sampled
+(the ``cols`` of gemm and spmm24_rhs): under venom y1 is computed only
+on each token's routed columns, and in both activation modes dy2 only
+at y2's kept slots.
+
 Every mask a policy enables is applied to the effective weights and
 activations of the forward pass, and the backward pass is the exact
 almost-everywhere chain rule of that forward: masks found by magnitude
@@ -44,6 +49,7 @@ from .router import (
     pad_rows,
     padded_layout,
     route_tokens,
+    routed_columns,
     routed_feature_mask,
     unpad_rows,
 )
@@ -165,15 +171,20 @@ class PackedWeight:
 class FfnTape:
     """Saved tensors the backward pass consumes.
 
-    y2 holds the post-sparsification form actually used by the y3
-    product: a plain array (dense), a Sparse24Matrix (act24),
-    or a VenomMatrix (venom).  act_mask is the effective boolean mask
-    the activation sparsification applied (kept slots intersected with
-    the routed-column mask in venom mode, in padded row space).
-    params is the FfnParams the forward ran with, and w1/w2 its weights
-    as packed for this step; the backward reuses them instead of
-    sparsifying again.  matmul_log records (product, packed_operand) per
-    matmul so operand placement can be asserted.
+    y1 holds the pre-activation entries the forward computed: all of
+    them when y1_cols is None, else entry [i, j] is at column
+    y1_cols[i, j] of row i, where the rows are tokens (a venom forward,
+    y1_cols from router.routed_columns) or the rows of a frozen tape's
+    activation pack (y1_cols is then that pack's abs_columns()).  y2
+    holds the post-sparsification form actually used by the y3 product:
+    a plain array (dense), a Sparse24Matrix (act24), or a VenomMatrix
+    (venom).  act_mask is the effective boolean mask the activation
+    sparsification applied (kept slots intersected with the
+    routed-column mask in venom mode, in padded row space).  params is
+    the FfnParams the forward ran with, and w1/w2 its weights as packed
+    for this step; the backward reuses them instead of sparsifying
+    again.  matmul_log records (product, packed_operand) per matmul so
+    operand placement can be asserted.
     """
 
     x: np.ndarray
@@ -183,6 +194,7 @@ class FfnTape:
     params: FfnParams
     w1: PackedWeight
     w2: PackedWeight
+    y1_cols: np.ndarray | None = None
     plan: RoutingPlan | None = None
     layout: PaddedLayout | None = None
     act_mask: np.ndarray | None = None
@@ -260,13 +272,14 @@ def ffn_forward(
 
     venom mode requires a bank whose column sets cover d_ffn; the
     output is returned in the caller's token order (routing permutes
-    and zero-pads rows internally).  With ``frozen`` (a tape from a
-    previous forward under the same policy), the activation masks and
-    routing plan are reused instead of recomputed, making the forward a
-    fixed piecewise-smooth function of (x, w1, w2); weight masks are
-    always recomputed from the weights themselves.  Each enabled weight
-    mask is chosen once here, and the packs ride on the tape into
-    ffn_backward.
+    and zero-pads rows internally), and y1 is computed only on each
+    token's routed columns.  With ``frozen`` (a tape from a previous
+    forward under the same policy), the activation masks and routing
+    plan are reused instead of recomputed, making the forward a fixed
+    piecewise-smooth function of (x, w1, w2), and y1 is computed only at
+    the frozen activation pack's kept slots; weight masks are always
+    recomputed from the weights themselves.  Each enabled weight mask is
+    chosen once here, and the packs ride on the tape into ffn_backward.
     """
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
@@ -277,57 +290,88 @@ def ffn_forward(
 
     w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
     w2 = _pack_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    tape = FfnTape(x=x, y1=None, y2=None, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
+    if pol.act_mode == "venom":
+        if bank is None:
+            raise InputError("venom activation mode requires an expert bank")
+        if bank.d_ffn != p.d_ffn:
+            raise ShapeError(f"bank covers {bank.d_ffn} features, w1 produces {p.d_ffn}")
+        if frozen is not None:
+            tape.plan, tape.layout = frozen.plan, frozen.layout
+        else:
+            tape.plan = route_tokens(x, bank, pol.router.top_k)
+            tape.layout = padded_layout(tape.plan, pol.venom.v)
+    rows, unrows = _row_maps(tape)
 
+    # y1 on the entries the activation chain reads: the frozen pack's kept
+    # slots (in its row order), each token's routed columns, or all of them
+    refrozen = frozen is not None and pol.act_mode != "dense"
+    if refrozen:
+        y1_in, tape.y1_cols = rows(x), frozen.y2.abs_columns()
+    else:
+        y1_in = x
+        tape.y1_cols = routed_columns(tape.plan, bank) if pol.act_mode == "venom" else None
     if pol.w1_sparse:
-        y1 = spmm24_rhs(x, w1.own, label="ffn.y1")
+        tape.y1 = spmm24_rhs(y1_in, w1.own, label="ffn.y1", cols=tape.y1_cols)
         log.append(("y1", "w1"))
     else:
-        y1 = gemm(x, w1.eff)
+        tape.y1 = gemm(y1_in, w1.eff, tape.y1_cols)
         log.append(("y1", "none"))
-    y2 = squared_relu(y1)
-
-    tape = FfnTape(x=x, y1=y1, y2=y2, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
+    y2 = squared_relu(tape.y1)
 
     if pol.act_mode != "dense":
         # act24 and venom share one chain: y2 is a 2:4 pack (over the
         # gathered columns for venom) and the sparse operand of y3.  Only
         # the encoder and venom's routed mask differ; a frozen tape
         # re-encodes y2 on its slots in either mode.
-        if pol.act_mode == "venom":
-            if bank is None:
-                raise InputError("venom activation mode requires an expert bank")
-            if bank.d_ffn != p.d_ffn:
-                raise ShapeError(f"bank covers {bank.d_ffn} features, w1 produces {p.d_ffn}")
-            tape.plan = frozen.plan if frozen is not None else route_tokens(x, bank, pol.router.top_k)
-            tape.layout = padded_layout(tape.plan, pol.venom.v)
-        rows, unrows = _row_maps(tape)
-        if frozen is not None:
-            tape.y2 = reencode24(np.where(frozen.act_mask, rows(y2), 0.0), frozen.y2)
+        if refrozen:
             tape.act_mask = frozen.act_mask
+            tape.y2 = frozen.y2.with_values(np.where(_kept_entries(frozen.act_mask, frozen.y2), y2, 0.0))
         elif pol.act_mode == "venom":
-            tape.y2 = moe_to_venom(apply_permutation(y2, tape.plan), tape.plan, bank, pol.venom)
+            y2_full = np.zeros((x.shape[0], p.d_ffn), dtype=np.float64)
+            y2_full[np.arange(x.shape[0])[:, None], tape.y1_cols] = y2
+            tape.y2 = moe_to_venom(apply_permutation(y2_full, tape.plan), tape.plan, bank, pol.venom)
             tape.act_mask = kept_mask(tape.y2) & routed_feature_mask(tape.plan, bank, tape.layout)
         else:
             tape.y2 = sparsify24(y2, GREEDY_MAGNITUDE)
             tape.act_mask = kept_mask(tape.y2)
         y3 = unrows(spmm24(tape.y2, w2.eff, label="ffn.y3"))
         log.append(("y3", "y2"))
-    elif pol.w2_sparse:
-        y3 = spmm24_rhs(y2, w2.own, label="ffn.y3")
-        log.append(("y3", "w2"))
     else:
-        y3 = gemm(y2, w2.eff)
-        log.append(("y3", "none"))
+        tape.y2 = y2
+        if pol.w2_sparse:
+            y3 = spmm24_rhs(y2, w2.own, label="ffn.y3")
+            log.append(("y3", "w2"))
+        else:
+            y3 = gemm(y2, w2.eff)
+            log.append(("y3", "none"))
     return y3, tape
+
+
+def _kept_entries(dense: np.ndarray, pack) -> np.ndarray:
+    """dense (a matrix of the pack's shape) at the pack's kept slots."""
+    return dense[np.arange(pack.rows)[:, None], pack.abs_columns()]
+
+
+def _y1_at_kept_slots(tape: FfnTape, rows) -> np.ndarray:
+    """y1 at the activation pack's kept slots, in the pack's shape."""
+    kept = tape.y2.abs_columns()
+    if tape.y1_cols is kept:  # a frozen forward computed y1 just there
+        return tape.y1
+    y1 = tape.y1
+    if tape.y1_cols is not None:  # routed entries; the rest are never read
+        y1 = np.zeros((tape.x.shape[0], tape.params.d_ffn), dtype=np.float64)
+        y1[np.arange(len(y1))[:, None], tape.y1_cols] = tape.y1
+    return _kept_entries(rows(y1), tape.y2)
 
 
 def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     """Exact a.e. gradients (dx, dw1, dw2) of the policy's forward for
     an upstream dy3; masks are treated as locally constant except soft
     thresholding, which uses its true Jacobian.  dy1 inherits y2's
-    activation mask, so the dX and dW1 products stay activation-sparse.
-    The weight packs come from the tape, so p must be the very FfnParams
-    the forward ran with.
+    activation mask, so the dX and dW1 products stay activation-sparse,
+    and dy2 is computed only at y2's kept slots.  The weight packs come
+    from the tape, so p must be the very FfnParams the forward ran with.
     """
     dy3 = as_matrix(dy3)
     if tape.policy != pol:
@@ -338,24 +382,25 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
     log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
 
-    def dy2_product(dy3_rows):
+    def dy2_product(dy3_rows, cols):
         # dy2 = dy3 @ w2.eff.T; the packed operand is the transposed
         # weight when its own 2:4 mask is on, never the activation.
         if pol.w2t_sparse:
             log.append(("dy2", "w2t"))
-            return spmm24_rhs(dy3_rows, w2.t, label="ffn.dy2")
+            return spmm24_rhs(dy3_rows, w2.t, label="ffn.dy2", cols=cols)
         log.append(("dy2", "none"))
-        return gemm(dy3_rows, _t(w2.eff))
+        return gemm(dy3_rows, _t(w2.eff), cols)
 
     if pol.act_mode != "dense":
-        # the forward's activation chain in reverse: dy1 is re-encoded on
-        # y2's slots, so dx and dw1 stay activation-sparse.
+        # the forward's activation chain in reverse: dy2 and dy1 live on
+        # y2's kept slots, so dx and dw1 stay activation-sparse.
         rows, unrows = _row_maps(tape)
         dy3r = rows(dy3)
         dw2_eff = spmm24_tn(tape.y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
-        dy2 = np.where(tape.act_mask, dy2_product(dy3r), 0.0)
-        dy1 = reencode24(squared_relu_backward(dy2, rows(tape.y1)), tape.y2)
+        dy2 = dy2_product(dy3r, tape.y2.abs_columns())
+        dy2 = np.where(_kept_entries(tape.act_mask, tape.y2), dy2, 0.0)
+        dy1 = tape.y2.with_values(squared_relu_backward(dy2, _y1_at_kept_slots(tape, rows)))
         dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))
         log.append(("dx", "dy1"))
         dw1_eff = _t(spmm24_tn(dy1, rows(tape.x), label="ffn.dw1"))
@@ -364,7 +409,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         y2 = tape.y2
         dw2_eff = gemm(_t(y2), dy3)
         log.append(("dw2", "none"))
-        dy1 = squared_relu_backward(dy2_product(dy3), tape.y1)
+        dy1 = squared_relu_backward(dy2_product(dy3, None), tape.y1)
         if pol.w1t_sparse:
             dx = spmm24_rhs(dy1, w1.t, label="ffn.dx")
             log.append(("dx", "w1t"))

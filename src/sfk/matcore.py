@@ -11,7 +11,9 @@ axis in memory.  The packed kernels of ``sfk.sparse24`` fold their
 small products with the same helper.  Large outputs add one rank-1
 update per k index into a reused buffer.  That fixed summation order is
 what lets the sparse kernels be checked against it bit for bit, and it
-keeps every result reproducible across runs.
+keeps every result reproducible across runs.  A sampled product
+(``cols``) computes only some entries of each row, each in the same
+order, so it is bitwise equal to those entries of the full product.
 
 SFK1 layout (little-endian): 4-byte magic ``SFK1``, one dtype code byte
 (1 = real32, 2 = real64), three reserved zero bytes, u64 rows, u64
@@ -46,18 +48,19 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
-def _fold_in_order(shape, terms, products, mults, label):
+def _fold_in_order(shape, terms, products, label):
     """Sum ``terms`` plain products into a new float64 array of ``shape``,
     every entry from +0.0 with the term index ascending, or return None.
 
     The terms go in chunks of ``c = _CHUNK_ELEMS // size`` (size = the
     number of output entries): a C-contiguous ``(c+1, *shape)`` buffer
     holds the running sum in slot 0 and ``products(t0, dst)`` writes
-    terms t0, t0+1, ... into ``dst``, slots 1..w of it.  ``np.add.reduce``
-    then folds the outer axis into the output, in order: that axis has
-    stride ``8*size``, so unless the output is a single entry it is never
-    the fast axis in memory, the only one numpy sums pairwise.  Each
-    chunk tallies ``mults`` multiplies per term under ``label``.
+    terms t0, t0+1, ... into ``dst``, slots 1..w of it, and returns how
+    many multiplies that took, which the chunk tallies under ``label``.
+    ``np.add.reduce`` then folds the outer axis into the output, in
+    order: that axis has stride ``8*size``, so unless the output is a
+    single entry it is never the fast axis in memory, the only one numpy
+    sums pairwise.
 
     Returns None, having done nothing, for a 1-entry output, an output of
     more than ``_CHUNK_ELEMS // 4`` entries (chunks too short to pay for
@@ -73,14 +76,27 @@ def _fold_in_order(shape, terms, products, mults, label):
     buf[0] = 0.0
     for t0 in range(0, terms, c):
         w = min(c, terms - t0)
-        products(t0, buf[1 : w + 1])
+        mults = products(t0, buf[1 : w + 1])
         np.add.reduce(buf[: w + 1], axis=0, out=out)
         buf[0] = out
-        tally(mults * w, label)
+        tally(mults, label)
     return out
 
 
-def gemm(a, b) -> np.ndarray:
+def check_cols(cols, rows: int, width: int) -> np.ndarray:
+    """The ``cols`` of a sampled product: a 2-D integer array with one
+    row of output columns per output row, each in [0, width)."""
+    cols = np.asarray(cols)
+    if cols.ndim != 2 or cols.shape[0] != rows:
+        raise ShapeError(f"cols must be 2-D with {rows} rows, got shape {cols.shape}")
+    if cols.dtype.kind not in "iu":
+        raise InputError(f"cols must hold integers, got dtype {cols.dtype}")
+    if cols.size and (cols.min() < 0 or cols.max() >= width):
+        raise InputError(f"cols must lie in [0, {width})")
+    return cols
+
+
+def gemm(a, b, cols=None) -> np.ndarray:
     """Reference matrix product with a fixed summation order.
 
     Every output entry is summed from zero with k ascending, so the
@@ -89,27 +105,52 @@ def gemm(a, b) -> np.ndarray:
     ``a[:, k] * b[k]`` in chunks (``_fold_in_order``).  Larger outputs,
     whose chunks would be too short to pay for the strided reduction,
     and 1 x 1 outputs add one rank-1 update per k into a reused buffer.
+
+    With ``cols`` (m x h integers, see ``check_cols``) the product is
+    sampled: it returns the m x h matrix whose entry [i, j] is entry
+    [i, cols[i, j]] of the full product, summed in the same order, so
+    bitwise equal to it, and it multiplies and tallies only those
+    m * h * k terms.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm: inner dimensions differ: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
+    k = a.shape[1]
+    if cols is None:
+        shape = (a.shape[0], b.shape[1])
 
-    def products(k0, dst):
-        np.einsum("ik,kj->kij", a[:, k0 : k0 + len(dst)], b[k0 : k0 + len(dst)], out=dst)
+        def products(k0, dst):
+            np.einsum("ik,kj->kij", a[:, k0 : k0 + len(dst)], b[k0 : k0 + len(dst)], out=dst)
+            return dst.size
 
-    out = _fold_in_order((m, n), k, products, m * n, "gemm")
+        def term(ak, bk, dst):
+            np.einsum("i,j->ij", ak, bk, out=dst)
+    else:
+        cols = check_cols(cols, a.shape[0], b.shape[1])
+        shape = cols.shape
+
+        def products(k0, dst):
+            k1 = k0 + len(dst)
+            # the columns are in range; "clip" only skips a buffered bounds check
+            np.take(b[k0:k1], cols, axis=1, out=dst, mode="clip")
+            dst *= a[:, k0:k1].T[:, :, None]
+            return dst.size
+
+        def term(ak, bk, dst):
+            np.take(bk, cols, out=dst, mode="clip")
+            dst *= ak[:, None]
+
+    out = _fold_in_order(shape, k, products, "gemm")
     if out is not None:
         return out
-    out = np.zeros((m, n), dtype=np.float64)
+    out = np.zeros(shape, dtype=np.float64)
     a_t = np.ascontiguousarray(a.T)
-    tmp = np.empty((m, n), dtype=np.float64)
+    tmp = np.empty(shape, dtype=np.float64)
     for kk in range(k):
-        np.einsum("i,j->ij", a_t[kk], b[kk], out=tmp)
+        term(a_t[kk], b[kk], tmp)
         out += tmp
-        tally(m * n, "gemm")
+        tally(tmp.size, "gemm")
     return out
 
 

@@ -427,6 +427,19 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
     return _encode_blocks(masked, np.where(allowed_block, l1, -1.0), p)
 
 
+def routed_columns(plan: RoutingPlan, bank: ExpertBank) -> np.ndarray:
+    """(tokens, top_k * s) int: the column sets of each token's routed
+    experts, best-scoring expert first, each in the bank's order.  s is
+    the largest set size; a smaller set repeats its last column up to s.
+    These are the ``cols`` of a routed product in token order (see
+    ``sfk.gemm``)."""
+    if bank.num_experts != plan.num_experts:
+        raise InputError("plan and bank disagree on the number of experts")
+    size = max(cs.size for cs in bank.column_sets)
+    table = np.stack([np.pad(cs, (0, size - cs.size), mode="edge") for cs in bank.column_sets])
+    return table[plan.assignments].reshape(plan.num_tokens, -1)
+
+
 def routed_feature_mask(plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout) -> np.ndarray:
     """(padded rows, d_ffn) bool: which features each padded row's token
     can reach through its routed experts (pad rows reach none)."""
@@ -436,30 +449,3 @@ def routed_feature_mask(plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayou
     tokens = plan.permutation[layout.source_row[real]]
     allowed[real] = ownership[plan.assignments[tokens]].any(axis=1)
     return allowed
-
-
-def batched_expert_matmul(x_perm, plan: RoutingPlan, w1, bank: ExpertBank) -> np.ndarray:
-    """Per expert, multiply its token rows by w1 restricted to its columns.
-
-    Equals gemm(x_perm, w1) masked to each token's routed columns, but
-    only does sum(|tokens_e| * d_model * |cols_e|) multiplies over all
-    experts e (counting every routed rank of every token).
-    """
-    x_perm = as_matrix(x_perm)
-    w1 = as_matrix(w1)
-    if x_perm.shape[0] != plan.num_tokens:
-        raise ShapeError(f"matrix has {x_perm.shape[0]} rows, plan covers {plan.num_tokens} tokens")
-    if w1.shape != (x_perm.shape[1], bank.d_ffn):
-        raise ShapeError(f"weight is {w1.shape}, expected {(x_perm.shape[1], bank.d_ffn)}")
-    out = np.zeros((x_perm.shape[0], bank.d_ffn), dtype=np.float64)
-    routed = plan.assignments[plan.permutation]  # (tokens, top_k) in permuted order
-    for e, (lo, hi) in enumerate(plan.group_bounds):
-        cs = bank.column_sets[e]
-        we = np.ascontiguousarray(w1[:, cs])
-        if hi > lo:
-            out[lo:hi, cs] = gemm(x_perm[lo:hi], we)
-        for rank in range(1, plan.top_k):
-            rows = np.flatnonzero(routed[:, rank] == e)
-            if rows.size:
-                out[rows[:, None], cs[None, :]] += gemm(x_perm[rows], we)
-    return out

@@ -5,9 +5,11 @@ elements in a row.  A pack holds exactly two values per group (zeros
 are stored as kept values when fewer than two entries survive) and the
 in-group column 0..3 of each.  The pack is checked once, when it is
 built: each group's two indices must be strictly increasing, or the
-constructor raises CorruptionError.  The absolute column of every slot
-is computed then as well, and the indices and columns are read-only
-from there on, so no later op re-derives or re-checks them.  The 2-bit
+constructor (and so the S24F reader) raises CorruptionError.
+sparsify24, whose sorted top-two picks hold that by construction, builds
+its pack without the check.  The absolute column of every slot is
+computed then as well, and the indices and columns are read-only from
+there on, so no later op re-derives or re-checks them.  The 2-bit
 metadata bytes exist only in the S24F file format.
 
 Two sparsifiers:
@@ -46,7 +48,7 @@ import numpy as np
 
 from .counters import tally
 from .errors import CorruptionError, FormatError, InputError, ShapeError
-from .matcore import _fold_in_order, as_matrix
+from .matcore import _fold_in_order, as_matrix, check_cols
 
 if TYPE_CHECKING:
     from .venom import VenomMatrix
@@ -95,10 +97,7 @@ class Sparse24Matrix:
             raise CorruptionError(
                 "in-group indices are not two strictly increasing values in 0..3 per group"
             )
-        object.__setattr__(self, "slots", _read_only(self.slots))
-        abs_cols = (np.arange(half) >> 1 << 2) + self.slots  # slot j is in group j // 2
-        abs_cols.flags.writeable = False
-        object.__setattr__(self, "_abs_cols", abs_cols)
+        _set_columns(self)
 
     @property
     def slots_per_row(self) -> int:
@@ -120,6 +119,23 @@ class Sparse24Matrix:
         """Raise CorruptionError unless every stored value is finite."""
         if not np.isfinite(self.values).all():
             raise CorruptionError("non-finite value in packed 2:4 payload")
+
+
+def _set_columns(s: Sparse24Matrix) -> None:
+    """Make the slots read-only and derive the absolute columns from them."""
+    object.__setattr__(s, "slots", _read_only(s.slots))
+    abs_cols = (np.arange(s.cols // 2) >> 1 << 2) + s.slots  # slot j is in group j // 2
+    abs_cols.flags.writeable = False
+    object.__setattr__(s, "_abs_cols", abs_cols)
+
+
+def _unchecked_pack(rows: int, cols: int, values: np.ndarray, slots: np.ndarray) -> Sparse24Matrix:
+    """A Sparse24Matrix built without the constructor's checks: only for
+    slots that hold by construction, as sparsify24's sorted top two do."""
+    s = object.__new__(Sparse24Matrix)
+    s.__dict__.update(rows=rows, cols=cols, values=values, slots=slots)
+    _set_columns(s)
+    return s
 
 
 def _with(pack, **fields):
@@ -174,7 +190,7 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
         t = np.take_along_axis(mags, order[..., 2:3], axis=-1)
         kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
     rows = a.shape[0]
-    return Sparse24Matrix(rows, a.shape[1], kept.reshape(rows, -1), slots.reshape(rows, -1))
+    return _unchecked_pack(rows, a.shape[1], kept.reshape(rows, -1), slots.reshape(rows, -1))
 
 
 def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
@@ -269,7 +285,8 @@ def mass_kept_fraction(dense, decoded) -> float:
 # tallies its multiplies as it goes.  spmm24 and spmm24_tn loop over
 # (absolute column, kept value) pairs one slot column at a time, so they
 # serve a V:N:M matrix as well: it is a 2:4 pack over gathered columns.
-# spmm24 and spmm24_rhs fold small outputs in order with gemm's helper.
+# spmm24 and spmm24_rhs fold small outputs in order with gemm's helper;
+# spmm24_rhs also computes sampled outputs (``cols``), like gemm.
 
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
@@ -292,8 +309,9 @@ def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndar
         # the columns are in range; "clip" only skips a buffered bounds check
         np.take(b, cols_t[j0:j1], axis=0, out=dst, mode="clip")
         dst *= values_t[j0:j1, :, None]
+        return dst.size
 
-    out = _fold_in_order((s.rows, n), cols.shape[1], products, s.rows * n, label)
+    out = _fold_in_order((s.rows, n), cols.shape[1], products, label)
     if out is not None:
         return out
     out = np.zeros((s.rows, n), dtype=np.float64)
@@ -303,7 +321,7 @@ def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndar
     return out
 
 
-def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
+def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs", cols=None) -> np.ndarray:
     """a @ decode24(s) without decoding: sparse operand on the right.
 
     Accumulates k strictly ascending, so the result is bit-identical to
@@ -312,10 +330,18 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
     fold a chunk of rows k at once (matcore._fold_in_order), each
     product zero outside row k's kept columns; others scatter one row k
     at a time.
+
+    With ``cols`` (one row of output columns per row of a, see
+    ``matcore.check_cols``) the product is sampled, as in ``gemm``:
+    entry [i, j] is entry [i, cols[i, j]] of the full product, bitwise,
+    and each row k multiplies only at the sampled entries whose column
+    it keeps.
     """
     a = as_matrix(a)
     if a.shape[1] != s.rows:
         raise ShapeError(f"spmm24_rhs: inner dimensions differ: {a.shape} times {s.rows}x{s.cols}")
+    if cols is not None:
+        return _spmm24_rhs_sampled(a, s, check_cols(cols, a.shape[0], s.cols), label)
     m, cols, values, half = a.shape[0], s.abs_columns(), s.values, s.slots_per_row
     a_t = np.ascontiguousarray(a.T)
 
@@ -324,14 +350,125 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs") -> np.ndarray:
         dst.fill(0.0)
         at = cols[k0:k1] + (np.arange(k1 - k0) * s.cols)[:, None]
         dst.reshape(-1, m)[at.ravel()] = np.einsum("kh,ki->khi", values[k0:k1], a_t[k0:k1]).reshape(-1, m)
+        return dst.shape[0] * m * half
 
-    out_t = _fold_in_order((s.cols, m), s.rows, products, m * half, label)
+    out_t = _fold_in_order((s.cols, m), s.rows, products, label)
     if out_t is None:
         out_t = np.zeros((s.cols, m), dtype=np.float64)
         for k in range(s.rows):
             out_t[cols[k]] += values[k][:, None] * a_t[k]
             tally(m * half, label)
     return np.ascontiguousarray(out_t.T)
+
+
+def _spmm24_rhs_sampled(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
+    """spmm24_rhs at the entries ``cols`` samples: entry [i, j] sums
+    a[i, k] * W[k, c] (c = cols[i, j]) over the rows k of s that keep
+    column c, from +0.0 with k ascending, like the full kernel.
+
+    Up to ``_SAMPLED_FOLD_ENTRIES`` entries fold a chunk of rows k at once
+    (matcore._fold_in_order): row k, laid out densely (+0.0 off its kept
+    slots), is gathered at the sampled columns and multiplied by a only
+    where it keeps the column; the +0.0 left elsewhere adds nothing.
+    Larger outputs, and those of fewer than 2 entries, go by rank
+    (``_sampled_by_rank``).
+    """
+    if cols.size <= _SAMPLED_FOLD_ENTRIES:
+        k_rows = np.arange(s.rows)[:, None]
+        w = np.zeros((s.rows, s.cols), dtype=np.float64)
+        w[k_rows, s.abs_columns()] = s.values
+        kept = np.zeros((s.rows, s.cols), dtype=bool)
+        kept[k_rows, s.abs_columns()] = True
+        h = cols.shape[1]
+
+        def products(k0, dst):
+            k1 = k0 + len(dst)
+            # the columns are in range; "clip" only skips a buffered bounds check
+            np.take(w[k0:k1], cols, axis=1, out=dst, mode="clip")
+            hit = np.flatnonzero(np.take(kept[k0:k1], cols, axis=1, mode="clip"))
+            flat = dst.reshape(-1)  # entry (kk, i, j) sits at kk*m*h + i*h + j
+            flat[hit] *= a[:, k0:k1].T.ravel()[hit // h]
+            return hit.size
+
+        out = _fold_in_order(cols.shape, s.rows, products, label)
+        if out is not None:
+            return out
+    return _sampled_by_rank(a, s, cols, label)
+
+
+# Crossovers of the sampled spmm24_rhs, measured on a 2-core x86 host
+# with numpy 2.4.  Up to _SAMPLED_FOLD_ENTRIES entries, the fold's
+# per-entry gathers cost less than the few numpy calls per rank of the
+# rank passes (toy_train's 1,024- and 640-entry products fold; wide_train's
+# 18,432 and about 10,000 go by rank).  Rows sharing one column list are
+# multiplied as one block per rank from _SHARED_ROWS rows on (wide_train's
+# routed y1 has about 48 per expert; blocks of 8 were slower that way
+# than row by row).
+_SAMPLED_FOLD_ENTRIES = 2**11
+_SHARED_ROWS = 16
+
+
+def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
+    """Sampled spmm24_rhs, one pass per rank p: pass p adds, to every
+    entry whose column c is kept by more than p rows of s, the product
+    for the p-th of those rows k (k ascending).
+
+    Rows with the same column list (routed tokens of one expert set) are
+    done together when there are at least ``_SHARED_ROWS`` of them: each
+    column's product is then a row gather of a.T times one value.  The
+    other entries are done one by one.  Either way the columns are sorted
+    by how many rows keep them, so each pass works on a prefix.
+    """
+    flat = s.abs_columns().ravel()  # row-major, so k ascends within each column
+    order = np.argsort(flat, kind="stable")
+    col = flat[order]
+    count = np.bincount(flat, minlength=s.cols)
+    rank = np.arange(flat.size) - (np.cumsum(count) - count)[col]
+    # row p of the tables: per column, its p-th kept row k and that value
+    k_at = np.zeros((int(count.max()), s.cols), dtype=np.intp)
+    value_at = np.zeros(k_at.shape, dtype=np.float64)
+    k_at[rank, col] = order // s.slots_per_row
+    value_at[rank, col] = s.values.ravel()[order]
+
+    def by_count(unit_cols):
+        """The units sorted by how many rows keep their column, and per
+        rank p the number of units with more than p."""
+        n_kept = count[unit_cols]
+        by_n = np.argsort(-n_kept, kind="stable")
+        prefix = np.searchsorted(-n_kept[by_n], -np.arange(len(k_at)), side="left")
+        return by_n, unit_cols[by_n], prefix.tolist()
+
+    rows_of = {}
+    for i, row in enumerate(cols):
+        rows_of.setdefault(row.tobytes(), []).append(i)
+    out = np.empty(cols.shape, dtype=np.float64)
+    single = []
+    for rows in rows_of.values():
+        if len(rows) < _SHARED_ROWS:
+            single += rows
+            continue
+        by_n, c_sorted, prefix = by_count(cols[rows[0]])
+        a_t = np.ascontiguousarray(a[rows].T)
+        acc = np.zeros((cols.shape[1], len(rows)), dtype=np.float64)
+        for p, n in enumerate(prefix):
+            c = c_sorted[:n]
+            acc[:n] += a_t[k_at[p][c]] * value_at[p][c][:, None]
+            tally(n * len(rows), label)
+        out[np.asarray(rows)[:, None], by_n] = acc.T
+    if single:
+        by_n, c_sorted, prefix = by_count(cols[single].ravel())
+        a_t = np.ascontiguousarray(a[single].T).ravel()
+        k_off = k_at * len(single)  # row k of a[single].T starts there
+        row = by_n // cols.shape[1]
+        acc = np.zeros(len(by_n), dtype=np.float64)
+        for p, n in enumerate(prefix):
+            c = c_sorted[:n]
+            acc[:n] += a_t[k_off[p][c] + row[:n]] * value_at[p][c]
+            tally(n, label)
+        got = np.empty_like(acc)
+        got[by_n] = acc
+        out[single] = got.reshape(len(single), cols.shape[1])
+    return out
 
 
 def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> np.ndarray:

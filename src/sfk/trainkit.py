@@ -160,6 +160,7 @@ def run_training(task: ToyTask, schedule: TrainSchedule, lr: float, steps: int) 
             if not np.isfinite(loss):
                 raise DivergenceError(step)
             report.losses.append(loss)
+            # over the y1 entries the step computed: the routed ones under venom
             report.act_zero_frac.append(float(np.mean(tape.y1 <= 0.0)))
             report.policy_tags.append(pol.tag)
             dy3 = err / err.size

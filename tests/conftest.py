@@ -53,6 +53,16 @@ def spread(rows, cols, seed, neg_zero):
     return x
 
 
+def sampled_cols(rows, width, h, seed, shared):
+    """A rows x h ``cols`` argument of a sampled product: random columns
+    in [0, width), repeats within a row included, or, with ``shared``,
+    rows drawn from that many distinct column lists."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    if not shared:
+        return g.integers(0, width, size=(rows, h))
+    return g.integers(0, width, size=(shared, h))[g.integers(0, shared, size=rows)]
+
+
 def scatter_naive(cols, values, b, out_rows):
     """Transposed-product oracle in the packed kernels' pinned order:
     out[cols[i, j]] += values[i, j] * b[i], one np.add.at per slot j, so

@@ -141,6 +141,21 @@ def test_venom_forward_routes_pads_and_unwinds():
     assert np.array_equal(tape.act_mask, mask)
 
 
+def test_venom_forward_computes_y1_on_routed_columns_only():
+    """Under venom y1 holds each token's routed entries and nothing else;
+    the multiplies of y1 are those entries times d_model."""
+    x, p = small_problem(d_ffn=32)
+    pol = sfk.ablation_policy("venom")
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
+    with sfk.count_multiplies() as counter:
+        _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+    cols = sfk.routed_columns(tape.plan, bank)
+    assert np.array_equal(tape.y1_cols, cols)
+    assert tape.y1.tobytes() == np.take_along_axis(sfk.gemm(x, p.w1), cols, axis=1).tobytes()
+    routing = x.shape[0] * bank.num_experts * p.d_model
+    assert counter.per_op["gemm"] == cols.size * p.d_model + routing
+
+
 def test_venom_requires_bank():
     x, p = small_problem()
     with pytest.raises(InputError):
@@ -194,6 +209,70 @@ def test_packed_operand_placement(tag):
     y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
     sfk.ffn_backward(np.ones_like(y3), tape, p, pol)
     assert tape.matmul_log == EXPECTED_LOGS[tag]
+
+
+@pytest.mark.parametrize("case", list(sfk.ABLATIONS) + ["recipe", "frozen-act24", "frozen-venom", "frozen-recipe"])
+def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
+    """One forward + backward calls gemm/spmm24_rhs/spmm24/spmm24_tn once
+    per matmul_log entry (router scoring aside), and every multiply
+    tallied in the step is tallied inside one of those calls: the
+    contract a tracer needs to attribute each kernel call to a product."""
+    tag = case.removeprefix("frozen-")
+    pol = sfk.default_sparse_policy() if tag == "recipe" else sfk.ablation_policy(tag)
+    x, p = small_problem(d_model=16, d_ffn=32, d_out=16, tokens=16)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
+    frozen = sfk.ffn_forward(x, p, pol, bank=bank)[1] if case.startswith("frozen") else None
+    calls, inside, routing = [], [], []
+
+    def counted(name, real):
+        def kernel(*args, **kwargs):
+            with sfk.count_multiplies() as c:
+                out = real(*args, **kwargs)
+            inside.append(c.total)
+            if not routing:
+                calls.append(name)
+            return out
+        return kernel
+
+    def route(*args, **kwargs):
+        routing.append(1)
+        try:
+            return real_route(*args, **kwargs)
+        finally:
+            routing.pop()
+
+    real_route = sfk.route_tokens
+    wrappers = {name: counted(name, getattr(sfk, name)) for name in ("gemm", "spmm24_rhs", "spmm24", "spmm24_tn")}
+    wrappers["route_tokens"] = route
+    originals = {name: getattr(sfk, name) for name in wrappers}
+    for modname, mod in list(sys.modules.items()):
+        for name, wrapper in wrappers.items():
+            if modname.split(".")[0] == "sfk" and getattr(mod, name, None) is originals[name]:
+                monkeypatch.setattr(mod, name, wrapper)
+    with sfk.count_multiplies() as step:
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, frozen=frozen)
+        sfk.ffn_backward(y3, tape, p, pol)
+    assert len(calls) == len(tape.matmul_log) == 6
+    assert sum(inside) == step.total
+
+
+def test_recipe_multiplies_at_the_baseline_shape():
+    """Exact per-product multiplies of one recipe forward + backward at
+    x 64x32, d_ffn 128, d_out 32 (x seed 0, params seed 1, bank seed 2):
+    y1 only on routed columns, dy2 only at y2's kept slots."""
+    pol = sfk.default_sparse_policy()
+    x, p = sfk.rand_matrix(64, 32, seed=0), sfk.init_ffn_params(32, 128, 32, seed=1)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=2)
+    with sfk.count_multiplies() as counter:
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+        sfk.ffn_backward(y3, tape, p, pol)
+    assert tape.layout.rows == 80
+    assert counter.per_op == {
+        "ffn.y1": 33_006, "ffn.y3": 40_960, "ffn.dy2": 20_640, "ffn.dx": 40_960,
+        "ffn.dw1": 40_960, "ffn.dw2": 40_960, "gemm": 8_192,  # gemm: router scoring
+    }
+    dense = 6 * 64 * 32 * 128
+    assert dense / counter.total >= 6.4
 
 
 # --------------------------------------------------------------- backward ---

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfk
-from sfk import FormatError, ShapeError
-from conftest import gemm_naive, gemm_rank1, spread
+from sfk import FormatError, InputError, ShapeError
+from conftest import gemm_naive, gemm_rank1, sampled_cols, spread
 
 
 def test_gemm_matches_naive_oracle_bitwise():
@@ -44,6 +44,42 @@ def test_gemm_matches_rank1_oracle_on_both_paths(m, k, n):
         assert np.array_equal(sfk.gemm(a, b), want)
         if m * n <= 64:  # cross-check the oracle where the triple loop is cheap
             assert np.array_equal(want, gemm_naive(a, b))
+
+
+# Sampled outputs of 1 entry, of 2..2**14 entries (folded) and beyond.
+@given(
+    st.sampled_from([(1, 1), (1, 3), (4, 1), (6, 5), (128, 128), (128, 129), (200, 90)]),
+    st.integers(0, 24),
+    st.integers(1, 40),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_sampled_gemm_is_the_full_product_bitwise(out_shape, k, n, seed, neg_zero):
+    """gemm(a, b, cols) holds entry [i, cols[i, j]] of gemm(a, b), bit for
+    bit (-0.0 included), and tallies one multiply per sampled entry and k;
+    cols repeat columns within a row."""
+    m, h = out_shape
+    a = spread(m, k, seed, neg_zero)
+    b = spread(k, n, seed + 1, neg_zero)
+    cols = sampled_cols(m, n, h, seed + 2, shared=0)
+    with sfk.count_multiplies() as counter:
+        got = sfk.gemm(a, b, cols)
+    assert got.tobytes() == np.take_along_axis(sfk.gemm(a, b), cols, axis=1).tobytes()
+    assert counter.total == m * h * k
+
+
+def test_sampled_gemm_rejects_bad_cols():
+    a, b = np.ones((3, 4)), np.ones((4, 5))
+    for bad, err in (
+        (np.zeros((2, 1), dtype=np.int64), ShapeError),
+        (np.zeros(3, dtype=np.int64), ShapeError),
+        (np.zeros((3, 1)), InputError),
+        (np.full((3, 1), 5), InputError),
+        (np.full((3, 1), -1), InputError),
+    ):
+        with pytest.raises(err):
+            sfk.gemm(a, b, bad)
 
 
 def test_gemm_empty_inner_dim():

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfk
 from sfk import InputError, ShapeError
-from conftest import dealt_bank
+from conftest import dealt_bank, spread
 
 
 def make_plan(tokens=10, d_model=16, d_ffn=64, top_k=1, seed=0):
@@ -226,15 +228,40 @@ def test_moe_to_venom_starved_window_is_an_error():
         sfk.moe_to_venom(y2, lop_plan, lop_bank, p)
 
 
-def test_batched_expert_matmul_matches_masked_gemm():
-    x, w1, bank, plan = make_plan(tokens=10, top_k=2)
-    xp = sfk.apply_permutation(x, plan)
-    out = sfk.batched_expert_matmul(xp, plan, w1, bank)
-    full = sfk.gemm(xp, w1)
-    oracle = np.zeros_like(full)
-    for i in range(10):
-        tok = plan.permutation[i]
-        for e in plan.assignments[tok]:
-            cs = bank.column_sets[e]
-            oracle[i, cs] = full[i, cs]
-    np.testing.assert_allclose(out, oracle, rtol=0.0, atol=1e-10)
+@given(
+    top_k=st.sampled_from([1, 2]),
+    unequal=st.booleans(),
+    tokens=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    neg_zero=st.booleans(),
+)
+@settings(max_examples=40)
+def test_routed_products_match_masked_full_products(top_k, unequal, tokens, seed, neg_zero):
+    """A product sampled at routed_columns is, scattered back, the full
+    product masked to each token's routed experts' columns, bitwise, for
+    gemm and spmm24_rhs alike, also with top-2 routing and with expert
+    sets of unequal size (whose shorter rows repeat a column)."""
+    d_model, d_ffn = 16, 64
+    if unequal:
+        sets = np.split(np.random.Generator(np.random.PCG64(seed)).permutation(d_ffn), [8, 20, 40])
+        means = sfk.rand_matrix(d_model, 4, seed=seed)
+        bank = sfk.ExpertBank(4, means / np.linalg.norm(means, axis=0), sets)
+    else:
+        cfg = sfk.RouterConfig(num_experts=4, top_k=top_k, align_m=16)
+        bank = sfk.cluster_columns(sfk.rand_matrix(d_model, d_ffn, seed=seed), cfg, seed=seed + 1)
+    x = spread(tokens, d_model, seed + 2, neg_zero)
+    w1 = spread(d_model, d_ffn, seed + 3, neg_zero)
+    plan = sfk.route_tokens(x, bank, top_k=top_k)
+    cols = sfk.routed_columns(plan, bank)
+    s = sfk.sparsify24(w1)
+    rows = np.arange(tokens)[:, None]
+    for full, sampled in ((sfk.gemm(x, w1), sfk.gemm(x, w1, cols)),
+                          (sfk.spmm24_rhs(x, s), sfk.spmm24_rhs(x, s, cols=cols))):
+        oracle = np.zeros_like(full)
+        for t in range(tokens):
+            for e in plan.assignments[t]:
+                cs = bank.column_sets[e]
+                oracle[t, cs] = full[t, cs]
+        got = np.zeros_like(full)
+        got[rows, cols] = sampled
+        assert got.tobytes() == oracle.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
 from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
-from conftest import gemm_naive, scatter_naive, spread
+from conftest import gemm_naive, sampled_cols, scatter_naive, spread
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -89,6 +89,31 @@ def test_pack_structure_is_checked_once_when_built():
         with pytest.raises(ValueError):
             arr[0, 0] = 0
     assert sfk.reencode24(np.ones((4, 8)), s).abs_columns() is s.abs_columns()
+
+
+def test_sparsify24_skips_the_slot_check_the_constructor_and_reader_keep(monkeypatch):
+    """sparsify24's slots are two sorted picks of 0..3 by construction, so
+    it builds its pack unchecked; the constructor and the S24F reader
+    still reject slots that are not two strictly increasing indices."""
+    good = sfk.sparsify24(sfk.rand_matrix(2, 8, seed=0))
+    blob = bytearray(s24_to_bytes(good))
+    meta = 20 + good.values.nbytes  # row 0's metadata byte: the slots of groups 0 and 1
+    for bad in (0b0101, 0b0110):  # group 0 holding slots (1, 1), then (2, 1)
+        blob[meta] = (blob[meta] & 0xF0) | bad
+        with pytest.raises(CorruptionError):
+            s24_from_bytes(bytes(blob))
+    with pytest.raises(CorruptionError):
+        Sparse24Matrix(2, 8, good.values, np.array([[1, 1, 0, 1], [0, 1, 0, 1]]))
+
+    def refuse(self):
+        raise AssertionError("sparsify24 re-checked the slots it sorted")
+
+    monkeypatch.setattr(Sparse24Matrix, "__post_init__", refuse)
+    s = sfk.sparsify24(sfk.rand_matrix(2, 8, seed=0))
+    assert np.array_equal(s.abs_columns(), good.abs_columns())
+    for arr in (s.abs_columns(), s.slots):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
 
 
 def test_only_the_s24f_codec_packs_2bit_indices(monkeypatch):
@@ -268,12 +293,59 @@ def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, 
     assert np.array_equal(sfk.spmm24_rhs(a, s), sfk.gemm(a, sfk.decode24(s)))
 
 
+# Sampled outputs of 1 entry, of up to 2**11 entries (folded), of 2**11 to
+# 2**14 and beyond (by rank); rows of their own, or in blocks of rows
+# sharing one column list (16 or more of them are multiplied together).
+@given(
+    st.sampled_from([(1, 1), (1, 3), (4, 1), (6, 5), (40, 60), (128, 128), (128, 129), (200, 90)]),
+    st.integers(1, 24),
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from([0, 1, 3]),
+)
+@settings(max_examples=60)
+def test_sampled_spmm24_rhs_is_the_full_product_bitwise(out_shape, k, groups, seed, neg_zero, shared):
+    """spmm24_rhs(a, s, cols=cols) holds entry [i, cols[i, j]] of
+    spmm24_rhs(a, s), bit for bit (-0.0 included), and multiplies only
+    where row k of s keeps column cols[i, j]; cols repeat columns within
+    a row."""
+    m, h = out_shape
+    s = sfk.sparsify24(spread(k, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
+    a = spread(m, k, seed + 1, neg_zero)
+    cols = sampled_cols(m, 4 * groups, h, seed + 2, shared)
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24_rhs(a, s, cols=cols)
+    assert got.tobytes() == np.take_along_axis(sfk.spmm24_rhs(a, s), cols, axis=1).tobytes()
+    assert counter.total == int(sfk.kept_mask(s)[:, cols].sum())
+
+
+@pytest.mark.parametrize("rows,shared", [(4, 0), (200, 1), (200, 0)])
+def test_sampled_spmm24_rhs_touches_only_kept_slots(rows, shared):
+    """An infinite a[:, 3] meets only the weights row 3 keeps: a sampled
+    entry whose column row 3 drops stays finite, as in the full kernel,
+    on every path (fold; rank, with rows sharing a column list or not);
+    multiplying a dropped slot's +0.0 would make it NaN."""
+    s = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=4))
+    a = sfk.rand_matrix(rows, 8, seed=5)
+    a[:, 3] = np.inf
+    cols = sampled_cols(rows, 16, 16, seed=6, shared=shared)
+    got = sfk.spmm24_rhs(a, s, cols=cols)
+    np.testing.assert_array_equal(got, np.take_along_axis(sfk.spmm24_rhs(a, s), cols, axis=1))
+    dropped = ~sfk.kept_mask(s)[3][cols]
+    assert dropped.any() and np.isfinite(got[dropped]).all()
+
+
 def test_kernel_shape_errors():
     s = sfk.sparsify24(sfk.rand_matrix(4, 8, seed=0))
     with pytest.raises(ShapeError):
         sfk.spmm24(s, np.ones((7, 2)))
     with pytest.raises(ShapeError):
         sfk.spmm24_rhs(np.ones((2, 3)), s)
+    with pytest.raises(ShapeError):
+        sfk.spmm24_rhs(np.ones((2, 4)), s, cols=np.zeros((3, 1), dtype=np.int64))
+    with pytest.raises(InputError):
+        sfk.spmm24_rhs(np.ones((2, 4)), s, cols=np.full((2, 1), 8))
     with pytest.raises(ShapeError):
         sfk.spmm24_tn(s, np.ones((3, 2)))
 
