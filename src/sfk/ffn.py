@@ -17,7 +17,7 @@ operand is packed into a sparse format:
 The products whose inputs the activation mask discards are sampled
 (the ``cols`` of gemm and spmm24_rhs): under venom y1 is computed only
 on each token's routed columns, and in both activation modes dy2 only
-at y2's kept slots.
+at y2's kept slots (under venom, only those of real, not pad, rows).
 
 Every mask a policy enables is applied to the effective weights and
 activations of the forward pass, and the backward pass is the exact
@@ -370,8 +370,9 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     an upstream dy3; masks are treated as locally constant except soft
     thresholding, which uses its true Jacobian.  dy1 inherits y2's
     activation mask, so the dX and dW1 products stay activation-sparse,
-    and dy2 is computed only at y2's kept slots.  The weight packs come
-    from the tape, so p must be the very FfnParams the forward ran with.
+    and dy2 is computed only at y2's kept slots of real (not pad) rows.
+    The weight packs come from the tape, so p must be the very FfnParams
+    the forward ran with.
     """
     dy3 = as_matrix(dy3)
     if tape.policy != pol:
@@ -398,7 +399,14 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         dy3r = rows(dy3)
         dw2_eff = spmm24_tn(tape.y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
-        dy2 = dy2_product(dy3r, tape.y2.abs_columns())
+        kept = tape.y2.abs_columns()
+        if tape.plan is None:
+            dy2 = dy2_product(dy3r, kept)
+        else:
+            # only on real rows: a pad row's dy3 is zero and act_mask drops it
+            real = tape.layout._real
+            dy2 = np.zeros(kept.shape, dtype=np.float64)
+            dy2[real] = dy2_product(dy3r[real], kept[real])
         dy2 = np.where(_kept_entries(tape.act_mask, tape.y2), dy2, 0.0)
         dy1 = tape.y2.with_values(squared_relu_backward(dy2, _y1_at_kept_slots(tape, rows)))
         dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))

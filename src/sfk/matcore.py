@@ -35,7 +35,7 @@ MAGIC = b"SFK1"
 _DTYPE_OF_CODE = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_OF_NAME = {"real32": 1, "real64": 2}
 _HEADER_LEN = 24
-# float64 elements in the fold buffer of gemm, spmm24 and spmm24_rhs;
+# float64 elements in the fold buffer of gemm and the packed kernels;
 # 2**16 is 512 KiB of products
 _CHUNK_ELEMS = 2**16
 

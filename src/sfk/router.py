@@ -14,7 +14,7 @@ which for normalized means rank experts exactly like cosine similarity.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -333,13 +333,26 @@ def expert_balance(plan: RoutingPlan) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PaddedLayout:
+    """Which permuted row each padded row holds.  The real-row mask and
+    the real rows' sources are derived once, when the layout is built,
+    and source_row is read-only from there on."""
+
     rows: int
     source_row: np.ndarray  # (rows,) permuted-row index, or -1 for a pad row
     group_bounds: tuple[tuple[int, int], ...]  # per expert, padded coordinates
+    _real: np.ndarray = field(init=False, repr=False)  # (rows,) bool, not a pad row
+    _source: np.ndarray = field(init=False, repr=False)  # source_row[_real]
+
+    def __post_init__(self):
+        source_row = np.asarray(self.source_row).view()
+        source_row.flags.writeable = False
+        object.__setattr__(self, "source_row", source_row)
+        object.__setattr__(self, "_real", source_row >= 0)
+        object.__setattr__(self, "_source", source_row[self._real])
 
     @property
     def real_rows(self) -> int:
-        return int((self.source_row >= 0).sum())
+        return self._source.size
 
 
 def padded_layout(plan: RoutingPlan, v: int) -> PaddedLayout:
@@ -364,8 +377,7 @@ def pad_rows(x_perm, layout: PaddedLayout) -> np.ndarray:
     if x_perm.shape[0] != layout.real_rows:
         raise ShapeError(f"matrix has {x_perm.shape[0]} rows, layout expects {layout.real_rows}")
     out = np.zeros((layout.rows, x_perm.shape[1]), dtype=np.float64)
-    real = layout.source_row >= 0
-    out[real] = x_perm[layout.source_row[real]]
+    out[layout._real] = x_perm[layout._source]
     return out
 
 
@@ -374,9 +386,8 @@ def unpad_rows(y_padded, layout: PaddedLayout) -> np.ndarray:
     y_padded = as_matrix(y_padded)
     if y_padded.shape[0] != layout.rows:
         raise ShapeError(f"matrix has {y_padded.shape[0]} rows, layout has {layout.rows}")
-    real = layout.source_row >= 0
     out = np.empty((layout.real_rows, y_padded.shape[1]), dtype=np.float64)
-    out[layout.source_row[real]] = y_padded[real]
+    out[layout._source] = y_padded[layout._real]
     return out
 
 
@@ -445,7 +456,6 @@ def routed_feature_mask(plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayou
     can reach through its routed experts (pad rows reach none)."""
     ownership = bank.column_mask()
     allowed = np.zeros((layout.rows, bank.d_ffn), dtype=bool)
-    real = layout.source_row >= 0
-    tokens = plan.permutation[layout.source_row[real]]
-    allowed[real] = ownership[plan.assignments[tokens]].any(axis=1)
+    tokens = plan.permutation[layout._source]
+    allowed[layout._real] = ownership[plan.assignments[tokens]].any(axis=1)
     return allowed

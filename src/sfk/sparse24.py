@@ -282,11 +282,14 @@ def mass_kept_fraction(dense, decoded) -> float:
 
 # ---------------------------------------------------------------------------
 # kernels: each touches only the kept values of the packed operand and
-# tallies its multiplies as it goes.  spmm24 and spmm24_tn loop over
-# (absolute column, kept value) pairs one slot column at a time, so they
-# serve a V:N:M matrix as well: it is a 2:4 pack over gathered columns.
-# spmm24 and spmm24_rhs fold small outputs in order with gemm's helper;
-# spmm24_rhs also computes sampled outputs (``cols``), like gemm.
+# tallies its multiplies as it goes.  spmm24 and spmm24_tn read a pack
+# only as (absolute column, kept value) pairs, so they serve a V:N:M
+# matrix as well: it is a 2:4 pack over gathered columns.  spmm24 takes
+# one slot column per term, spmm24_rhs one row of the pack, and
+# spmm24_tn one rank pass over the pack's columns (_by_column, which the
+# sampled spmm24_rhs also uses); all three fold small outputs in order
+# with gemm's helper.  spmm24_rhs also computes sampled outputs
+# (``cols``), like gemm.
 
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
@@ -408,6 +411,18 @@ _SAMPLED_FOLD_ENTRIES = 2**11
 _SHARED_ROWS = 16
 
 
+def _by_column(flat: np.ndarray, width: int):
+    """Group entries by column: ``flat[e]`` is the column, in [0, width),
+    of entry e.  Returns (count, order, rank): count[c] entries have
+    column c; order lists the entries column by column, each column's in
+    flat order; entry order[t] is the rank[t]-th of its column."""
+    # a key of 16 bits or fewer sorts by radix, several times faster
+    order = np.argsort(flat.astype(np.min_scalar_type(width - 1)), kind="stable")
+    count = np.bincount(flat, minlength=width)
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)
+    return count, order, rank
+
+
 def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
     """Sampled spmm24_rhs, one pass per rank p: pass p adds, to every
     entry whose column c is kept by more than p rows of s, the product
@@ -419,16 +434,14 @@ def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.n
     other entries are done one by one.  Either way the columns are sorted
     by how many rows keep them, so each pass works on a prefix.
     """
-    flat = s.abs_columns().ravel()  # row-major, so k ascends within each column
-    order = np.argsort(flat, kind="stable")
-    col = flat[order]
-    count = np.bincount(flat, minlength=s.cols)
-    rank = np.arange(flat.size) - (np.cumsum(count) - count)[col]
-    # row p of the tables: per column, its p-th kept row k and that value
+    # row-major, so k ascends within each column; row p of the tables:
+    # per column, its p-th kept row k and that value
+    count, order, rank = _by_column(s.abs_columns().ravel(), s.cols)
+    at = rank * s.cols + np.repeat(np.arange(s.cols), count)
     k_at = np.zeros((int(count.max()), s.cols), dtype=np.intp)
     value_at = np.zeros(k_at.shape, dtype=np.float64)
-    k_at[rank, col] = order // s.slots_per_row
-    value_at[rank, col] = s.values.ravel()[order]
+    k_at.ravel()[at] = order // s.slots_per_row
+    value_at.ravel()[at] = s.values.ravel()[order]
 
     def by_count(unit_cols):
         """The units sorted by how many rows keep their column, and per
@@ -476,26 +489,53 @@ def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> n
 
     out[cols[i, j]] += values[i, j] * b[i] over all kept slots.  Each
     output row accumulates its entries in (slot, row) order, the order
-    of one np.add.at per slot.  Entries are sorted by (column, slot,
-    row); pass p adds the p-th entry of every output row at once, so no
-    row appears twice in a pass.
+    of one np.add.at per slot.  Pass p adds the p-th entry of every
+    output row with more than p of them; the output rows are sorted by
+    that count, so pass p works on a prefix of them, and put back in
+    order once at the end.  Outputs of 2 to 2**14 entries fold the
+    passes (matcore._fold_in_order): an output row past its count
+    gathers an all-zero row appended to b, times 0.0, which adds
+    nothing.  Others add one pass at a time to a prefix of one
+    accumulator.
     """
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
     rows, n = s.rows, b.shape[1]
-    col = s.abs_columns().T.ravel()  # entry e is slot e // rows, row e % rows
-    by_col = np.argsort(col, kind="stable")
-    sorted_col = col[by_col]
-    rank = np.arange(col.size) - np.searchsorted(sorted_col, sorted_col)  # p, per output row
-    e = by_col[np.argsort(rank, kind="stable")]
-    dst, src, val = col[e], e % rows, s.values.T.ravel()[e]
-    out = np.zeros((s.cols, n), dtype=np.float64)
-    hi = 0
-    for size in np.bincount(rank).tolist():
-        lo, hi = hi, hi + size
-        out[dst[lo:hi]] += val[lo:hi, None] * b[src[lo:hi]]
-        tally(size * n, label)
+    # slot-major: entry e is slot e // rows of row e % rows
+    count, order, rank = _by_column(s.abs_columns().T.ravel(), s.cols)
+    by_n = np.argsort(-count, kind="stable")
+    place = np.empty_like(by_n)
+    place[by_n] = np.arange(s.cols)
+    # row p of the tables: per output row, in by_n order, its p-th entry's
+    # row of b (the all-zero row `rows` past its count) and value
+    at = rank * s.cols + np.repeat(place, count)
+    slot, row = np.divmod(order, rows)
+    src = np.full((int(count.max()), s.cols), rows, dtype=np.intp)
+    src.ravel()[at] = row
+    val = np.zeros(src.shape, dtype=np.float64)
+    val.ravel()[at] = s.values[row, slot]
+    width = np.searchsorted(-count[by_n], -np.arange(len(src)), side="left")  # per pass
+    mults = np.concatenate(([0], np.cumsum(width) * n)).tolist()
+    b0 = np.concatenate((b, np.zeros((1, n))))  # row `rows`: the all-zero row
+
+    def products(p0, dst):
+        p1 = p0 + len(dst)
+        np.take(b0, src[p0:p1], axis=0, out=dst, mode="clip")
+        dst *= val[p0:p1, :, None]
+        return mults[p1] - mults[p0]
+
+    acc = _fold_in_order((s.cols, n), len(src), products, label)
+    if acc is None:
+        acc = np.zeros((s.cols, n), dtype=np.float64)
+        tmp = np.empty_like(acc)
+        for p, w in enumerate(width.tolist()):
+            np.take(b, src[p, :w], axis=0, out=tmp[:w], mode="clip")
+            tmp[:w] *= val[p, :w, None]
+            acc[:w] += tmp[:w]
+            tally(w * n, label)
+    out = np.empty_like(acc)
+    out[by_n] = acc
     return out
 
 

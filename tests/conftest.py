@@ -73,6 +73,24 @@ def scatter_naive(cols, values, b, out_rows):
     return out
 
 
+def assert_spmm24_tn_pinned(s, b, inf_row):
+    """spmm24_tn(s, b) is scatter_naive bitwise (-0.0 included) and
+    tallies one multiply per kept slot and column of b; with b[inf_row]
+    infinite, every output row that row does not feed stays finite."""
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24_tn(s, b)
+    want = scatter_naive(s.abs_columns(), s.values, b, s.cols)
+    assert got.tobytes() == want.tobytes()
+    assert counter.total == s.values.size * b.shape[1]
+    b = b.copy()
+    b[inf_row] = np.inf
+    unfed = np.ones(s.cols, dtype=bool)
+    unfed[s.abs_columns()[inf_row]] = False
+    with np.errstate(invalid="ignore"):  # inf * 0.0 in the rows it feeds
+        got = sfk.spmm24_tn(s, b)
+    assert np.isfinite(got[unfed]).all()
+
+
 def dealt_bank(d_model, d_ffn, m, num_experts, seed=0):
     """Build an ExpertBank whose column sets are dealt round-robin as 4-column
     packs inside every m-wide window.

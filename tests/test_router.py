@@ -164,6 +164,9 @@ def test_padded_layout_and_row_padding():
     assert xpad.shape == (layout.rows, x.shape[1])
     assert np.array_equal(sfk.unpad_rows(xpad, layout), xp)
     assert np.array_equal(xpad[layout.source_row < 0], np.zeros(((layout.source_row < 0).sum(), x.shape[1])))
+    assert layout.real_rows == 10
+    with pytest.raises(ValueError):  # the real-row mask is derived once, so it cannot go stale
+        layout.source_row[0] = -1
 
 
 # ------------------------------------------------------------ block encode ---

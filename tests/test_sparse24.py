@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
 from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
-from conftest import gemm_naive, sampled_cols, scatter_naive, spread
+from conftest import assert_spmm24_tn_pinned, gemm_naive, sampled_cols, scatter_naive, spread
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -318,6 +318,28 @@ def test_sampled_spmm24_rhs_is_the_full_product_bitwise(out_shape, k, groups, se
         got = sfk.spmm24_rhs(a, s, cols=cols)
     assert got.tobytes() == np.take_along_axis(sfk.spmm24_rhs(a, s), cols, axis=1).tobytes()
     assert counter.total == int(sfk.kept_mask(s)[:, cols].sum())
+
+
+# spmm24_tn folds cols x n outputs of up to 2**14 entries by rank pass
+# and adds one pass at a time to a prefix otherwise: small outputs, the
+# cutoff itself (128 x 128) and just past it in rows and in columns.  A
+# 1-row pack leaves half the output rows unhit; with ``unkept``, columns
+# 2 and 3 of every other group are zero, so no row keeps them.
+@given(
+    st.sampled_from([(4, 1), (8, 3), (36, 5), (128, 128), (132, 128), (128, 129)]),
+    st.sampled_from([1, 2, 7, 24]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60)
+def test_spmm24_tn_is_the_scatter_oracle_on_both_sides_of_the_fold_cutoff(out_shape, rows, seed, neg_zero, unkept):
+    cols, n = out_shape
+    a = spread(rows, cols, seed, neg_zero)
+    if unkept:
+        groups_of(a)[:, ::2, 2:] = 0.0
+    s = sfk.sparsify24(a, sfk.MODES[seed % 2])
+    assert_spmm24_tn_pinned(s, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
 
 
 @pytest.mark.parametrize("rows,shared", [(4, 0), (200, 1), (200, 0)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError
 from sfk.venom import VNM_MAGIC
-from conftest import scatter_naive, spread
+from conftest import assert_spmm24_tn_pinned, scatter_naive, spread
 
 
 def test_params_validation():
@@ -175,6 +175,25 @@ def test_spmm_tn_pins_summation_order(seed, m, v, blocks, windows, n):
     c = sfk.rand_matrix(vm.rows, n, seed=seed + 1)
     want = scatter_naive(vm.abs_columns(), vm.payload.values, c, vm.cols)
     assert np.array_equal(sfk.spmm24_tn(vm, c), want)
+
+
+# spmm24_tn's fold cutoff on V:N:M packs, as (M, windows, n) for a
+# (M * windows) x n output: small outputs, 128 x 128, 136 x 128 and
+# 128 x 129.  Only 4 of each block's M columns are kept; (V, blocks) =
+# (1, 1) is a 1-row pack.
+@given(
+    st.sampled_from([(8, 1, 1), (16, 1, 3), (16, 8, 128), (8, 16, 128), (8, 17, 128), (32, 4, 129)]),
+    st.sampled_from([(1, 1), (1, 5), (4, 1), (4, 3)]),
+    st.integers(0, 3_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_spmm24_tn_is_the_scatter_oracle_on_both_sides_of_the_fold_cutoff(shape, blocks, seed, neg_zero):
+    m, windows, n = shape
+    v, block_rows = blocks
+    rows = v * block_rows
+    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, 2, m))
+    assert_spmm24_tn_pinned(vm, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
 
 
 def test_venom_file_roundtrip(tmp_path):
