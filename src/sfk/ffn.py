@@ -234,6 +234,24 @@ def _pack_weight(w: np.ndarray, sparse: bool, t_sparse: bool, mode: str) -> Pack
     return PackedWeight(eff, reencode24(eff, own) if sparse else None, t, pre)
 
 
+def _reuse_or_pack(
+    pw: PackedWeight | None, w: np.ndarray, sparse: bool, t_sparse: bool, mode: str, name: str
+) -> PackedWeight:
+    """pw, a pack handed to ffn_forward, checked against the policy's
+    masks and w's shape (its values are the caller's promise); or, when
+    pw is None, w packed here."""
+    if pw is None:
+        return _pack_weight(w, sparse, t_sparse, mode)
+    if (
+        not isinstance(pw, PackedWeight)
+        or (pw.own is not None) != sparse
+        or (pw.t is not None) != t_sparse
+        or pw.eff.shape != w.shape
+    ):
+        raise InputError(f"packs: the {name} pack does not match the policy's {name} masks and shape")
+    return pw
+
+
 def _master_weight_grad(w, g_eff, pw: PackedWeight, mode: str) -> np.ndarray:
     # unwind the mask composition in reverse order
     if pw.t is not None:
@@ -267,6 +285,8 @@ def ffn_forward(
     pol: SparsityPolicy,
     bank: ExpertBank | None = None,
     frozen: FfnTape | None = None,
+    *,
+    packs: tuple[PackedWeight | None, PackedWeight | None] | None = None,
 ):
     """Run the FFN under a policy; returns (y3, tape).
 
@@ -280,6 +300,13 @@ def ffn_forward(
     the frozen activation pack's kept slots; weight masks are always
     recomputed from the weights themselves.  Each enabled weight mask is
     chosen once here, and the packs ride on the tape into ffn_backward.
+
+    ``packs`` is (w1, w2): each entry a PackedWeight from an earlier
+    forward, under the same policy, of a weight bitwise equal to p.w1 or
+    p.w2, used instead of packing that weight again; an entry of None is
+    packed here, and None as a whole packs both.  The values are not
+    compared (that would cost what packing does); a pack whose masks or
+    shape do not match the policy and p raises InputError.
     """
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
@@ -288,8 +315,11 @@ def ffn_forward(
         raise InputError("frozen tape was produced under a different policy")
     log: list = []
 
-    w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-    w2 = _pack_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+    if packs is not None and len(packs) != 2:
+        raise InputError(f"packs must be (w1, w2), got {len(packs)} entries")
+    pw1, pw2 = (None, None) if packs is None else packs
+    w1 = _reuse_or_pack(pw1, p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode, "w1")
+    w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
     tape = FfnTape(x=x, y1=None, y2=None, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
     if pol.act_mode == "venom":
         if bank is None:
@@ -526,6 +556,10 @@ def _audit_generic_point(pol: SparsityPolicy, tape: FfnTape, margin: float) -> b
     return ok
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> GradcheckReport:
     """Compare ffn_backward against central finite differences of the
     loss 0.5*||y3||^2 through the policy's own forward.
@@ -534,8 +568,17 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     the differentiated function is fixed; all other masks are part of
     the differentiated function and the base point is audited to sit
     away from mask tie boundaries (margin 1e-6), deterministically
-    bumping the seed by 1000 until a generic point is found.
+    bumping the seed by 1000 until a generic point is found.  Each
+    finite-difference forward packs only the weight it perturbs: it
+    hands ffn_forward (``packs``) the base tape's pack of every weight
+    it leaves as it was, which is bitwise what packing it again gives.
+    shape is three integers (batch, d_model, d_ffn) and seed an integer;
+    anything else, bools included, raises InputError.
     """
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 3 and all(map(_is_int, shape))):
+        raise InputError(f"shape must be three integers (batch, d_model, d_ffn), got {shape!r}")
+    if not _is_int(seed):
+        raise InputError(f"seed must be an integer, got {seed!r}")
     b, d_model, d_ffn = (int(v) for v in shape)
     if max(b, d_model, d_ffn) > 64:
         raise GuardError(f"gradcheck shapes are capped at 64 per dim, got {shape}")
@@ -563,8 +606,8 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         if not np.array_equal(y3_frozen, y3):
             raise GuardError("frozen-mask forward does not reproduce the base output")
 
-    def loss(xv, w1v, w2v) -> float:
-        yv, _ = ffn_forward(xv, FfnParams(w1v, w2v), pol, bank, frozen=frozen)
+    def loss(packs, xv, w1v, w2v) -> float:
+        yv, _ = ffn_forward(xv, FfnParams(w1v, w2v), pol, bank, frozen=frozen, packs=packs)
         return 0.5 * float(np.sum(yv * yv))
 
     tensors = [x.copy(), p.w1.copy(), p.w2.copy()]
@@ -572,14 +615,19 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     rels = []
     for t_ix, an in enumerate(analytic):
         base = tensors[t_ix]
+        # only the perturbed weight is packed again: the other one, and
+        # both when x is perturbed, are bitwise the base point's
+        packs = [tape.w1, tape.w2]
+        if t_ix:
+            packs[t_ix - 1] = None
         fd = np.zeros_like(base)
         for idx in np.ndindex(*base.shape):
             h = _FD_STEP * max(1.0, abs(base[idx]))
             saved = base[idx]
             base[idx] = saved + h
-            lp = loss(*tensors)
+            lp = loss(packs, *tensors)
             base[idx] = saved - h
-            lm = loss(*tensors)
+            lm = loss(packs, *tensors)
             base[idx] = saved
             fd[idx] = (lp - lm) / (2.0 * h)
         rels.append(float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)))

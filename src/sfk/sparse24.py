@@ -175,22 +175,35 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
     soft threshold is the magnitude at order position 2, which is the
     group's second-smallest magnitude.  This is the only place a group
     is ordered; sparsify24_backward reads the kept slots off the pack.
-    The input matrix is never modified.
+    Groups are indexed flat: group q of the input is flat entries
+    4q..4q+3.  The input matrix is never modified.
     """
     a = as_matrix(a)
     _check_mode(mode)
-    if a.shape[1] % 4 or a.shape[1] == 0:
-        raise ShapeError(f"sparsify24 needs cols divisible by 4, got {a.shape}")
-    groups = a.reshape(a.shape[0], -1, 4)
-    mags = np.abs(groups)
+    rows, cols = a.shape
+    if cols % 4 or cols == 0 or rows == 0:
+        raise ShapeError(f"sparsify24 needs at least one row and cols divisible by 4, got {a.shape}")
+    mags = np.abs(a).reshape(-1, 4)
     order = np.argsort(-mags, axis=-1, kind="stable")
-    slots = np.sort(order[..., :2], axis=-1)
-    kept = np.take_along_axis(groups, slots, axis=-1)
+    first, second = order[:, 0], order[:, 1]
+    slots = np.empty((len(order), 2), dtype=order.dtype)
+    np.minimum(first, second, out=slots[:, 0])
+    np.maximum(first, second, out=slots[:, 1])
+    base = np.arange(0, a.size, 4)  # flat index of each group's slot 0
+    kept = a.reshape(-1)[slots + base[:, None]]
     if mode == SOFT_THRESHOLD:
-        t = np.take_along_axis(mags, order[..., 2:3], axis=-1)
+        t = mags.reshape(-1)[order[:, 2] + base][:, None]
         kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
-    rows = a.shape[0]
-    return _unchecked_pack(rows, a.shape[1], kept.reshape(rows, -1), slots.reshape(rows, -1))
+    return _unchecked_pack(rows, cols, kept.reshape(rows, -1), slots.reshape(rows, -1))
+
+
+# the two dropped slots of a group, ascending, indexed by its kept pair
+# (lo, hi) as 4 * lo + hi; entries that are not a pair lo < hi are never read
+_DROPPED = np.zeros((2, 16), dtype=np.intp)
+for _lo in range(4):
+    for _hi in range(_lo + 1, 4):
+        _DROPPED[:, 4 * _lo + _hi] = [j for j in range(4) if j not in (_lo, _hi)]
+del _lo, _hi
 
 
 def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
@@ -202,9 +215,11 @@ def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
     exact almost-everywhere Jacobian transpose.  Survivors (|a| > t)
     pass their gradient unchanged; the threshold element, the
     larger-magnitude dropped slot (the lower index on a tie, where
-    sparsify24 read t), additionally collects
-    -sign(a_t) * sum(sign(a_i) * g_i) over the survivors, because t
-    tracks its magnitude; the rest get zero.
+    sparsify24 read t; a NaN counts as the largest), additionally
+    collects -sign(a_t) * sum(sign(a_i) * g_i) over the survivors,
+    because t tracks its magnitude; the rest get zero.  Only a group's
+    two kept slots can survive, so the soft map works on those and the
+    threshold slot, by flat index.
     """
     a = as_matrix(a)
     grad = as_matrix(grad)
@@ -213,16 +228,27 @@ def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
         raise ShapeError(
             f"input {a.shape} and gradient {grad.shape} must match the {s.rows}x{s.cols} pack"
         )
-    keep = kept_mask(s)
     if mode == GREEDY_MAGNITUDE:
-        return np.where(keep, grad, 0.0)
-    g = a.reshape(a.shape[0], -1, 4)
-    mags = np.abs(g)
-    tpos = np.argmax(np.where(keep.reshape(g.shape), -1.0, mags), axis=-1)[..., None]
-    t = np.take_along_axis(mags, tpos, axis=-1)
-    out = np.where(mags > t, grad.reshape(g.shape), 0.0)
-    coupling = -(np.sign(g) * out).sum(axis=-1, keepdims=True)
-    np.put_along_axis(out, tpos, np.take_along_axis(np.sign(g), tpos, axis=-1) * coupling, axis=-1)
+        return np.where(kept_mask(s), grad, 0.0)
+    flat, base = a.reshape(-1), np.arange(0, a.size, 4)  # group q is flat 4q..4q+3
+    lo, hi = s.slots.reshape(-1, 2).T
+    pair = 4 * lo + hi
+    d0, d1 = _DROPPED[0].take(pair) + base, _DROPPED[1].take(pair) + base
+    m0, m1 = np.abs(flat.take(d0)), np.abs(flat.take(d1))
+    # argmax over (m0, m1): the first NaN, else the larger, d0 on a tie
+    pick1 = (m0 == m0) & ~(m0 >= m1)
+    tpos, t = np.where(pick1, d1, d0), np.where(pick1, m1, m0)
+    k0, k1 = lo + base, hi + base
+    a0, a1 = flat.take(k0), flat.take(k1)
+    g0 = np.where(np.abs(a0) > t, grad.reshape(-1).take(k0), 0.0)
+    g1 = np.where(np.abs(a1) > t, grad.reshape(-1).take(k1), 0.0)
+    # bitwise the sum over all four slots from +0.0: the dropped slots
+    # add only signed zeros, which leave the kept pair's sum unchanged
+    # except that an all-zero sum is +0.0
+    coupling = -((np.sign(a0) * g0 + np.sign(a1) * g1) + 0.0)
+    out = np.zeros(a.size, dtype=np.float64)
+    out[k0], out[k1] = g0, g1
+    out[tpos] = np.sign(flat.take(tpos)) * coupling
     return out.reshape(a.shape)
 
 

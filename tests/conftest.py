@@ -91,6 +91,41 @@ def assert_spmm24_tn_pinned(s, b, inf_row):
     assert np.isfinite(got[unfed]).all()
 
 
+def sparsify24_oracle(a, mode):
+    """sparsify24 as it was written per row of groups: one stable argsort
+    per group, the top two sorted, take_along_axis gathers.  Returns
+    (values, slots)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    groups = a.reshape(a.shape[0], -1, 4)
+    mags = np.abs(groups)
+    order = np.argsort(-mags, axis=-1, kind="stable")
+    slots = np.sort(order[..., :2], axis=-1)
+    kept = np.take_along_axis(groups, slots, axis=-1)
+    if mode == sfk.SOFT_THRESHOLD:
+        t = np.take_along_axis(mags, order[..., 2:3], axis=-1)
+        kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
+    return kept.reshape(a.shape[0], -1), slots.reshape(a.shape[0], -1)
+
+
+def sparsify24_backward_oracle(a, s, grad, mode):
+    """sparsify24_backward as it was written on dense groups: the kept
+    mask decoded from s, the threshold slot by argmax over the dropped
+    magnitudes, the coupling summed over all four slots."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    grad = np.ascontiguousarray(grad, dtype=np.float64)
+    keep = sfk.kept_mask(s)
+    if mode == sfk.GREEDY_MAGNITUDE:
+        return np.where(keep, grad, 0.0)
+    g = a.reshape(a.shape[0], -1, 4)
+    mags = np.abs(g)
+    tpos = np.argmax(np.where(keep.reshape(g.shape), -1.0, mags), axis=-1)[..., None]
+    t = np.take_along_axis(mags, tpos, axis=-1)
+    out = np.where(mags > t, grad.reshape(g.shape), 0.0)
+    coupling = -(np.sign(g) * out).sum(axis=-1, keepdims=True)
+    np.put_along_axis(out, tpos, np.take_along_axis(np.sign(g), tpos, axis=-1) * coupling, axis=-1)
+    return out.reshape(a.shape)
+
+
 def dealt_bank(d_model, d_ffn, m, num_experts, seed=0):
     """Build an ExpertBank whose column sets are dealt round-robin as 4-column
     packs inside every m-wide window.

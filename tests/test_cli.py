@@ -153,6 +153,17 @@ def test_missing_input_file_exits_2(workdir, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("transpose", [[], ["--transpose"]], ids=["rows", "transpose"])
+def test_sparsify24_rejects_an_empty_matrix(workdir, capsys, transpose):
+    # check accepts a 0x8 file; packing it used to end in a ValueError traceback, exit 1
+    sfk.save_matrix(np.zeros((0, 8)), "empty.sfk")
+    assert main(["check", "--in", "empty.sfk"]) == 0
+    assert main(["sparsify24", "--in", "empty.sfk", "--out", "x.s24", *transpose]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least one row" in err
+    assert not (workdir / "x.s24").exists()
+
+
 @pytest.mark.parametrize("path", ["a.sfk", "a.s24", "a.vnm"])
 def test_readers_reject_trailing_bytes(workdir, path):
     a = sfk.load_matrix("a.sfk")

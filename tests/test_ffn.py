@@ -174,6 +174,38 @@ def test_frozen_tape_reproduces_forward_bitwise(tag):
     assert np.array_equal(sfk.decode24(tape_f.y2), sfk.decode24(tape.y2))
 
 
+def test_forward_reuses_handed_packs_bitwise():
+    """A pack from an earlier forward of the same weights stands in for
+    packing that weight again; None packs it here."""
+    x, p = small_problem(d_ffn=32)
+    pol = sfk.default_sparse_policy()
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
+    y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+    for packs in ((tape.w1, tape.w2), (None, tape.w2), (tape.w1, None), [None, None]):
+        y3r, tape_r = sfk.ffn_forward(x, p, pol, bank=bank, packs=packs)
+        assert y3r.tobytes() == y3.tobytes()
+        for handed, used in zip(packs, (tape_r.w1, tape_r.w2)):
+            assert handed is None or used is handed
+
+
+def test_forward_rejects_packs_that_do_not_match():
+    x, p = small_problem(d_ffn=32)
+    pol = sfk.ablation_policy("w1")
+    _, tape = sfk.ffn_forward(x, p, pol)
+    _, w1t_tape = sfk.ffn_forward(x, p, sfk.ablation_policy("w1t"))
+    _, other = sfk.ffn_forward(*small_problem(d_model=12, d_ffn=32), pol)
+    for packs in (
+        (w1t_tape.w1, None),  # t present, own missing
+        (None, tape.w1),  # an own-row pack where w2 has none
+        (other.w1, None),  # the policy's masks, another weight's shape
+        (tape.w1.eff, None),  # not a pack
+        (tape.w1,),
+        (tape.w1, tape.w2, None),
+    ):
+        with pytest.raises(InputError):
+            sfk.ffn_forward(x, p, pol, packs=packs)
+
+
 # --------------------------------------------------- sparse operand placement
 
 
@@ -396,3 +428,43 @@ def test_gradcheck_greedy_weight_ablations(tag):
 def test_gradcheck_caps_problem_size():
     with pytest.raises(GuardError):
         sfk.gradcheck(sfk.DENSE_POLICY, shape=(4, 8, 100))
+
+
+@pytest.mark.parametrize("shape, seed", [
+    ((8, 16), 0),  # used to raise an untyped ValueError
+    ((8, 16, 32, 4), 0),
+    ((8.5, 16, 32), 0),  # used to run as (8, 16, 32)
+    ((True, 16, 32), 0),  # used to run as (1, 16, 32)
+    (("8", 16, 32), 0),
+    (8, 0),
+    ((8, 16, 32), 1.5),  # used to raise numpy's TypeError
+    ((8, 16, 32), True),
+    ((8, 16, 32), "0"),
+])
+def test_gradcheck_rejects_a_shape_or_seed_that_is_not_integers(shape, seed):
+    with pytest.raises(InputError):
+        sfk.gradcheck(sfk.DENSE_POLICY, shape=shape, seed=seed)
+
+
+@pytest.mark.parametrize("tag, packed", [
+    ("w1", 1 + 2 * 512),  # the base forward, then both FD forwards per entry of w1
+    ("w2", 1 + 2 * 512),
+    ("w1t", 1 + 2 * 512),
+    ("w2t", 1 + 2 * 512),
+    ("act24", 1 + 2 * (128 + 512 + 512)),  # the activation, every forward
+])
+def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
+    """At (8, 16, 32) x has 128 entries and each weight 512.  A weight is
+    sparsified by the base forward and by the finite-difference forwards
+    that perturb it; the others reuse the base tape's pack."""
+    calls = []
+    real = sfk.ffn.sparsify24
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sfk.ffn, "sparsify24", counted)
+    rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
+    assert rep.seed_used == 0  # one base forward
+    assert len(calls) == packed

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
 from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
-from conftest import assert_spmm24_tn_pinned, gemm_naive, sampled_cols, scatter_naive, spread
+from conftest import (
+    assert_spmm24_tn_pinned,
+    gemm_naive,
+    sampled_cols,
+    scatter_naive,
+    sparsify24_backward_oracle,
+    sparsify24_oracle,
+    spread,
+)
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -66,6 +74,71 @@ def test_sparsify_rejects_bad_inputs():
         sfk.sparsify24(np.ones((4, 4)), mode="bogus")
     with pytest.raises(ShapeError):
         sfk.sparsify24(np.ones((4, 6)))
+
+
+@pytest.mark.parametrize("mode", sfk.MODES)
+def test_sparsify24_rejects_a_matrix_with_no_rows(mode):
+    # flat group indexing would build a 0-row pack, which the constructor
+    # and the S24F reader refuse
+    with pytest.raises(ShapeError):
+        sfk.sparsify24(np.zeros((0, 8)), mode)
+
+
+def oracle_input(rows, cols, seed, kind):
+    """A sparsify24 input: spread magnitudes (with or without -0.0),
+    small integers full of ties and signed zeros, or, with "nonfinite",
+    ties mixed with NaN and +-inf."""
+    if kind in ("spread", "neg_zero"):
+        return spread(rows, cols, seed, kind == "neg_zero")
+    g = np.random.Generator(np.random.PCG64(seed))
+    if kind == "ties":
+        return g.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(rows, cols))
+    return g.choice([-1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan], size=(rows, cols))
+
+
+@given(
+    rows=st.integers(1, 5),
+    groups=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["spread", "neg_zero", "ties", "nonfinite"]),
+)
+@settings(max_examples=80)
+def test_sparsify24_is_the_per_row_oracle_bitwise(rows, groups, seed, kind):
+    """Flat group indexing keeps the oracle's one stable sort, so values
+    (-0.0, NaN and +-inf included) and slots are the oracle's bit for bit."""
+    a = oracle_input(rows, 4 * groups, seed, kind)
+    for mode in sfk.MODES:
+        with np.errstate(invalid="ignore"):  # inf - inf in the soft shrink
+            s = sfk.sparsify24(a, mode)
+            values, slots = sparsify24_oracle(a, mode)
+        assert s.values.tobytes() == values.tobytes()
+        assert np.array_equal(s.slots, slots)
+
+
+@given(
+    rows=st.integers(1, 5),
+    groups=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["spread", "neg_zero", "ties", "nonfinite"]),
+    grad_kind=st.sampled_from(["spread", "neg_zero", "ties"]),
+)
+@settings(max_examples=80)
+def test_sparsify24_backward_is_the_dense_oracle_bitwise(rows, groups, seed, kind, grad_kind):
+    """On finite inputs the flat backward, which reads only the kept and
+    threshold slots, is the dense-group oracle bit for bit, signed zeros
+    of the coupling term included.  With NaN and +-inf in the input it
+    picks the oracle's threshold slot: NaNs fall where the oracle's do,
+    and every other entry is the oracle's bit for bit."""
+    a = oracle_input(rows, 4 * groups, seed, kind)
+    grad = oracle_input(rows, 4 * groups, seed + 1, grad_kind)
+    for mode in sfk.MODES:
+        with np.errstate(invalid="ignore"):  # inf - inf and NaN arithmetic
+            s = sfk.sparsify24(a, mode)
+            got = sfk.sparsify24_backward(a, s, grad, mode)
+            want = sparsify24_backward_oracle(a, s, grad, mode)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_reencode_reuses_mask_with_new_values():
