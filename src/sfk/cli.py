@@ -43,6 +43,7 @@ from .sparse24 import (
 from .trainkit import ToyTask, run_training
 from .venom import (
     VNM_MAGIC,
+    N,
     VenomParams,
     load_venom,
     save_venom,
@@ -65,8 +66,11 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 
 
 def _venom_params(text: str | None) -> VenomParams:
-    """The --venom flag as VenomParams; an absent flag means 64,2,16."""
-    return VenomParams(*_parse_ints("64,2,16" if text is None else text, 3, "--venom"))
+    """The --venom flag V,N,M (N must be 2); an absent flag means 64,2,16."""
+    v, n, m = _parse_ints("64,2,16" if text is None else text, 3, "--venom")
+    if n != N:
+        raise InputError(f"--venom: N must be {N} (payload is 2:4 packed), got {n}")
+    return VenomParams(v, m)
 
 
 def _sniff_format(path: str) -> str:
@@ -109,7 +113,7 @@ def _cmd_venom_encode(args) -> int:
     dec = decode24(vm)
     nnz = float(np.count_nonzero(dec) / dec.size)
     print(
-        f"wrote {args.outfile}: {vm.rows}x{vm.cols} at {p.v}:{p.n}:{p.m}, "
+        f"wrote {args.outfile}: {vm.rows}x{vm.cols} at {p.v}:{N}:{p.m}, "
         f"pattern sparsity {p.sparsity:.6f}, nnz fraction {nnz:.4f}"
     )
     return 0
@@ -127,7 +131,7 @@ def _cmd_check(args) -> int:
         vm = load_venom(args.infile)
         p = vm.params
         print(
-            f"{args.infile}: OK venom {vm.rows}x{vm.cols} at {p.v}:{p.n}:{p.m}, "
+            f"{args.infile}: OK venom {vm.rows}x{vm.cols} at {p.v}:{N}:{p.m}, "
             f"{vm.windows} column windows"
         )
     return 0
@@ -252,7 +256,7 @@ def _cmd_bench(args) -> int:
         operand, kernel, theoretical = sparsify24(a, GREEDY_MAGNITUDE), spmm24, 2.0
     else:
         p = _venom_params(args.venom)
-        operand, kernel, theoretical = venom_encode(a, p), spmm24, p.m / p.n
+        operand, kernel, theoretical = venom_encode(a, p), spmm24, p.m / N
 
     with count_multiplies() as dense_counter:
         gemm(a, b)

@@ -480,7 +480,7 @@ def ablation_policy(tag: str, weight_mode: str = SOFT_THRESHOLD) -> SparsityPoli
         # smallest legal geometry: every expert owns 4 columns of every window
         return SparsityPolicy(
             act_mode="venom",
-            venom=VenomParams(4, 2, 8),
+            venom=VenomParams(4, 8),
             router=RouterConfig(num_experts=2, top_k=1, align_m=8),
             weight_mode=weight_mode,
         )
@@ -606,11 +606,13 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         if not np.array_equal(y3_frozen, y3):
             raise GuardError("frozen-mask forward does not reproduce the base output")
 
-    def loss(packs, xv, w1v, w2v) -> float:
-        yv, _ = ffn_forward(xv, FfnParams(w1v, w2v), pol, bank, frozen=frozen, packs=packs)
+    pv = FfnParams(p.w1.copy(), p.w2.copy())  # the loop perturbs these in place
+    tensors = [x.copy(), pv.w1, pv.w2]
+
+    def loss(packs) -> float:
+        yv, _ = ffn_forward(tensors[0], pv, pol, bank, frozen=frozen, packs=packs)
         return 0.5 * float(np.sum(yv * yv))
 
-    tensors = [x.copy(), p.w1.copy(), p.w2.copy()]
     analytic = [dx_an, dw1_an, dw2_an]
     rels = []
     for t_ix, an in enumerate(analytic):
@@ -625,9 +627,9 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
             h = _FD_STEP * max(1.0, abs(base[idx]))
             saved = base[idx]
             base[idx] = saved + h
-            lp = loss(packs, *tensors)
+            lp = loss(packs)
             base[idx] = saved - h
-            lm = loss(packs, *tensors)
+            lm = loss(packs)
             base[idx] = saved
             fd[idx] = (lp - lm) / (2.0 * h)
         rels.append(float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)))

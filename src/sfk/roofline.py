@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .codec import config_from_json
 from .errors import InputError
-from .venom import VenomParams
+from .venom import N, VenomParams
 
 BYTES_PER_REAL = 8  # real64 throughout the reference
 
@@ -173,7 +173,7 @@ def conversion_overhead_model(
     # batched expert matmul: packed [rows, 4F/M] activation times [F, D] weight
     packed_cols = 4 * c.d_ffn // p.m
     matmul_bytes = (rows * packed_cols + c.d_ffn * c.d_model + rows * c.d_model) * BYTES_PER_REAL
-    matmul_flops = rows * c.d_model * c.d_ffn * p.n // p.m
+    matmul_flops = rows * c.d_model * c.d_ffn * N // p.m
     matmul = step(matmul_bytes, matmul_flops)
 
     return {

@@ -26,7 +26,7 @@ def default_sparse_policy() -> SparsityPolicy:
         w1_sparse=True,
         w2t_sparse=True,
         act_mode="venom",
-        venom=VenomParams(8, 2, 16),
+        venom=VenomParams(8, 16),
         router=RouterConfig(num_experts=4, top_k=1, align_m=16),
     )
 

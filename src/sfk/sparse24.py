@@ -308,14 +308,14 @@ def mass_kept_fraction(dense, decoded) -> float:
 
 # ---------------------------------------------------------------------------
 # kernels: each touches only the kept values of the packed operand and
-# tallies its multiplies as it goes.  spmm24 and spmm24_tn read a pack
-# only as (absolute column, kept value) pairs, so they serve a V:N:M
-# matrix as well: it is a 2:4 pack over gathered columns.  spmm24 takes
-# one slot column per term, spmm24_rhs one row of the pack, and
-# spmm24_tn one rank pass over the pack's columns (_by_column, which the
-# sampled spmm24_rhs also uses); all three fold small outputs in order
-# with gemm's helper.  spmm24_rhs also computes sampled outputs
-# (``cols``), like gemm.
+# tallies its multiplies as it goes, and each is bitwise gemm on the
+# decoded operand: it sums the kept terms in gemm's order, and the
+# terms it skips are +-0.0 products there.  spmm24 and spmm24_tn read a
+# pack only as (absolute column, kept value) pairs, so they serve a
+# V:N:M matrix as well.  spmm24 takes one slot column per term,
+# spmm24_rhs one row of the pack, and spmm24_tn one rank pass of
+# _column_tables (which the sampled spmm24_rhs also reads); all three
+# fold small outputs in order with gemm's helper.
 
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
@@ -437,16 +437,22 @@ _SAMPLED_FOLD_ENTRIES = 2**11
 _SHARED_ROWS = 16
 
 
-def _by_column(flat: np.ndarray, width: int):
-    """Group entries by column: ``flat[e]`` is the column, in [0, width),
-    of entry e.  Returns (count, order, rank): count[c] entries have
-    column c; order lists the entries column by column, each column's in
-    flat order; entry order[t] is the rank[t]-th of its column."""
+def _column_tables(s: Sparse24Matrix | VenomMatrix):
+    """The pack's kept entries by column, row k ascending: count[c] rows
+    keep column c, and row p of (k_at, value_at) holds, per column, the
+    p-th of those rows k and its value (k_at = s.rows and 0.0 past the
+    column's count)."""
+    flat = s.abs_columns().ravel()  # row-major, so k ascends within each column
     # a key of 16 bits or fewer sorts by radix, several times faster
-    order = np.argsort(flat.astype(np.min_scalar_type(width - 1)), kind="stable")
-    count = np.bincount(flat, minlength=width)
+    order = np.argsort(flat.astype(np.min_scalar_type(s.cols - 1)), kind="stable")
+    count = np.bincount(flat, minlength=s.cols)
     rank = np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)
-    return count, order, rank
+    at = rank * s.cols + np.repeat(np.arange(s.cols), count)
+    k_at = np.full((int(count.max()), s.cols), s.rows, dtype=np.intp)
+    value_at = np.zeros(k_at.shape, dtype=np.float64)
+    k_at.ravel()[at] = order // s.values.shape[1]
+    value_at.ravel()[at] = s.values.ravel()[order]
+    return count, k_at, value_at
 
 
 def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
@@ -460,14 +466,7 @@ def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.n
     other entries are done one by one.  Either way the columns are sorted
     by how many rows keep them, so each pass works on a prefix.
     """
-    # row-major, so k ascends within each column; row p of the tables:
-    # per column, its p-th kept row k and that value
-    count, order, rank = _by_column(s.abs_columns().ravel(), s.cols)
-    at = rank * s.cols + np.repeat(np.arange(s.cols), count)
-    k_at = np.zeros((int(count.max()), s.cols), dtype=np.intp)
-    value_at = np.zeros(k_at.shape, dtype=np.float64)
-    k_at.ravel()[at] = order // s.slots_per_row
-    value_at.ravel()[at] = s.values.ravel()[order]
+    count, k_at, value_at = _column_tables(s)
 
     def by_count(unit_cols):
         """The units sorted by how many rows keep their column, and per
@@ -513,13 +512,13 @@ def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.n
 def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> np.ndarray:
     """decode24(s).T @ b without decoding (s carries the sparsity).
 
-    out[cols[i, j]] += values[i, j] * b[i] over all kept slots.  Each
-    output row accumulates its entries in (slot, row) order, the order
-    of one np.add.at per slot.  Pass p adds the p-th entry of every
-    output row with more than p of them; the output rows are sorted by
-    that count, so pass p works on a prefix of them, and put back in
-    order once at the end.  Outputs of 2 to 2**14 entries fold the
-    passes (matcore._fold_in_order): an output row past its count
+    Output row c sums W[k, c] * b[k] over the rows k that keep column
+    c, k ascending, so the result is bit-identical to
+    gemm(decode24(s).T, b).  Pass p adds the p-th entry of every output
+    row with more than p of them (_column_tables); the output rows are
+    sorted by that count, so pass p works on a prefix of them, and put
+    back in order once at the end.  Outputs of 2 to 2**14 entries fold
+    the passes (matcore._fold_in_order): an output row past its count
     gathers an all-zero row appended to b, times 0.0, which adds
     nothing.  Others add one pass at a time to a prefix of one
     accumulator.
@@ -527,23 +526,15 @@ def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> n
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
-    rows, n = s.rows, b.shape[1]
-    # slot-major: entry e is slot e // rows of row e % rows
-    count, order, rank = _by_column(s.abs_columns().T.ravel(), s.cols)
+    n = b.shape[1]
+    count, k_at, value_at = _column_tables(s)
     by_n = np.argsort(-count, kind="stable")
-    place = np.empty_like(by_n)
-    place[by_n] = np.arange(s.cols)
-    # row p of the tables: per output row, in by_n order, its p-th entry's
-    # row of b (the all-zero row `rows` past its count) and value
-    at = rank * s.cols + np.repeat(place, count)
-    slot, row = np.divmod(order, rows)
-    src = np.full((int(count.max()), s.cols), rows, dtype=np.intp)
-    src.ravel()[at] = row
-    val = np.zeros(src.shape, dtype=np.float64)
-    val.ravel()[at] = s.values[row, slot]
+    # row p: per output row, in by_n order, its p-th entry's row of b
+    # (the all-zero row s.rows past its count) and value
+    src, val = k_at[:, by_n], value_at[:, by_n]
     width = np.searchsorted(-count[by_n], -np.arange(len(src)), side="left")  # per pass
     mults = np.concatenate(([0], np.cumsum(width) * n)).tolist()
-    b0 = np.concatenate((b, np.zeros((1, n))))  # row `rows`: the all-zero row
+    b0 = np.concatenate((b, np.zeros((1, n))))  # row s.rows: the all-zero row
 
     def products(p0, dst):
         p1 = p0 + len(dst)

@@ -1,8 +1,8 @@
 """V:N:M (VENOM-style) sparsity: per block of V consecutive rows and M
 consecutive columns, nonzeros are confined to 4 columns, and within
-those 4 columns every row keeps at most N = 2 entries.  Density is
-therefore N/M, i.e. sparsity 1 - N/M: 87.5% at M=16, 93.75% at M=32,
-96.875% at M=64.
+those 4 columns every row keeps at most N = 2 entries (a constant, so
+VenomParams holds V and M only).  Density is therefore N/M, i.e.
+sparsity 1 - N/M: 87.5% at M=16, 93.75% at M=32, 96.875% at M=64.
 
 Storage reuses the packed 2:4 type: the 4 retained columns of every
 block window are gathered into a strip, strips are concatenated into a
@@ -16,7 +16,7 @@ a Sparse24Matrix, so sparse24's pack ops and kernels serve it as they
 are.
 
 VNMF file layout (little-endian): magic ``VNMF``, u64 rows, u64 cols,
-u32 V, u32 N, u32 M, the column table (uint8, 4 entries per block,
+u32 V, u32 N (always 2), u32 M, the column table (uint8, 4 entries per block,
 block-row-major), then the strip payload serialized as a complete S24F
 record.
 """
@@ -46,28 +46,27 @@ from .sparse24 import (
 
 VNM_MAGIC = b"VNMF"
 ALLOWED_M = (8, 16, 32, 64)
+N = 2  # kept entries per row of a block's 4 columns: the payload is 2:4 packed
 
 
 @dataclass(frozen=True)
 class VenomParams:
-    """Block geometry: V rows per block, N kept of M columns per row group."""
+    """Block geometry: V rows per block and M columns per window; each
+    row keeps N = 2 (the format's constant) of every window's M."""
 
     v: int
-    n: int
     m: int
 
     def __post_init__(self):
         if self.m not in ALLOWED_M:
             raise InputError(f"M must be one of {ALLOWED_M}, got {self.m}")
-        if self.n != 2:
-            raise InputError(f"N must be 2 (payload is 2:4 packed), got {self.n}")
         if self.v < 1:
             raise InputError(f"V must be at least 1, got {self.v}")
 
     @property
     def sparsity(self) -> float:
         """Fraction of entries guaranteed zero: 1 - N/M."""
-        return 1.0 - self.n / self.m
+        return 1.0 - N / self.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +197,7 @@ def save_venom(vm: VenomMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(VNM_MAGIC)
         fh.write(struct.pack("<QQ", vm.rows, vm.cols))
-        fh.write(struct.pack("<III", vm.params.v, vm.params.n, vm.params.m))
+        fh.write(struct.pack("<III", vm.params.v, N, vm.params.m))
         fh.write(np.ascontiguousarray(vm.col_table).tobytes())
         fh.write(s24_to_bytes(vm.payload))
 
@@ -212,8 +211,10 @@ def load_venom(path) -> VenomMatrix:
         raise FormatError(f"{path}: bad magic {blob[:4]!r} (expected {VNM_MAGIC!r})")
     rows, cols = struct.unpack_from("<QQ", blob, 4)
     v, n, m = struct.unpack_from("<III", blob, 20)
+    if n != N:
+        raise FormatError(f"{path}: N must be {N} (payload is 2:4 packed), got {n}")
     try:
-        p = VenomParams(int(v), int(n), int(m))
+        p = VenomParams(int(v), int(m))
     except InputError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     rows, cols = int(rows), int(cols)

@@ -63,24 +63,14 @@ def sampled_cols(rows, width, h, seed, shared):
     return g.integers(0, width, size=(shared, h))[g.integers(0, shared, size=rows)]
 
 
-def scatter_naive(cols, values, b, out_rows):
-    """Transposed-product oracle in the packed kernels' pinned order:
-    out[cols[i, j]] += values[i, j] * b[i], one np.add.at per slot j, so
-    each output row accumulates its entries in (slot, row) order."""
-    out = np.zeros((out_rows, b.shape[1]), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        np.add.at(out, cols[:, j], values[:, j : j + 1] * b)
-    return out
-
-
-def assert_spmm24_tn_pinned(s, b, inf_row):
-    """spmm24_tn(s, b) is scatter_naive bitwise (-0.0 included) and
-    tallies one multiply per kept slot and column of b; with b[inf_row]
-    infinite, every output row that row does not feed stays finite."""
+def assert_spmm24_tn_is_gemm(s, b, inf_row):
+    """spmm24_tn(s, b) is gemm(decode24(s).T, b) bitwise (-0.0 included)
+    and tallies one multiply per kept slot and column of b; with
+    b[inf_row] infinite, every output row that row does not feed stays
+    finite."""
     with sfk.count_multiplies() as counter:
         got = sfk.spmm24_tn(s, b)
-    want = scatter_naive(s.abs_columns(), s.values, b, s.cols)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == sfk.gemm(sfk.decode24(s).T, b).tobytes()
     assert counter.total == s.values.size * b.shape[1]
     b = b.copy()
     b[inf_row] = np.inf

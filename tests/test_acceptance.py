@@ -16,7 +16,7 @@ import sfk
 from sfk.counters import count_multiplies
 from sfk.sparse24 import s24_from_bytes, s24_to_bytes
 
-TABLE_VNM = [(64, 2, 16), (64, 2, 32), (64, 2, 64)]
+TABLE_VNM = [(64, 16), (64, 32), (64, 64)]  # (V, M); N is 2
 
 
 @contextmanager
@@ -50,7 +50,7 @@ def test_criterion_1_format_correctness(capsys):
             b = sfk.rand_matrix(16, 4, seed=seed + 7)
             assert np.abs(sfk.spmm24(s, b) - sfk.gemm(d, b)).max() <= 1e-10
 
-            p = sfk.VenomParams(4, 2, 8)
+            p = sfk.VenomParams(4, 8)
             vm = sfk.venom_encode(a, p)
             dv = sfk.decode24(vm)
             assert sfk.venom_check(dv, p)
@@ -84,8 +84,8 @@ def test_criterion_3_venom_sparsity_values(capsys):
     with criterion(capsys, 3, "V:N:M sparsity levels 0.875 / 0.9375 / 0.96875, "
                                "zero tolerance"):
         expected = {16: 0.875, 32: 0.9375, 64: 0.96875}
-        for v, n, m in TABLE_VNM:
-            assert sfk.VenomParams(v, n, m).sparsity == expected[m]
+        for v, m in TABLE_VNM:
+            assert sfk.VenomParams(v, m).sparsity == expected[m] == 1 - 2 / m
 
 
 def test_criterion_4_router_validity(capsys):
@@ -94,8 +94,8 @@ def test_criterion_4_router_validity(capsys):
                                "gemm (gemm with cols) matches mask-then-gemm within 1e-10"):
         t0 = time.perf_counter()
         d_model, tokens = 8, 16
-        for v, n, m in TABLE_VNM:
-            p = sfk.VenomParams(v, n, m)
+        for v, m in TABLE_VNM:
+            p = sfk.VenomParams(v, m)
             experts = m // 4
             cfg = sfk.RouterConfig(num_experts=experts, top_k=1, align_m=m)
             d_ffn = 2 * m
@@ -183,8 +183,8 @@ def test_criterion_7_flop_count_ceilings(capsys):
             sfk.spmm24(s, b)
         assert dense_c.total / sparse_c.total == 2.0
 
-        for v, n, m in TABLE_VNM:
-            p = sfk.VenomParams(v, n, m)
+        for v, m in TABLE_VNM:
+            p = sfk.VenomParams(v, m)
             cols = 2 * m
             vm = sfk.venom_encode(sfk.rand_matrix(rows, cols, seed=m), p)
             bb = sfk.rand_matrix(cols, n_rhs, seed=m + 1)
@@ -192,7 +192,7 @@ def test_criterion_7_flop_count_ceilings(capsys):
                 sfk.gemm(sfk.decode24(vm), bb)
             with count_multiplies() as sc:
                 sfk.spmm24(vm, bb)
-            assert dc.total / sc.total == m / n  # 8, 16, 32
+            assert dc.total / sc.total == m / 2  # 8, 16, 32
 
 
 def test_criterion_8_toy_training(capsys):

@@ -121,9 +121,23 @@ def test_venom_encode_check_spmm(workdir, capsys):
     assert main(["spmm", "--a", "a.vnm", "--b", "b.sfk", "--out", "c.sfk"]) == 0
     out = capsys.readouterr().out
     assert "pattern sparsity 0.750000" in out
-    assert "OK venom" in out
+    assert "OK venom" in out and out.count(" at 4:2:8, ") == 2
     vm = sfk.load_venom("a.vnm")
     assert np.array_equal(sfk.load_matrix("c.sfk"), sfk.spmm24(vm, sfk.load_matrix("b.sfk")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["venom-encode", "--in", "a.sfk", "--out", "a.vnm"],
+    ["bench", "--shape", "16,16,16", "--format", "venom"],
+    ["roofline", "--config", "cfg.json", "--overhead", "--experts", "4"],
+], ids=["venom-encode", "bench", "roofline"])
+def test_venom_flag_keeps_n_and_rejects_all_but_2(workdir, capsys, argv):
+    """--venom V,N,M still carries N, and N is 2 or exit 2."""
+    (workdir / "cfg.json").write_text(json.dumps({
+        "num_layers": 2, "d_model": 64, "d_ffn": 256, "num_heads": 4, "batch_size": 1, "seq_len": 16}))
+    assert main(argv + ["--venom", "8,3,16"]) == 2
+    assert capsys.readouterr().err == "error: --venom: N must be 2 (payload is 2:4 packed), got 3\n"
+    assert main(argv + ["--venom", "8,2,16"]) == 0
 
 
 def test_check_reports_dense_and_rejects_junk(workdir, capsys):
@@ -168,7 +182,7 @@ def test_sparsify24_rejects_an_empty_matrix(workdir, capsys, transpose):
 def test_readers_reject_trailing_bytes(workdir, path):
     a = sfk.load_matrix("a.sfk")
     sfk.save_s24(sfk.sparsify24(a), "a.s24")
-    sfk.save_venom(sfk.venom_encode(a, sfk.VenomParams(4, 2, 8)), "a.vnm")
+    sfk.save_venom(sfk.venom_encode(a, sfk.VenomParams(4, 8)), "a.vnm")
     load = {"a.sfk": sfk.load_matrix, "a.s24": sfk.load_s24, "a.vnm": sfk.load_venom}[path]
     load(path)
     with open(path, "ab") as fh:
@@ -203,12 +217,23 @@ def test_gradcheck_policy_json_flag(workdir, capsys):
 @pytest.mark.parametrize("doc", [
     '{"w1_sparse": "false"}',
     '{"keep_all": false}',
-    '{"act_mode": "venom", "venom": {"v": 4, "n": 2, "m": 8}}',  # venom without a router
+    '{"act_mode": "venom", "venom": {"v": 4, "m": 8}}',  # venom without a router
 ])
 def test_policy_json_flag_rejects_bad_documents(workdir, capsys, doc):
     (workdir / "pol.json").write_text(doc)
     assert main(["gradcheck", "--policy-json", "pol.json", "--shape", "4,8,8"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_policy_json_venom_object_has_no_n(workdir, capsys):
+    """N left VenomParams: a policy's venom object is {v, m}, and a
+    venom.n is an unknown field."""
+    doc = json.loads(sfk.config_to_json(sfk.default_sparse_policy()))
+    assert doc["venom"] == {"v": 8, "m": 16}
+    doc["venom"]["n"] = 2
+    (workdir / "pol.json").write_text(json.dumps(doc))
+    assert main(["gradcheck", "--policy-json", "pol.json", "--shape", "4,8,8"]) == 2
+    assert "'venom.n'" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -11,12 +11,12 @@ import sfk
 from sfk import InputError, RouterConfig, SparsityPolicy, TrainSchedule, VenomParams
 
 CONFIGS = (SparsityPolicy, TrainSchedule)
-VENOM = {"v": 4, "n": 2, "m": 8}
+VENOM = {"v": 4, "m": 8}
 
 
 def test_round_trip_every_field():
     pol = SparsityPolicy(
-        w1_sparse=True, w2t_sparse=True, act_mode="venom", venom=VenomParams(4, 2, 8),
+        w1_sparse=True, w2t_sparse=True, act_mode="venom", venom=VenomParams(4, 8),
         router=RouterConfig(num_experts=2, top_k=1, align_m=8),
         weight_mode=sfk.GREEDY_MAGNITUDE,
     )
@@ -41,7 +41,8 @@ def test_absent_keys_take_dataclass_defaults():
     "cls, doc, field",
     [
         (SparsityPolicy, {"w1_sparse": "false"}, "w1_sparse"),
-        (SparsityPolicy, {"act_mode": "venom", "venom": {"v": 4, "m": 8}}, "venom.n"),
+        (SparsityPolicy, {"act_mode": "venom", "venom": {"v": 4}}, "venom.m"),
+        (SparsityPolicy, {"act_mode": "venom", "venom": {"v": 4, "n": 2, "m": 8}}, "venom.n"),
         (SparsityPolicy, {"act_mode": "venom", "venom": VENOM, "router": {"num_experts": 2.7}},
          "router.num_experts"),
         (TrainSchedule, {"total_steps": "10", "sparse_steps": 0, "venom_warmup": 0},
@@ -54,7 +55,7 @@ def test_absent_keys_take_dataclass_defaults():
         (TrainSchedule, {"total_steps": 10, "sparse_steps": 0, "venom_warmup": 0,
                          "sparse_policy": {"w1_sparse": 1}}, "sparse_policy.w1_sparse"),
     ],
-    ids=["quoted-bool", "venom-without-n", "float-int", "string-int", "bool-int",
+    ids=["quoted-bool", "venom-without-m", "venom-with-n", "float-int", "string-int", "bool-int",
          "unknown-key", "array-for-object", "missing-required", "nested-bool"],
 )
 def test_rejects_with_dotted_field_name(cls, doc, field):
@@ -64,11 +65,11 @@ def test_rejects_with_dotted_field_name(cls, doc, field):
 
 def test_lists_decode_item_by_item():
     two = json.dumps([VENOM, dict(VENOM, m=16)])
-    want = [VenomParams(4, 2, 8), VenomParams(4, 2, 16)]
+    want = [VenomParams(4, 8), VenomParams(4, 16)]
     assert sfk.config_from_json(list[VenomParams], two) == want
     assert sfk.config_from_json(list[VenomParams], "[]") == []
-    with pytest.raises(InputError, match=r"'\[1\]\.n'"):
-        sfk.config_from_json(list[VenomParams], json.dumps([VENOM, dict(VENOM, n="2")]))
+    with pytest.raises(InputError, match=r"'\[1\]\.m'"):
+        sfk.config_from_json(list[VenomParams], json.dumps([VENOM, dict(VENOM, m="8")]))
     with pytest.raises(InputError, match=r"list\[VenomParams\] JSON must be an array"):
         sfk.config_from_json(list[VenomParams], json.dumps(VENOM))
 

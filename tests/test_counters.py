@@ -6,6 +6,7 @@ import numpy as np
 
 import sfk
 from sfk.counters import count_multiplies, tally
+from sfk.venom import N
 
 
 def test_gemm_counts_mkn():
@@ -33,14 +34,14 @@ def test_spmm24_counts_exactly_half():
 
 
 def test_venom_counts_exactly_n_over_m():
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     vm = sfk.venom_encode(sfk.rand_matrix(16, 32, seed=4), p)
     b = sfk.rand_matrix(32, 8, seed=5)
     with count_multiplies() as dense_c:
         sfk.gemm(sfk.decode24(vm), b)
     with count_multiplies() as sparse_c:
         sfk.spmm24(vm, b)
-    assert dense_c.total * p.n == sparse_c.total * p.m
+    assert dense_c.total * N == sparse_c.total * p.m
 
 
 def test_transposed_kernels_count_exactly():
@@ -51,11 +52,11 @@ def test_transposed_kernels_count_exactly():
         sfk.spmm24_tn(s, sfk.rand_matrix(rows, n, seed=11))
     assert c.per_op == {"spmm24_rhs": m * rows * (cols // 2), "spmm24_tn": rows * (cols // 2) * n}
 
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     vm = sfk.venom_encode(sfk.rand_matrix(16, 64, seed=12), p)
     with count_multiplies() as c:
         sfk.spmm24_tn(vm, sfk.rand_matrix(16, n, seed=13))
-    assert c.per_op == {"spmm24_tn": 16 * 64 * p.n // p.m * n}
+    assert c.per_op == {"spmm24_tn": 16 * 64 * N // p.m * n}
     # plain ints, so a ledger of them serializes to JSON
     assert type(c.total) is int and type(c.per_op["spmm24_tn"]) is int
 
@@ -107,7 +108,7 @@ def test_no_counter_active_is_free():
 def test_custom_labels_flow_through_kernels():
     s = sfk.sparsify24(sfk.rand_matrix(4, 8, seed=6))
     b = sfk.rand_matrix(8, 2, seed=7)
-    vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=8), sfk.VenomParams(4, 2, 8))
+    vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=8), sfk.VenomParams(4, 8))
     with count_multiplies() as c:
         sfk.spmm24(s, b, label="fwd_y1")
         sfk.spmm24_rhs(b[:4].T, s, label="fwd_y3")

@@ -43,9 +43,9 @@ def test_policy_validation():
     with pytest.raises(InputError):
         sfk.SparsityPolicy(act_mode="venom")  # venom params required
     with pytest.raises(InputError):
-        sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 2, 8))  # router required
+        sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 8))  # router required
     with pytest.raises(InputError):
-        sfk.SparsityPolicy(act_mode="dense", venom=sfk.VenomParams(4, 2, 8))
+        sfk.SparsityPolicy(act_mode="dense", venom=sfk.VenomParams(4, 8))
     with pytest.raises(InputError):
         sfk.SparsityPolicy(act_mode="act24", router=sfk.RouterConfig(num_experts=2, top_k=1))
     with pytest.raises(InputError):
@@ -413,7 +413,7 @@ def test_gradcheck_venom_quick():
     # Top-2 routing puts tokens with different column sets in one block, so
     # some kept slots are unrouted for some rows; only the backward's
     # activation mask keeps dy1 off them.
-    top2 = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 2, 8),
+    top2 = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 8),
                               router=sfk.RouterConfig(num_experts=4, top_k=2, align_m=8))
     assert sfk.gradcheck(top2, shape=(8, 8, 64), seed=0).max_rel < 1e-4
 
@@ -444,6 +444,24 @@ def test_gradcheck_caps_problem_size():
 def test_gradcheck_rejects_a_shape_or_seed_that_is_not_integers(shape, seed):
     with pytest.raises(InputError):
         sfk.gradcheck(sfk.DENSE_POLICY, shape=shape, seed=seed)
+
+
+@pytest.mark.parametrize("tag", ["dense", "w1", "venom"])
+def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag):
+    """One FfnParams for the base point and one over the copies that the
+    2 * (128 + 512 + 512) finite-difference forwards perturb in place,
+    not one per forward."""
+    calls = []
+    real = sfk.FfnParams.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(sfk.FfnParams, "__post_init__", counted)
+    rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
+    assert rep.seed_used == 0  # one base point
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tag, packed", [

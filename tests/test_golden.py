@@ -72,7 +72,7 @@ def _kernels() -> dict:
             out[f"spmm24_rhs.{shape}"] = _digest(sfk.spmm24_rhs(sfk.rand_matrix(n, rows, seed=300 + i), s))
             out[f"spmm24_tn.{shape}"] = _digest(sfk.spmm24_tn(s, sfk.rand_matrix(rows, n, seed=400 + i)))
     for m in (8, 16, 32, 64):
-        vm = sfk.venom_encode(sfk.rand_matrix(8, 2 * m, seed=500 + m), sfk.VenomParams(4, 2, m))
+        vm = sfk.venom_encode(sfk.rand_matrix(8, 2 * m, seed=500 + m), sfk.VenomParams(4, m))
         out[f"venom_spmm.M{m}"] = _digest(sfk.spmm24(vm, sfk.rand_matrix(2 * m, 5, seed=600 + m)))
         out[f"venom_spmm_tn.M{m}"] = _digest(sfk.spmm24_tn(vm, sfk.rand_matrix(8, 5, seed=700 + m)))
     return out

@@ -37,7 +37,7 @@ def _s24_blobs():
 
 
 def _vnmf_blobs(d):
-    vm = sfk.venom_encode(sfk.rand_matrix(8, 16, seed=3), sfk.VenomParams(4, 2, 8))
+    vm = sfk.venom_encode(sfk.rand_matrix(8, 16, seed=3), sfk.VenomParams(4, 8))
     sfk.save_venom(vm, d / "seed.vnm")
     return [(d / "seed.vnm").read_bytes()]
 

@@ -158,7 +158,7 @@ def test_shipped_configs_load(path):
 
 def test_conversion_overhead_model():
     c = sfk.RooflineConfig(**LLAMA_1B)
-    p = sfk.VenomParams(64, 2, 16)
+    p = sfk.VenomParams(64, 16)
     ov = sfk.conversion_overhead_model(c, p, num_experts=16)
     assert ov["rows"] == c.batch_size * c.seq_len
     assert set(ov) >= {"rows", "machine_balance", "routing", "permutation", "sparsify_scan", "expert_matmul"}

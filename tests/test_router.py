@@ -173,7 +173,7 @@ def test_padded_layout_and_row_padding():
 
 
 def test_moe_to_venom_passes_format_check():
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     bank = dealt_bank(8, 32, 16, 4, seed=0)
     x = sfk.rand_matrix(10, 8, seed=1)
     plan = sfk.route_tokens(x, bank, top_k=1)
@@ -189,7 +189,7 @@ def test_moe_to_venom_passes_format_check():
 
 
 def test_moe_to_venom_keeps_largest_allowed_columns():
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     bank = dealt_bank(8, 16, 16, 4, seed=3)
     x = sfk.rand_matrix(4, 8, seed=4)
     plan = sfk.route_tokens(x, bank, top_k=1)
@@ -210,7 +210,7 @@ def test_moe_to_venom_starved_window_is_an_error():
     # one expert owns a whole window: routing everything to the OTHER experts
     # leaves that window with zero allowed columns -> fallback zero block;
     # owning only part of a window (1..3 columns) can never fill a block.
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     means = np.eye(8)[:, :2]
     column_sets = [np.arange(0, 8), np.arange(8, 16)]
     bank = sfk.ExpertBank(2, means, column_sets)

@@ -30,7 +30,7 @@ def test_default_warmup_and_policy():
     pol = s.sparse_policy
     assert pol == sfk.default_sparse_policy()
     assert pol.act_mode == "venom" and pol.w1_sparse and pol.w2t_sparse
-    assert (pol.venom.v, pol.venom.n, pol.venom.m) == (8, 2, 16)
+    assert pol.venom == sfk.VenomParams(8, 16)
     assert s.per_step_policy(0) == sfk.DENSE_POLICY
 
 

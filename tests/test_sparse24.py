@@ -9,10 +9,9 @@ import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
 from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
 from conftest import (
-    assert_spmm24_tn_pinned,
+    assert_spmm24_tn_is_gemm,
     gemm_naive,
     sampled_cols,
-    scatter_naive,
     sparsify24_backward_oracle,
     sparsify24_oracle,
     spread,
@@ -296,7 +295,7 @@ def test_packed_kernels_match_decode_then_gemm():
     c = sfk.rand_matrix(12, 4, seed=10)
     assert np.array_equal(sfk.spmm24(s, b), sfk.gemm(d, b))
     assert np.array_equal(sfk.spmm24_rhs(lhs, s), sfk.gemm(lhs, d))
-    np.testing.assert_allclose(sfk.spmm24_tn(s, c), sfk.gemm(d.T, c), rtol=0.0, atol=1e-10)
+    assert np.array_equal(sfk.spmm24_tn(s, c), sfk.gemm(d.T, c))
     np.testing.assert_allclose(sfk.spmm24(s, b), gemm_naive(d, b), rtol=0.0, atol=1e-10)
 
 
@@ -320,17 +319,16 @@ def test_packed_kernel_oracle_property(seed):
 )
 @settings(max_examples=60)
 def test_transposed_kernels_pin_summation_order(rows, groups, n, seed, kind):
-    """spmm24_rhs accumulates k ascending (bitwise gemm on the decoded
-    matrix); spmm24_tn accumulates each output row in (slot, row) order.
-    One row leaves half the output rows of spmm24_tn unhit; "zeros"
-    packs store nothing but zeros."""
+    """spmm24_rhs and spmm24_tn accumulate k ascending, so each is
+    bitwise gemm on the decoded matrix.  One row leaves half the output
+    rows of spmm24_tn unhit; "zeros" packs store nothing but zeros."""
     a = sfk.rand_matrix(rows, 4 * groups, seed=seed)
     a = {"normal": a, "relu": np.maximum(a, 0.0), "zeros": np.zeros_like(a)}[kind]
     s = sfk.sparsify24(a, sfk.MODES[seed % 2])
     lhs = sfk.rand_matrix(n, rows, seed=seed + 1)
     c = sfk.rand_matrix(rows, n, seed=seed + 2)
     assert np.array_equal(sfk.spmm24_rhs(lhs, s), sfk.gemm(lhs, sfk.decode24(s)))
-    assert np.array_equal(sfk.spmm24_tn(s, c), scatter_naive(s.abs_columns(), s.values, c, s.cols))
+    assert np.array_equal(sfk.spmm24_tn(s, c), sfk.gemm(sfk.decode24(s).T, c))
 
 
 # spmm24 and spmm24_rhs fold outputs of 2 to 2**14 entries in chunks and
@@ -406,13 +404,13 @@ def test_sampled_spmm24_rhs_is_the_full_product_bitwise(out_shape, k, groups, se
     st.booleans(),
 )
 @settings(max_examples=60)
-def test_spmm24_tn_is_the_scatter_oracle_on_both_sides_of_the_fold_cutoff(out_shape, rows, seed, neg_zero, unkept):
+def test_spmm24_tn_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, rows, seed, neg_zero, unkept):
     cols, n = out_shape
     a = spread(rows, cols, seed, neg_zero)
     if unkept:
         groups_of(a)[:, ::2, 2:] = 0.0
     s = sfk.sparsify24(a, sfk.MODES[seed % 2])
-    assert_spmm24_tn_pinned(s, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
+    assert_spmm24_tn_is_gemm(s, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
 
 
 @pytest.mark.parametrize("rows,shared", [(4, 0), (200, 1), (200, 0)])

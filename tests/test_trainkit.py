@@ -87,7 +87,7 @@ def test_venom_phase_trains_and_uses_bank():
     task = small_task(hidden_dim=32)
     pol = sfk.SparsityPolicy(
         act_mode="venom",
-        venom=sfk.VenomParams(4, 2, 8),
+        venom=sfk.VenomParams(4, 8),
         router=sfk.RouterConfig(num_experts=2, top_k=1, align_m=8),
     )
     sched = sfk.build_schedule(total=30, sparse=20, warmup=5, sparse_policy=pol)

@@ -1,5 +1,8 @@
 """Block-structured V:N:M format: encode/decode, checks, kernels, VNMF files."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,27 +10,28 @@ from hypothesis import strategies as st
 
 import sfk
 from sfk import CorruptionError, FormatError, InputError, ShapeError
-from sfk.venom import VNM_MAGIC
-from conftest import assert_spmm24_tn_pinned, scatter_naive, spread
+from sfk.venom import N, VNM_MAGIC
+from conftest import assert_spmm24_tn_is_gemm, spread
 
 
 def test_params_validation():
-    sfk.VenomParams(64, 2, 16)  # canonical
+    sfk.VenomParams(64, 16)  # canonical
+    assert sfk.VenomParams(4, 8) == sfk.VenomParams(v=4, m=8)
+    assert [f.name for f in dataclasses.fields(sfk.VenomParams)] == ["v", "m"]
+    assert N == 2
     with pytest.raises(InputError):
-        sfk.VenomParams(4, 2, 12)
+        sfk.VenomParams(4, 12)
     with pytest.raises(InputError):
-        sfk.VenomParams(4, 1, 16)
-    with pytest.raises(InputError):
-        sfk.VenomParams(0, 2, 16)
+        sfk.VenomParams(0, 16)
 
 
 @pytest.mark.parametrize(
     "params,sparsity",
     [
-        ((64, 2, 16), 0.875),
-        ((64, 2, 32), 0.9375),
-        ((64, 2, 64), 0.96875),
-        ((4, 2, 8), 0.75),
+        ((64, 16), 0.875),
+        ((64, 32), 0.9375),
+        ((64, 64), 0.96875),
+        ((4, 8), 0.75),
     ],
 )
 def test_sparsity_is_one_minus_n_over_m(params, sparsity):
@@ -35,7 +39,7 @@ def test_sparsity_is_one_minus_n_over_m(params, sparsity):
 
 
 def test_encode_decode_roundtrip_and_check():
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
     vm = sfk.venom_encode(a, p)
     d = sfk.decode24(vm)
@@ -48,7 +52,7 @@ def test_encode_decode_roundtrip_and_check():
 
 
 def test_encode_keeps_largest_l1_columns_per_block():
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     a = sfk.rand_matrix(4, 8, seed=9)
     vm = sfk.venom_encode(a, p)
     l1 = np.abs(a).sum(axis=0)
@@ -63,7 +67,7 @@ def test_encode_keeps_largest_l1_columns_per_block():
 
 
 def test_column_table_is_ascending_and_in_range():
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     vm = sfk.venom_encode(sfk.rand_matrix(12, 32, seed=3), p)
     assert vm.col_table.shape == (3, 2, 4)
     assert (np.diff(vm.col_table.astype(int), axis=-1) > 0).all()
@@ -73,7 +77,7 @@ def test_column_table_is_ascending_and_in_range():
 def test_column_table_is_checked_once_when_built():
     """A bad column table fails at construction; afterwards the table and
     the columns are read-only, and a re-encoded pack shares them."""
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=1), p)
     for bad in ([0, 1, 2, 8], [0, 2, 1, 3], [1, 1, 2, 3]):
         table = np.array(bad, dtype=np.uint8).reshape(1, 1, 4)
@@ -86,7 +90,7 @@ def test_column_table_is_checked_once_when_built():
 
 
 def test_kept_mask_counts():
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
     vm = sfk.venom_encode(a, p)
     km = sfk.kept_mask(vm)
@@ -97,7 +101,7 @@ def test_kept_mask_counts():
 
 
 def test_reencode_reuses_pattern_with_new_values():
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     a = sfk.rand_matrix(4, 8, seed=1)
     vm = sfk.venom_encode(a, p)
     fresh = sfk.rand_matrix(4, 8, seed=2)
@@ -108,7 +112,7 @@ def test_reencode_reuses_pattern_with_new_values():
 
 
 def test_encode_shape_errors():
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     with pytest.raises(ShapeError):
         sfk.venom_encode(np.ones((6, 16)), p)
     with pytest.raises(ShapeError):
@@ -116,13 +120,13 @@ def test_encode_shape_errors():
 
 
 def test_kernels_match_decode_then_gemm():
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     vm = sfk.venom_encode(sfk.rand_matrix(8, 16, seed=0), p)
     d = sfk.decode24(vm)
     b = sfk.rand_matrix(16, 3, seed=1)
     c = sfk.rand_matrix(8, 3, seed=2)
     assert np.array_equal(sfk.spmm24(vm, b), sfk.gemm(d, b))
-    np.testing.assert_allclose(sfk.spmm24_tn(vm, c), sfk.gemm(d.T, c), rtol=0.0, atol=1e-10)
+    assert np.array_equal(sfk.spmm24_tn(vm, c), sfk.gemm(d.T, c))
     with pytest.raises(ShapeError):
         sfk.spmm24(vm, np.ones((5, 2)))
     with pytest.raises(ShapeError):
@@ -132,7 +136,7 @@ def test_kernels_match_decode_then_gemm():
 @given(st.integers(0, 3_000), st.sampled_from([8, 16]))
 @settings(max_examples=25)
 def test_kernel_oracle_property(seed, m):
-    p = sfk.VenomParams(4, 2, m)
+    p = sfk.VenomParams(4, m)
     vm = sfk.venom_encode(sfk.rand_matrix(8, 2 * m, seed=seed), p)
     d = sfk.decode24(vm)
     b = sfk.rand_matrix(2 * m, 3, seed=seed + 1)
@@ -153,7 +157,7 @@ def test_kernel_oracle_property(seed, m):
 @settings(max_examples=30)
 def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(shape, m, windows, seed, neg_zero):
     v, rows, n = shape
-    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, 2, m))
+    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, m))
     b = spread(m * windows, n, seed + 1, neg_zero)
     assert np.array_equal(sfk.spmm24(vm, b), sfk.gemm(sfk.decode24(vm), b))
 
@@ -168,13 +172,13 @@ def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(shape, m, windo
 )
 @settings(max_examples=40)
 def test_spmm_tn_pins_summation_order(seed, m, v, blocks, windows, n):
-    """Each output row of spmm24_tn on a V:N:M pack accumulates in (slot,
-    row) order; columns outside the column table get no entry at all."""
-    p = sfk.VenomParams(v, 2, m)
+    """Each output row of spmm24_tn on a V:N:M pack accumulates with row
+    k ascending, so it is bitwise gemm on the decoded pack; columns
+    outside the column table get no entry at all."""
+    p = sfk.VenomParams(v, m)
     vm = sfk.venom_encode(sfk.rand_matrix(v * blocks, m * windows, seed=seed), p)
     c = sfk.rand_matrix(vm.rows, n, seed=seed + 1)
-    want = scatter_naive(vm.abs_columns(), vm.payload.values, c, vm.cols)
-    assert np.array_equal(sfk.spmm24_tn(vm, c), want)
+    assert np.array_equal(sfk.spmm24_tn(vm, c), sfk.gemm(sfk.decode24(vm).T, c))
 
 
 # spmm24_tn's fold cutoff on V:N:M packs, as (M, windows, n) for a
@@ -188,16 +192,16 @@ def test_spmm_tn_pins_summation_order(seed, m, v, blocks, windows, n):
     st.booleans(),
 )
 @settings(max_examples=40)
-def test_spmm24_tn_is_the_scatter_oracle_on_both_sides_of_the_fold_cutoff(shape, blocks, seed, neg_zero):
+def test_spmm24_tn_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(shape, blocks, seed, neg_zero):
     m, windows, n = shape
     v, block_rows = blocks
     rows = v * block_rows
-    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, 2, m))
-    assert_spmm24_tn_pinned(vm, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
+    vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, m))
+    assert_spmm24_tn_is_gemm(vm, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
 
 
 def test_venom_file_roundtrip(tmp_path):
-    p = sfk.VenomParams(4, 2, 16)
+    p = sfk.VenomParams(4, 16)
     vm = sfk.venom_encode(sfk.rand_matrix(8, 32, seed=4), p)
     path = tmp_path / "w.vnm"
     sfk.save_venom(vm, path)
@@ -206,10 +210,22 @@ def test_venom_file_roundtrip(tmp_path):
     assert np.array_equal(back.col_table, vm.col_table)
     assert np.array_equal(sfk.decode24(back), sfk.decode24(vm))
     assert path.read_bytes()[:4] == VNM_MAGIC == b"VNMF"
+    assert struct.unpack_from("<III", path.read_bytes(), 20) == (4, N, 16)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_venom_file_rejects_a_header_n_other_than_2(tmp_path, n):
+    path = tmp_path / "w.vnm"
+    sfk.save_venom(sfk.venom_encode(sfk.rand_matrix(8, 32, seed=4), sfk.VenomParams(4, 16)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 24, n)  # u32 N, after the magic, rows, cols and V
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"N must be 2.*got {n}"):
+        sfk.load_venom(path)
 
 
 def test_venom_file_rejects_corruption(tmp_path):
-    p = sfk.VenomParams(4, 2, 8)
+    p = sfk.VenomParams(4, 8)
     vm = sfk.venom_encode(sfk.rand_matrix(4, 8, seed=5), p)
     path = tmp_path / "w.vnm"
     sfk.save_venom(vm, path)
