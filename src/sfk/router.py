@@ -59,19 +59,34 @@ class RouterConfig:
                 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExpertBank:
     """Frozen expert layout: unit-norm mean directions plus the disjoint
-    column sets, one per expert, covering the hidden dimension."""
+    column sets, one per expert, covering the hidden dimension.  The
+    column sets, the ownership mask and the routed-column table are
+    read-only and built once, on construction."""
 
     num_experts: int
     means: np.ndarray  # (d_model, num_experts), unit-norm columns
     column_sets: list[np.ndarray]
+    _ownership: np.ndarray = field(init=False, repr=False)  # (num_experts, d_ffn) bool
+    _table: np.ndarray = field(init=False, repr=False)  # (num_experts, largest set size)
 
     def __post_init__(self):
-        self.means = as_matrix(self.means)
-        self.column_sets = [np.asarray(cs, dtype=np.int64) for cs in self.column_sets]
+        object.__setattr__(self, "means", as_matrix(self.means))
+        object.__setattr__(
+            self, "column_sets", [_read_only(np.asarray(cs, dtype=np.int64)) for cs in self.column_sets]
+        )
         self.validate()
+        ownership = np.zeros((self.num_experts, self.d_ffn), dtype=bool)
+        for e, cs in enumerate(self.column_sets):
+            ownership[e, cs] = True
+        # each set padded to the largest by repeating its last column
+        size = max((cs.size for cs in self.column_sets), default=0)
+        padded = [np.pad(cs, (0, size - cs.size), mode="edge") for cs in self.column_sets]
+        table = np.array(padded, dtype=np.int64).reshape(self.num_experts, size)
+        object.__setattr__(self, "_ownership", _read_only(ownership))
+        object.__setattr__(self, "_table", _read_only(table))
 
     @property
     def d_ffn(self) -> int:
@@ -99,11 +114,14 @@ class ExpertBank:
                 )
 
     def column_mask(self) -> np.ndarray:
-        """(num_experts, d_ffn) boolean ownership matrix."""
-        mask = np.zeros((self.num_experts, self.d_ffn), dtype=bool)
-        for e, cs in enumerate(self.column_sets):
-            mask[e, cs] = True
-        return mask
+        """(num_experts, d_ffn) boolean ownership matrix, read-only."""
+        return self._ownership
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -344,8 +362,7 @@ class PaddedLayout:
     _source: np.ndarray = field(init=False, repr=False)  # source_row[_real]
 
     def __post_init__(self):
-        source_row = np.asarray(self.source_row).view()
-        source_row.flags.writeable = False
+        source_row = _read_only(np.asarray(self.source_row))
         object.__setattr__(self, "source_row", source_row)
         object.__setattr__(self, "_real", source_row >= 0)
         object.__setattr__(self, "_source", source_row[self._real])
@@ -446,15 +463,13 @@ def routed_columns(plan: RoutingPlan, bank: ExpertBank) -> np.ndarray:
     ``sfk.gemm``)."""
     if bank.num_experts != plan.num_experts:
         raise InputError("plan and bank disagree on the number of experts")
-    size = max(cs.size for cs in bank.column_sets)
-    table = np.stack([np.pad(cs, (0, size - cs.size), mode="edge") for cs in bank.column_sets])
-    return table[plan.assignments].reshape(plan.num_tokens, -1)
+    return bank._table[plan.assignments].reshape(plan.num_tokens, -1)
 
 
 def routed_feature_mask(plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout) -> np.ndarray:
     """(padded rows, d_ffn) bool: which features each padded row's token
     can reach through its routed experts (pad rows reach none)."""
-    ownership = bank.column_mask()
+    ownership = bank.column_mask()  # built once, with the bank
     allowed = np.zeros((layout.rows, bank.d_ffn), dtype=bool)
     tokens = plan.permutation[layout._source]
     allowed[layout._real] = ownership[plan.assignments[tokens]].any(axis=1)

@@ -201,9 +201,75 @@ def test_forward_rejects_packs_that_do_not_match():
         (tape.w1.eff, None),  # not a pack
         (tape.w1,),
         (tape.w1, tape.w2, None),
+        iter((tape.w1, None)),  # used to raise an untyped TypeError from len()
     ):
         with pytest.raises(InputError):
             sfk.ffn_forward(x, p, pol, packs=packs)
+
+
+REUSE_CASES = list(sfk.ABLATIONS) + ["recipe", "venom-top2"]
+
+
+def reuse_problem(case):
+    """A policy, inputs and bank for the hidden-tape tests; venom-top2 routes
+    each token to two of four experts, so blocks mix column sets."""
+    if case == "recipe":
+        pol = sfk.default_sparse_policy()
+    elif case == "venom-top2":
+        pol = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 8),
+                                 router=sfk.RouterConfig(num_experts=4, top_k=2, align_m=8))
+    else:
+        pol = sfk.ablation_policy(case)
+    x, p = small_problem(d_model=16, d_ffn=64, d_out=16, tokens=16)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
+    return pol, x, p, bank
+
+
+@pytest.mark.parametrize("case", REUSE_CASES)
+def test_hidden_forward_is_the_full_forward_bitwise(case):
+    """On another w2, a forward that reuses a tape's hidden stage gives the
+    full forward's y3, logs only the y3 product, and its tape backpropagates
+    to the full tape's gradients, all bitwise."""
+    pol, x, p, bank = reuse_problem(case)
+    _, hidden = sfk.ffn_forward(x, p, pol, bank=bank)
+    p2 = sfk.FfnParams(p.w1, 1.5 * p.w2 - 0.25)  # the same x and w1, another w2
+    y3, tape = sfk.ffn_forward(x, p2, pol, bank=bank)
+    y3r, tape_r = sfk.ffn_forward(x, p2, pol, bank=bank, hidden=hidden)
+    assert y3r.tobytes() == y3.tobytes()
+    assert tape_r.matmul_log == [e for e in tape.matmul_log if e[0] == "y3"]
+    assert tape_r.params is p2 and tape_r.w1 is hidden.w1 and tape_r.y2 is hidden.y2
+    assert hidden.matmul_log == tape.matmul_log  # hidden's log is left as it was
+    dy3 = sfk.rand_matrix(*y3.shape, seed=9)
+    got = sfk.ffn_backward(dy3, tape_r, p2, pol)
+    want = sfk.ffn_backward(dy3, tape, p2, pol)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("case", ["act24", "recipe"])
+def test_hidden_forward_rejects_what_it_cannot_reuse(case):
+    pol, x, p, bank = reuse_problem(case)
+    _, hidden = sfk.ffn_forward(x, p, pol, bank=bank)
+    _, other_pol = sfk.ffn_forward(x, p, sfk.DENSE_POLICY)
+    x8 = x[:8]
+    _, fewer = sfk.ffn_forward(x8, p, pol, bank=bank)
+    _, repacked = sfk.ffn_forward(x, p, pol, bank=bank)
+    bad = [
+        {"hidden": other_pol},  # another policy
+        {"hidden": fewer},  # another x shape
+        {"hidden": hidden, "frozen": hidden},
+        {"hidden": hidden, "packs": (repacked.w1, None)},  # a w1 pack that is not hidden's
+        {"hidden": hidden.y2},  # not a tape
+    ]
+    if pol.router is None:  # another w1 shape, same x
+        _, wider = sfk.ffn_forward(x, sfk.init_ffn_params(16, 32, 16, seed=1), pol)
+        bad.append({"hidden": wider})
+    for kw in bad:
+        with pytest.raises(InputError):
+            sfk.ffn_forward(x, p, pol, bank=bank, **kw)
+    for w1_pack in (None, hidden.w1):  # the packs a hidden forward accepts
+        y3, _ = sfk.ffn_forward(x, p, pol, bank=bank, hidden=hidden, packs=(w1_pack, hidden.w2))
+        assert y3.tobytes() == sfk.ffn_forward(x, p, pol, bank=bank)[0].tobytes()
 
 
 # --------------------------------------------------- sparse operand placement
@@ -243,17 +309,24 @@ def test_packed_operand_placement(tag):
     assert tape.matmul_log == EXPECTED_LOGS[tag]
 
 
-@pytest.mark.parametrize("case", list(sfk.ABLATIONS) + ["recipe", "frozen-act24", "frozen-venom", "frozen-recipe"])
+@pytest.mark.parametrize("case", list(sfk.ABLATIONS) + ["recipe", "frozen-act24", "frozen-venom", "frozen-recipe"]
+                         + [f"hidden-{t}" for t in (*sfk.ABLATIONS, "recipe")] + ["hidden-frozen-venom"])
 def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
     """One forward + backward calls gemm/spmm24_rhs/spmm24/spmm24_tn once
     per matmul_log entry (router scoring aside), and every multiply
     tallied in the step is tallied inside one of those calls: the
-    contract a tracer needs to attribute each kernel call to a product."""
-    tag = case.removeprefix("frozen-")
+    contract a tracer needs to attribute each kernel call to a product.
+    A forward on a hidden tape (its forward alone) is the one y3 call."""
+    tag = case.removeprefix("hidden-").removeprefix("frozen-")
     pol = sfk.default_sparse_policy() if tag == "recipe" else sfk.ablation_policy(tag)
     x, p = small_problem(d_model=16, d_ffn=32, d_out=16, tokens=16)
     bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
-    frozen = sfk.ffn_forward(x, p, pol, bank=bank)[1] if case.startswith("frozen") else None
+    prior = sfk.ffn_forward(x, p, pol, bank=bank)[1] if tag != case else None
+    kw = {}
+    if "frozen" in case:
+        kw["frozen"] = prior
+    if case.startswith("hidden"):
+        kw = {"hidden": sfk.ffn_forward(x, p, pol, bank=bank, **kw)[1] if kw else prior}
     calls, inside, routing = [], [], []
 
     def counted(name, real):
@@ -282,10 +355,11 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
             if modname.split(".")[0] == "sfk" and getattr(mod, name, None) is originals[name]:
                 monkeypatch.setattr(mod, name, wrapper)
     with sfk.count_multiplies() as step:
-        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, frozen=frozen)
-        sfk.ffn_backward(y3, tape, p, pol)
-    assert len(calls) == len(tape.matmul_log) == 6
-    assert sum(inside) == step.total
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, **kw)
+        if "hidden" not in kw:
+            sfk.ffn_backward(y3, tape, p, pol)
+    assert len(calls) == len(tape.matmul_log) == (1 if "hidden" in kw else 6)
+    assert sum(inside) == step.total > 0
 
 
 def test_recipe_multiplies_at_the_baseline_shape():
@@ -469,12 +543,14 @@ def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag
     ("w2", 1 + 2 * 512),
     ("w1t", 1 + 2 * 512),
     ("w2t", 1 + 2 * 512),
-    ("act24", 1 + 2 * (128 + 512 + 512)),  # the activation, every forward
+    ("act24", 1 + 2 * (128 + 512)),  # the activation, every forward that runs y1
 ])
 def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
     """At (8, 16, 32) x has 128 entries and each weight 512.  A weight is
     sparsified by the base forward and by the finite-difference forwards
-    that perturb it; the others reuse the base tape's pack."""
+    that perturb it; the others reuse the base tape's pack.  The
+    activation is packed wherever y1 runs, which the forwards that
+    perturb w2 skip."""
     calls = []
     real = sfk.ffn.sparsify24
 
@@ -486,3 +562,41 @@ def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0  # one base forward
     assert len(calls) == packed
+
+
+@pytest.mark.parametrize("tag", sfk.ABLATIONS)
+def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
+    """At (8, 16, 32) y1 runs in the base forward (and, for venom, the
+    frozen-mask guard) and in the 2 * (128 + 512) forwards that perturb x
+    or w1.  The 2 * 512 forwards that perturb w2 and the guard on the
+    hidden stage run y3 alone."""
+    products = []
+    real = sfk.ffn.ffn_forward
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        products.extend(name for name, _ in out[1].matmul_log)
+        return out
+
+    monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
+    rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
+    assert rep.seed_used == 0
+    base = 2 if tag == "venom" else 1
+    assert products.count("y1") == base + 2 * (128 + 512)
+    assert products.count("y3") == base + 1 + 2 * (128 + 512 + 512)
+    assert len(products) == products.count("y1") + products.count("y3")
+
+
+def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
+    """A forward on the base point's hidden stage that does not reproduce the
+    base y3 stops gradcheck with GuardError before any finite difference."""
+    real = sfk.ffn.ffn_forward
+
+    def off_by_one_ulp(*args, **kwargs):
+        y3, tape = real(*args, **kwargs)
+        return (np.nextafter(y3, np.inf) if "hidden" in kwargs else y3), tape
+
+    monkeypatch.setattr(sfk.ffn, "ffn_forward", off_by_one_ulp)
+    for tag in ("w2", "venom"):
+        with pytest.raises(GuardError, match="hidden stage"):
+            sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
