@@ -17,7 +17,7 @@ operand is packed into a sparse format:
 The products whose inputs the activation mask discards are sampled
 (the ``cols`` of gemm and spmm24_rhs): under venom y1 is computed only
 on each token's routed columns, and in both activation modes dy2 only
-at y2's kept slots (under venom, only those of real, not pad, rows).
+at y2's kept slots; no product reads the pad rows of a venom pack.
 
 Every mask a policy enables is applied to the effective weights and
 activations of the forward pass, and the backward pass is the exact
@@ -42,16 +42,13 @@ from .router import (
     RouterConfig,
     RoutingPlan,
     PaddedLayout,
+    _encode_routed,
     apply_permutation,
     cluster_columns,
     invert_permutation,
-    moe_to_venom,
-    pad_rows,
     padded_layout,
     route_tokens,
     routed_columns,
-    routed_feature_mask,
-    unpad_rows,
 )
 from .sparse24 import (
     GREEDY_MAGNITUDE,
@@ -59,7 +56,6 @@ from .sparse24 import (
     SOFT_THRESHOLD,
     Sparse24Matrix,
     decode24,
-    kept_mask,
     reencode24,
     sparsify24,
     sparsify24_backward,
@@ -174,17 +170,16 @@ class FfnTape:
     y1 holds the pre-activation entries the forward computed: all of
     them when y1_cols is None, else entry [i, j] is at column
     y1_cols[i, j] of row i, where the rows are tokens (a venom forward,
-    y1_cols from router.routed_columns) or the rows of a frozen tape's
-    activation pack (y1_cols is then that pack's abs_columns()).  y2
+    y1_cols from router.routed_columns) or the real rows of a frozen
+    tape's activation pack (y1_cols is then their abs_columns()).  y2
     holds the post-sparsification form actually used by the y3 product:
     a plain array (dense), a Sparse24Matrix (act24), or a VenomMatrix
-    (venom).  act_mask is the effective boolean mask the activation
-    sparsification applied (kept slots intersected with the
-    routed-column mask in venom mode, in padded row space).  params is
-    the FfnParams the forward ran with, and w1/w2 its weights as packed
-    for this step; the backward reuses them instead of sparsifying
-    again.  matmul_log records (product, packed_operand) per matmul so
-    operand placement can be asserted.
+    (venom).  act_mask, in the pack's shape, flags the kept slots the
+    activation mask keeps: all of them under act24, the routed ones
+    under venom.  params is the FfnParams the forward ran with, and
+    w1/w2 its weights as packed for this step; the backward reuses them
+    instead of sparsifying again.  matmul_log records (product,
+    packed_operand) per matmul so operand placement can be asserted.
     """
 
     x: np.ndarray
@@ -199,6 +194,7 @@ class FfnTape:
     layout: PaddedLayout | None = None
     act_mask: np.ndarray | None = None
     matmul_log: list = field(default_factory=list)
+    _y1_kept: np.ndarray | None = field(default=None, repr=False)  # y1 at _real_rows' slots, if at hand
 
 
 def squared_relu(y1) -> np.ndarray:
@@ -261,22 +257,37 @@ def _master_weight_grad(w, g_eff, pw: PackedWeight, mode: str) -> np.ndarray:
     return as_matrix(g_eff)
 
 
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Rows of a pack, as the kernels read a pack."""
+
+    rows: int
+    cols: int
+    values: np.ndarray
+    columns: np.ndarray
+
+    def abs_columns(self) -> np.ndarray:
+        return self.columns
+
+
+def _real(tape: FfnTape):
+    """Index of the activation pack's real rows: under venom, its non-pad rows."""
+    return slice(None) if tape.layout is None else tape.layout._real
+
+
+def _real_rows(tape: FfnTape) -> _Rows:
+    """The activation pack's real rows, the only rows a product reads: a
+    pad row holds zeros, so its terms are +0.0 or land in dropped rows."""
+    values = tape.y2.values[_real(tape)]
+    return _Rows(len(values), tape.y2.cols, values, tape.y2.abs_columns()[_real(tape)])
+
+
 def _row_maps(tape: FfnTape):
-    """(rows, unrows): from the caller's token rows to the rows the
-    activation pack lives in, and back.  The identity under act24; under
-    venom, rows permutes by the routing plan and zero-pads each expert
-    group, and unrows drops the pad rows and restores token order."""
+    """(rows, unrows): the caller's token rows to the pack's real rows and
+    back; the identity under act24, the routing permutation under venom."""
     if tape.plan is None:
-        def rows(a):
-            return a
-        return rows, rows
-
-    def rows(a):
-        return pad_rows(apply_permutation(a, tape.plan), tape.layout)
-
-    def unrows(a):
-        return invert_permutation(unpad_rows(a, tape.layout), tape.plan)
-    return rows, unrows
+        return (lambda a: a), (lambda a: a)
+    return (lambda a: apply_permutation(a, tape.plan)), (lambda a: invert_permutation(a, tape.plan))
 
 
 def ffn_forward(
@@ -293,14 +304,14 @@ def ffn_forward(
 
     venom mode requires a bank whose column sets cover d_ffn; the
     output is returned in the caller's token order (routing permutes
-    and zero-pads rows internally), and y1 is computed only on each
-    token's routed columns.  With ``frozen`` (a tape from a previous
-    forward under the same policy), the activation masks and routing
-    plan are reused instead of recomputed, making the forward a fixed
-    piecewise-smooth function of (x, w1, w2), and y1 is computed only at
-    the frozen activation pack's kept slots; weight masks are always
-    recomputed from the weights themselves.  Each enabled weight mask is
-    chosen once here, and the packs ride on the tape into ffn_backward.
+    rows internally), and y1 is computed only on each token's routed
+    columns.  With ``frozen`` (a tape from a previous forward under the
+    same policy), the activation masks and routing plan are reused
+    instead of recomputed, making the forward a fixed piecewise-smooth
+    function of (x, w1, w2), and y1 is computed only at the frozen
+    pack's kept slots of real rows; weight masks are always recomputed
+    from the weights themselves.  Each enabled weight mask is chosen
+    once here, and the packs ride on the tape into ffn_backward.
 
     ``packs`` is (w1, w2): each entry a PackedWeight from an earlier
     forward, under the same policy, of a weight bitwise equal to p.w1 or
@@ -356,10 +367,10 @@ def ffn_forward(
     rows = _row_maps(tape)[0]
 
     # y1 on the entries the activation chain reads: the frozen pack's kept
-    # slots (in its row order), each token's routed columns, or all of them
+    # slots of its real rows, each token's routed columns, or all of them
     refrozen = frozen is not None and pol.act_mode != "dense"
     if refrozen:
-        y1_in, tape.y1_cols = rows(x), frozen.y2.abs_columns()
+        y1_in, tape.y1_cols = rows(x), frozen.y2.abs_columns()[_real(frozen)]
     else:
         y1_in = x
         tape.y1_cols = routed_columns(tape.plan, bank) if pol.act_mode == "venom" else None
@@ -369,26 +380,22 @@ def ffn_forward(
     else:
         tape.y1 = gemm(y1_in, w1.eff, tape.y1_cols)
         log.append(("y1", "none"))
-    y2 = squared_relu(tape.y1)
 
-    if pol.act_mode != "dense":
-        # act24 and venom share one chain: y2 is a 2:4 pack (over the
-        # gathered columns for venom) and the sparse operand of y3.  Only
-        # the encoder and venom's routed mask differ; a frozen tape
-        # re-encodes y2 on its slots in either mode.
-        if refrozen:
-            tape.act_mask = frozen.act_mask
-            tape.y2 = frozen.y2.with_values(np.where(_kept_entries(frozen.act_mask, frozen.y2), y2, 0.0))
-        elif pol.act_mode == "venom":
-            y2_full = np.zeros((x.shape[0], p.d_ffn), dtype=np.float64)
-            y2_full[np.arange(x.shape[0])[:, None], tape.y1_cols] = y2
-            tape.y2 = moe_to_venom(apply_permutation(y2_full, tape.plan), tape.plan, bank, pol.venom)
-            tape.act_mask = kept_mask(tape.y2) & routed_feature_mask(tape.plan, bank, tape.layout)
-        else:
-            tape.y2 = sparsify24(y2, GREEDY_MAGNITUDE)
-            tape.act_mask = kept_mask(tape.y2)
+    if pol.act_mode == "dense":
+        tape.y2 = squared_relu(tape.y1)
+    elif refrozen:  # act24 or venom: y2 re-encoded on the frozen pack's slots
+        tape.act_mask, tape._y1_kept = frozen.act_mask, tape.y1
+        values = np.zeros(frozen.y2.values.shape)  # a pad row holds zeros
+        values[_real(tape)] = np.where(tape.act_mask[_real(tape)], squared_relu(tape.y1), 0.0)
+        tape.y2 = frozen.y2.with_values(values)
+    elif pol.act_mode == "venom":
+        y1 = rows(tape.y1)
+        tape.y2, entry = _encode_routed(squared_relu(y1), tape.plan, bank, tape.layout, pol.venom)
+        tape.act_mask, kept = entry >= 0, entry[_real(tape)]
+        tape._y1_kept = np.where(kept >= 0, y1[np.arange(len(y1))[:, None], kept], 0.0)
     else:
-        tape.y2 = y2
+        tape.y2 = sparsify24(squared_relu(tape.y1), GREEDY_MAGNITUDE)
+        tape.act_mask = np.ones(tape.y2.values.shape, dtype=bool)
     return _output_product(tape), tape
 
 
@@ -398,7 +405,7 @@ def _output_product(tape: FfnTape) -> np.ndarray:
     mask is on."""
     log, w2 = tape.matmul_log, tape.w2
     if tape.policy.act_mode != "dense":
-        y3 = _row_maps(tape)[1](spmm24(tape.y2, w2.eff, label="ffn.y3"))
+        y3 = _row_maps(tape)[1](spmm24(_real_rows(tape), w2.eff, label="ffn.y3"))
         log.append(("y3", "y2"))
     elif tape.policy.w2_sparse:
         y3 = spmm24_rhs(tape.y2, w2.own, label="ffn.y3")
@@ -409,31 +416,15 @@ def _output_product(tape: FfnTape) -> np.ndarray:
     return y3
 
 
-def _kept_entries(dense: np.ndarray, pack) -> np.ndarray:
-    """dense (a matrix of the pack's shape) at the pack's kept slots."""
-    return dense[np.arange(pack.rows)[:, None], pack.abs_columns()]
-
-
-def _y1_at_kept_slots(tape: FfnTape, rows) -> np.ndarray:
-    """y1 at the activation pack's kept slots, in the pack's shape."""
-    kept = tape.y2.abs_columns()
-    if tape.y1_cols is kept:  # a frozen forward computed y1 just there
-        return tape.y1
-    y1 = tape.y1
-    if tape.y1_cols is not None:  # routed entries; the rest are never read
-        y1 = np.zeros((tape.x.shape[0], tape.params.d_ffn), dtype=np.float64)
-        y1[np.arange(len(y1))[:, None], tape.y1_cols] = tape.y1
-    return _kept_entries(rows(y1), tape.y2)
-
-
 def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     """Exact a.e. gradients (dx, dw1, dw2) of the policy's forward for
     an upstream dy3; masks are treated as locally constant except soft
     thresholding, which uses its true Jacobian.  dy1 inherits y2's
     activation mask, so the dX and dW1 products stay activation-sparse,
-    and dy2 is computed only at y2's kept slots of real (not pad) rows.
-    The weight packs come from the tape, so p must be the very FfnParams
-    the forward ran with.
+    and dy2 is computed only at y2's kept slots; every product runs on
+    the activation pack's real rows (see _real_rows).  The weight packs
+    come from the tape, so p must be the very FfnParams the forward ran
+    with.
     """
     dy3 = as_matrix(dy3)
     if tape.policy != pol:
@@ -454,22 +445,18 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         return gemm(dy3_rows, _t(w2.eff), cols)
 
     if pol.act_mode != "dense":
-        # the forward's activation chain in reverse: dy2 and dy1 live on
-        # y2's kept slots, so dx and dw1 stay activation-sparse.
+        # the forward's activation chain in reverse, on the pack's real
+        # rows: dy2 and dy1 live on y2's kept slots, so dx and dw1 stay
+        # activation-sparse
         rows, unrows = _row_maps(tape)
+        y2 = _real_rows(tape)
         dy3r = rows(dy3)
-        dw2_eff = spmm24_tn(tape.y2, dy3r, label="ffn.dw2")
+        dw2_eff = spmm24_tn(y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
-        kept = tape.y2.abs_columns()
-        if tape.plan is None:
-            dy2 = dy2_product(dy3r, kept)
-        else:
-            # only on real rows: a pad row's dy3 is zero and act_mask drops it
-            real = tape.layout._real
-            dy2 = np.zeros(kept.shape, dtype=np.float64)
-            dy2[real] = dy2_product(dy3r[real], kept[real])
-        dy2 = np.where(_kept_entries(tape.act_mask, tape.y2), dy2, 0.0)
-        dy1 = tape.y2.with_values(squared_relu_backward(dy2, _y1_at_kept_slots(tape, rows)))
+        kept = y2.abs_columns()
+        dy2 = np.where(tape.act_mask[_real(tape)], dy2_product(dy3r, kept), 0.0)
+        y1 = np.take_along_axis(tape.y1, kept, axis=1) if tape._y1_kept is None else tape._y1_kept
+        dy1 = replace(y2, values=squared_relu_backward(dy2, y1))
         dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))
         log.append(("dx", "dy1"))
         dw1_eff = _t(spmm24_tn(dy1, rows(tape.x), label="ffn.dw1"))

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .codec import config_from_json, config_to_json
 from .errors import InputError, ShapeError
 from .matcore import as_matrix, gemm, load_matrix, save_matrix
-from .venom import VenomMatrix, VenomParams, _encode_blocks
+from .sparse24 import GREEDY_MAGNITUDE, sparsify24
+from .venom import VenomMatrix, VenomParams, _block_columns
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,16 @@ class RouterConfig:
 class ExpertBank:
     """Frozen expert layout: unit-norm mean directions plus the disjoint
     column sets, one per expert, covering the hidden dimension.  The
-    column sets, the ownership mask and the routed-column table are
-    read-only and built once, on construction."""
+    column sets, the ownership mask, the routed-column table and each
+    column's place in it are read-only and built once, on construction."""
 
     num_experts: int
     means: np.ndarray  # (d_model, num_experts), unit-norm columns
     column_sets: list[np.ndarray]
     _ownership: np.ndarray = field(init=False, repr=False)  # (num_experts, d_ffn) bool
     _table: np.ndarray = field(init=False, repr=False)  # (num_experts, largest set size)
+    _owner: np.ndarray = field(init=False, repr=False)  # (d_ffn,) the expert owning each column
+    _rank: np.ndarray = field(init=False, repr=False)  # (d_ffn,) its index in that expert's set
 
     def __post_init__(self):
         object.__setattr__(self, "means", as_matrix(self.means))
@@ -78,15 +82,16 @@ class ExpertBank:
             self, "column_sets", [_read_only(np.asarray(cs, dtype=np.int64)) for cs in self.column_sets]
         )
         self.validate()
-        ownership = np.zeros((self.num_experts, self.d_ffn), dtype=bool)
+        owner, rank = np.zeros((2, self.d_ffn), dtype=np.int64)
         for e, cs in enumerate(self.column_sets):
-            ownership[e, cs] = True
+            owner[cs], rank[cs] = e, np.arange(cs.size)
         # each set padded to the largest by repeating its last column
         size = max((cs.size for cs in self.column_sets), default=0)
         padded = [np.pad(cs, (0, size - cs.size), mode="edge") for cs in self.column_sets]
         table = np.array(padded, dtype=np.int64).reshape(self.num_experts, size)
-        object.__setattr__(self, "_ownership", _read_only(ownership))
-        object.__setattr__(self, "_table", _read_only(table))
+        ownership = np.arange(self.num_experts)[:, None] == owner
+        for name, a in (("_ownership", ownership), ("_table", table), ("_owner", owner), ("_rank", rank)):
+            object.__setattr__(self, name, _read_only(a))
 
     @property
     def d_ffn(self) -> int:
@@ -275,12 +280,12 @@ class RoutingPlan:
         perm = self.permutation
         if np.sort(perm).tolist() != list(range(self.num_tokens)):
             raise InputError("permutation is not a bijection on token indices")
-        primary = self.assignments[:, 0]
+        primary = self.assignments[perm, 0].tolist()  # of the permuted rows
         pos = 0
         for e, (lo, hi) in enumerate(self.group_bounds):
             if lo != pos or hi < lo:
                 raise InputError("group bounds are not contiguous from row 0")
-            if not (primary[perm[lo:hi]] == e).all():
+            if set(primary[lo:hi]) - {e}:
                 raise InputError(f"rows {lo}:{hi} are not all primary-routed to expert {e}")
             pos = hi
         if pos != self.num_tokens:
@@ -311,15 +316,8 @@ def route_tokens(x, bank: ExpertBank, top_k: int = 1) -> RoutingPlan:
     assignments = order[:, :top_k]
     primary = assignments[:, 0]
     permutation = np.argsort(primary, kind="stable")
-    sorted_primary = primary[permutation]
-    bounds = tuple(
-        (
-            int(np.searchsorted(sorted_primary, e, side="left")),
-            int(np.searchsorted(sorted_primary, e, side="right")),
-        )
-        for e in range(bank.num_experts)
-    )
-    return RoutingPlan(assignments, permutation, bounds)
+    edges = np.searchsorted(primary[permutation], np.arange(bank.num_experts + 1)).tolist()
+    return RoutingPlan(assignments, permutation, tuple(zip(edges[:-1], edges[1:])))
 
 
 def apply_permutation(x, plan: RoutingPlan) -> np.ndarray:
@@ -377,16 +375,12 @@ def padded_layout(plan: RoutingPlan, v: int) -> PaddedLayout:
     group is extended with zero rows up to the next multiple of v."""
     if v < 1:
         raise InputError(f"block height must be at least 1, got {v}")
-    src: list[int] = []
-    bounds: list[tuple[int, int]] = []
-    for lo, hi in plan.group_bounds:
-        size = hi - lo
-        padded = -(-size // v) * v  # ceil to a multiple of v; 0 stays 0
-        start = len(src)
-        src.extend(range(lo, hi))
-        src.extend([-1] * (padded - size))
-        bounds.append((start, start + padded))
-    return PaddedLayout(len(src), np.asarray(src, dtype=np.int64), tuple(bounds))
+    ends = list(accumulate(-(-(hi - lo) // v) * v for lo, hi in plan.group_bounds))  # sizes ceiled to multiples of v
+    bounds = tuple(zip([0] + ends[:-1], ends))
+    src, tokens = np.full(ends[-1] if ends else 0, -1, dtype=np.int64), np.arange(plan.num_tokens)
+    for (lo, hi), (start, _) in zip(plan.group_bounds, bounds):
+        src[start : start + hi - lo] = tokens[lo:hi]
+    return PaddedLayout(len(src), src, bounds)
 
 
 def pad_rows(x_perm, layout: PaddedLayout) -> np.ndarray:
@@ -419,30 +413,39 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
     primary expert); expert groups are zero-padded internally to a
     multiple of p.v, so the output has padded_layout(plan, p.v).rows
     rows.  Per token, features outside the token's routed experts'
-    column sets are zeroed.  Per block, the 4 retained columns are the
-    largest-L1 columns among those routable by the block's tokens; a
-    window where the block's tokens can reach no columns at all is
-    emitted as an all-zero block, but a window offering only 1-3
-    columns is an error (the pattern could not be filled).
+    column sets are zeroed: the pack is encoded from the routed entries,
+    as ffn_forward encodes it (see _encode_routed).
     """
     y2 = as_matrix(y2)
-    if bank.num_experts != plan.num_experts:
-        raise InputError("plan and bank disagree on the number of experts")
     if y2.shape[0] != plan.num_tokens:
         raise ShapeError(f"activation has {y2.shape[0]} rows, plan covers {plan.num_tokens} tokens")
     if y2.shape[1] != bank.d_ffn:
         raise ShapeError(f"activation has {y2.shape[1]} features, bank covers {bank.d_ffn}")
-    if y2.shape[1] % p.m:
-        raise ShapeError(f"feature count {y2.shape[1]} is not divisible by M={p.m}")
+    entries = np.take_along_axis(y2, routed_columns(plan, bank)[plan.permutation], axis=1)  # checks the plan
+    return _encode_routed(entries, plan, bank, padded_layout(plan, p.v), p)[0]
 
-    layout = padded_layout(plan, p.v)
-    y2p = pad_rows(y2, layout)
-    allowed = routed_feature_mask(plan, bank, layout)
-    masked = np.where(allowed, y2p, 0.0)
 
-    nbr, nw = masked.shape[0] // p.v, masked.shape[1] // p.m
-    allowed_block = allowed.reshape(nbr, p.v, nw, p.m).any(axis=1)
-    reach = allowed_block.sum(axis=-1)
+def _encode_routed(entries, plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout, p: VenomParams):
+    """The V:N:M pack over layout's rows of routed entries (row t: the
+    t-th routed token's, laid out as routed_columns), and the entry each
+    kept slot holds (-1: unrouted, or a pad row).  A block keeps the 4
+    largest-L1 columns its tokens reach (a repeated column counted once);
+    a window reaching none is all zero, one reaching 1-3 an error.  L1 is
+    summed per block and a slot's entry found by its column's owner and
+    rank, so nothing of width d_ffn is built per row."""
+    d_ffn, size = bank.d_ffn, bank._table.shape[1]
+    if d_ffn % p.m:
+        raise ShapeError(f"feature count {d_ffn} is not divisible by M={p.m}")
+    nbr, nw = layout.rows // p.v, d_ffn // p.m
+    real = np.flatnonzero(layout._real)  # the padded row of each routed token
+    assign = plan.assignments[plan.permutation]
+    cols = bank._table[assign].reshape(len(real), -1)
+    once = bank._rank[cols] == np.arange(cols.shape[1]) % size
+    # rows ascending per block and column: the sum over the block's rows, less its +0.0 terms
+    at = ((real // p.v)[:, None] * d_ffn + cols)[once]
+    l1 = np.bincount(at, np.abs(entries)[once], nbr * d_ffn).reshape(nbr, nw, p.m)
+    allowed = np.bincount(at, minlength=nbr * d_ffn).reshape(nbr, nw, p.m) > 0
+    reach = allowed.sum(axis=-1)
     starved = (reach > 0) & (reach < 4)
     if starved.any():
         br, w = map(int, np.argwhere(starved)[0])
@@ -450,9 +453,18 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
             f"block row {br}, column window {w}: only {int(reach[br, w])} routable "
             f"columns, need at least 4 to fill the retained set"
         )
-    l1 = np.abs(masked).reshape(nbr, p.v, nw, p.m).sum(axis=1)
     # never retain a non-routable column over a routable one
-    return _encode_blocks(masked, np.where(allowed_block, l1, -1.0), p)
+    col_table, abs_cols = _block_columns(np.where(allowed, l1, -1.0), layout.rows, p)
+    # a strip slot holds entry a * size + rank if the token's a-th expert owns its column
+    owner, rank = bank._owner[abs_cols[real]], bank._rank[abs_cols[real]]
+    got = np.full(owner.shape, -1)
+    for a in range(plan.top_k):
+        got = np.where(assign[:, a, None] == owner, a * size + rank, got)
+    entry, strips = np.full(abs_cols.shape, -1), np.zeros(abs_cols.shape)
+    entry[real], strips[real] = got, np.where(got >= 0, entries[np.arange(len(real))[:, None], got], 0.0)
+    payload = sparsify24(strips, GREEDY_MAGNITUDE)
+    pack = VenomMatrix(layout.rows, d_ffn, p, col_table, payload)
+    return pack, np.take_along_axis(entry, payload.abs_columns(), axis=1)
 
 
 def routed_columns(plan: RoutingPlan, bank: ExpertBank) -> np.ndarray:

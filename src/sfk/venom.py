@@ -140,19 +140,17 @@ def _check_block_shape(shape: tuple[int, int], p: VenomParams) -> None:
         raise ShapeError(f"matrix {rows}x{cols} is not divisible into {p.v}x{p.m} blocks")
 
 
-def _encode_blocks(a: np.ndarray, key: np.ndarray, p: VenomParams) -> VenomMatrix:
-    """The V:N:M block encoder: per block, retain the 4 columns with the
-    largest key (shape (rows/V, cols/M, M); ties to the lower column
-    index), gather them into a rows x 4*(cols/M) strip matrix and
-    2:4-prune each row's strip by magnitude."""
-    rows, cols = a.shape
-    nw = cols // p.m
+def _block_columns(key: np.ndarray, rows: int, p: VenomParams):
+    """Per block, the 4 columns with the largest key (shape (rows/V,
+    cols/M, M); ties to the lower column index): the column table, and
+    the absolute column of every slot of the rows x 4*(cols/M) strip
+    matrix."""
+    nw = key.shape[1]
     order = np.argsort(-key, axis=-1, kind="stable")
     col_table = np.sort(order[..., :4], axis=-1).astype(np.uint8)
     block_row = np.arange(rows) // p.v
     abs_cols = col_table.astype(np.int64)[block_row] + np.arange(nw)[None, :, None] * p.m
-    strips = a[np.arange(rows)[:, None, None], abs_cols].reshape(rows, 4 * nw)
-    return VenomMatrix(rows, cols, p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
+    return col_table, abs_cols.reshape(rows, 4 * nw)
 
 
 def venom_encode(a, p: VenomParams) -> VenomMatrix:
@@ -166,7 +164,9 @@ def venom_encode(a, p: VenomParams) -> VenomMatrix:
     a = as_matrix(a)
     _check_block_shape(a.shape, p)
     nbr, nw = a.shape[0] // p.v, a.shape[1] // p.m
-    return _encode_blocks(a, np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1), p)
+    col_table, abs_cols = _block_columns(np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1), a.shape[0], p)
+    strips = np.take_along_axis(a, abs_cols, axis=1)
+    return VenomMatrix(*a.shape, p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
 
 
 def venom_check(a, p: VenomParams) -> bool:

@@ -116,6 +116,53 @@ def sparsify24_backward_oracle(a, s, grad, mode):
     return out.reshape(a.shape)
 
 
+def moe_to_venom_oracle(y2, plan, bank, p):
+    """moe_to_venom as it was written on dense matrices: pad the permuted
+    y2, mask it with routed_feature_mask, sum the block L1 key over all V
+    rows, retain each block's top 4 routable columns and 2:4-prune the
+    gathered strips."""
+    layout = sfk.padded_layout(plan, p.v)
+    allowed = sfk.routed_feature_mask(plan, bank, layout)
+    masked = np.where(allowed, sfk.pad_rows(y2, layout), 0.0)
+    rows, cols = masked.shape
+    if cols % p.m:
+        raise sfk.ShapeError(f"feature count {cols} is not divisible by M={p.m}")
+    nbr, nw = rows // p.v, cols // p.m
+    allowed_block = allowed.reshape(nbr, p.v, nw, p.m).any(axis=1)
+    reach = allowed_block.sum(axis=-1)
+    starved = (reach > 0) & (reach < 4)
+    if starved.any():
+        br, w = map(int, np.argwhere(starved)[0])
+        raise sfk.InputError(
+            f"block row {br}, column window {w}: only {int(reach[br, w])} routable "
+            f"columns, need at least 4 to fill the retained set"
+        )
+    key = np.where(allowed_block, np.abs(masked).reshape(nbr, p.v, nw, p.m).sum(axis=1), -1.0)
+    col_table = np.sort(np.argsort(-key, axis=-1, kind="stable")[..., :4], axis=-1).astype(np.uint8)
+    abs_cols = col_table.astype(np.int64)[np.arange(rows) // p.v] + np.arange(nw)[None, :, None] * p.m
+    strips = masked[np.arange(rows)[:, None, None], abs_cols].reshape(rows, 4 * nw)
+    return sfk.VenomMatrix(rows, cols, p, col_table, sfk.sparsify24(strips, sfk.GREEDY_MAGNITUDE))
+
+
+def venom_chain_oracle(y1, y1_cols, plan, bank, p):
+    """The venom forward's activation chain as it was written on dense
+    matrices: y2 = relu(y1)^2 scattered at y1_cols into a tokens x d_ffn
+    zero matrix, permuted, moe_to_venom_oracle, the activation mask
+    kept_mask & routed_feature_mask, and y1 scattered, permuted and
+    padded.  Returns the pack, and the mask and y1 at its kept slots."""
+    tokens = np.arange(len(y1))[:, None]
+    y2 = np.zeros((len(y1), bank.d_ffn))
+    y2[tokens, y1_cols] = sfk.squared_relu(y1)
+    vm = moe_to_venom_oracle(sfk.apply_permutation(y2, plan), plan, bank, p)
+    layout = sfk.padded_layout(plan, p.v)
+    mask = sfk.kept_mask(vm) & sfk.routed_feature_mask(plan, bank, layout)
+    y1_dense = np.zeros((len(y1), bank.d_ffn))
+    y1_dense[tokens, y1_cols] = y1
+    y1_rows = sfk.pad_rows(sfk.apply_permutation(y1_dense, plan), layout)
+    kept = (np.arange(vm.rows)[:, None], vm.abs_columns())
+    return vm, mask[kept], y1_rows[kept]
+
+
 def dealt_bank(d_model, d_ffn, m, num_experts, seed=0):
     """Build an ExpertBank whose column sets are dealt round-robin as 4-column
     packs inside every m-wide window.

@@ -15,6 +15,11 @@ def small_problem(seed=0, d_model=8, d_ffn=16, d_out=8, tokens=8):
     return x, p
 
 
+# top-2 routing over four experts: a block's tokens differ in their second expert
+VENOM_TOP2 = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(4, 8),
+                               router=sfk.RouterConfig(num_experts=4, top_k=2, align_m=8))
+
+
 def eff(w, mode=sfk.SOFT_THRESHOLD, own=False, transposed=False):
     out = np.asarray(w, dtype=np.float64)
     if own:
@@ -117,7 +122,9 @@ def test_act24_forward_packs_the_activation():
     y2 = sfk.squared_relu(sfk.gemm(x, p.w1))
     s = sfk.sparsify24(y2, sfk.GREEDY_MAGNITUDE)
     assert np.array_equal(y3, sfk.gemm(sfk.decode24(s), p.w2))
-    assert np.array_equal(tape.act_mask, sfk.kept_mask(s))
+    assert np.array_equal(tape.y2.values, s.values) and np.array_equal(tape.y2.slots, s.slots)
+    # pack-shaped, one flag per kept slot: every kept slot of act24 is active
+    assert tape.act_mask.shape == s.values.shape and tape.act_mask.all()
     assert ("y3", "y2") in tape.matmul_log
 
 
@@ -136,9 +143,12 @@ def test_venom_forward_routes_pads_and_unwinds():
     )
     assert np.array_equal(y3, want)
     assert tape.plan is not None and tape.layout is not None
-    assert tape.act_mask.shape == (layout.rows, 32)
+    assert tape.y2.values.tobytes() == vm.values.tobytes()
+    assert np.array_equal(tape.y2.abs_columns(), vm.abs_columns())
+    # pack-shaped: the routed-feature mask at the pack's kept slots
     mask = sfk.kept_mask(vm) & sfk.routed_feature_mask(plan, bank, layout)
-    assert np.array_equal(tape.act_mask, mask)
+    assert tape.act_mask.shape == vm.values.shape == (layout.rows, 8)
+    assert np.array_equal(tape.act_mask, np.take_along_axis(mask, vm.abs_columns(), axis=1))
 
 
 def test_venom_forward_computes_y1_on_routed_columns_only():
@@ -162,16 +172,26 @@ def test_venom_requires_bank():
         sfk.ffn_forward(x, p, sfk.ablation_policy("venom"))
 
 
-@pytest.mark.parametrize("tag", ["act24", "venom"])
+@pytest.mark.parametrize("tag", ["act24", "venom", "venom-top2"])
 def test_frozen_tape_reproduces_forward_bitwise(tag):
+    """A frozen forward reproduces the forward, and its tape the
+    gradients; under top-2 routing the frozen y1 is nonzero at kept
+    slots its row does not route, which only the activation mask keeps
+    out of dy1."""
     x, p = small_problem(d_ffn=32)
-    pol = sfk.ablation_policy(tag)
-    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if tag == "venom" else None
+    pol = VENOM_TOP2 if tag == "venom-top2" else sfk.ablation_policy(tag)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
     y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
     y3f, tape_f = sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)
     assert np.array_equal(y3, y3f)
+    assert tape_f.act_mask.shape == tape.y2.values.shape  # one flag per kept slot
     assert np.array_equal(tape_f.act_mask, tape.act_mask)
     assert np.array_equal(sfk.decode24(tape_f.y2), sfk.decode24(tape.y2))
+    dy3 = sfk.rand_matrix(*y3.shape, seed=9)
+    for g, gf in zip(sfk.ffn_backward(dy3, tape, p, pol), sfk.ffn_backward(dy3, tape_f, p, pol)):
+        assert g.tobytes() == gf.tobytes()
+    if tag == "venom-top2":
+        assert not tape.act_mask.all()
 
 
 def test_forward_reuses_handed_packs_bitwise():
@@ -366,7 +386,8 @@ def test_recipe_multiplies_at_the_baseline_shape():
     """Exact per-product multiplies of one recipe forward + backward at
     x 64x32, d_ffn 128, d_out 32 (x seed 0, params seed 1, bank seed 2):
     y1 only on routed columns, dy2 only at the kept slots of y2's real
-    (not pad) rows: 221,463 in all."""
+    (not pad) rows, and y3, dx, dw1 and dw2 only on the real rows (64
+    tokens x 16 kept slots x 32): 188,695 in all."""
     pol = sfk.default_sparse_policy()
     x, p = sfk.rand_matrix(64, 32, seed=0), sfk.init_ffn_params(32, 128, 32, seed=1)
     bank = sfk.cluster_columns(p.w1, pol.router, seed=2)
@@ -375,12 +396,62 @@ def test_recipe_multiplies_at_the_baseline_shape():
         sfk.ffn_backward(y3, tape, p, pol)
     assert tape.layout.rows == 80
     assert counter.per_op == {
-        "ffn.y1": 33_006, "ffn.y3": 40_960, "ffn.dy2": 16_425, "ffn.dx": 40_960,
-        "ffn.dw1": 40_960, "ffn.dw2": 40_960, "gemm": 8_192,  # gemm: router scoring
+        "ffn.y1": 33_006, "ffn.y3": 32_768, "ffn.dy2": 16_425, "ffn.dx": 32_768,
+        "ffn.dw1": 32_768, "ffn.dw2": 32_768, "gemm": 8_192,  # gemm: router scoring
     }
-    assert counter.total == 221_463
+    assert counter.total == 188_695
     dense = 6 * 64 * 32 * 128
-    assert dense / counter.total >= 6.4
+    assert dense / counter.total >= 8.3
+
+
+@pytest.mark.parametrize("case", ["recipe", "venom-top2", "frozen-venom"])
+def test_venom_products_skip_the_pad_rows(case):
+    """y3, dx, dw1 and dw2 multiply only on the activation pack's real
+    rows: tokens x kept slots per row x d_out (y3, dw2) or d_model (dx,
+    dw1), though routing pads the pack with all-zero rows.  A frozen
+    forward computes y1 only there as well."""
+    pol = {"recipe": sfk.default_sparse_policy(), "venom-top2": VENOM_TOP2,
+           "frozen-venom": sfk.ablation_policy("venom")}[case]
+    x, p = small_problem(d_model=16, d_ffn=64, d_out=24, tokens=30)
+    bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
+    frozen = sfk.ffn_forward(x, p, pol, bank=bank)[1] if case.startswith("frozen") else None
+    with sfk.count_multiplies() as forward:
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, frozen=frozen)
+    with sfk.count_multiplies() as backward:
+        sfk.ffn_backward(y3, tape, p, pol)
+    assert tape.layout.rows > 30  # there are pad rows to skip
+    slots = 30 * tape.y2.values.shape[1]
+    assert forward.per_op["ffn.y3"] == slots * 24
+    assert [backward.per_op[f"ffn.{k}"] for k in ("dx", "dw1", "dw2")] == [slots * 16, slots * 16, slots * 24]
+    if frozen is not None:
+        assert forward.per_op["gemm"] == slots * 16  # y1
+
+
+def test_venom_step_builds_nothing_dense(monkeypatch):
+    """A venom forward and backward, and a frozen one, encode the
+    activation from the routed entries: they call none of the dense
+    chain's steps, through any sfk namespace."""
+    names = ("moe_to_venom", "routed_feature_mask", "kept_mask", "pad_rows", "unpad_rows")
+    calls = []
+    for name in names:
+        real = getattr(sfk, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "sfk" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    x, p = small_problem(d_model=16, d_ffn=64, d_out=16, tokens=30)
+    for pol in (sfk.default_sparse_policy(), VENOM_TOP2):
+        bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+        sfk.ffn_backward(y3, tape, p, pol)
+        y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)
+        sfk.ffn_backward(y3, tape, p, pol)
+    assert calls == []
+    sfk.kept_mask(tape.y2)  # the counter is live
+    assert calls == ["kept_mask"]
 
 
 # --------------------------------------------------------------- backward ---

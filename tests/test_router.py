@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import sfk
 from sfk import InputError, ShapeError
-from conftest import dealt_bank, spread
+from conftest import dealt_bank, moe_to_venom_oracle, spread, venom_chain_oracle
 
 
 def make_plan(tokens=10, d_model=16, d_ffn=64, top_k=1, seed=0):
@@ -141,6 +141,18 @@ def test_routing_plan_is_checked_on_construction():
     twice[1] = twice[0]  # not a bijection: one token twice, another never
     with pytest.raises(InputError, match="bijection"):
         sfk.RoutingPlan(plan.assignments, twice, plan.group_bounds)
+    bounds = plan.group_bounds
+    assert [hi - lo for lo, hi in bounds] == [2, 2, 3, 3]  # every group holds a token
+    gap = ((0, 1),) + bounds[1:]  # row 1 belongs to no group
+    with pytest.raises(InputError, match="not contiguous from row 0"):
+        sfk.RoutingPlan(plan.assignments, plan.permutation, gap)
+    swapped = plan.permutation.copy()
+    swapped[[0, 2]] = swapped[[2, 0]]  # a token of expert 1's group in expert 0's, and back
+    with pytest.raises(InputError, match="rows 0:2 are not all primary-routed to expert 0"):
+        sfk.RoutingPlan(plan.assignments, swapped, bounds)
+    short = bounds[:-1] + ((7, 9),)  # the last token is in no group
+    with pytest.raises(InputError, match="do not cover all tokens"):
+        sfk.RoutingPlan(plan.assignments, plan.permutation, short)
 
 
 def test_permutation_roundtrip_and_balance():
@@ -268,3 +280,89 @@ def test_routed_products_match_masked_full_products(top_k, unequal, tokens, seed
         got = np.zeros_like(full)
         got[rows, cols] = sampled
         assert got.tobytes() == oracle.tobytes()
+
+
+def drawn_bank(d_model, d_ffn, seed, quads):
+    """Four experts with column sets of unequal size, each in shuffled
+    order.  With quads each owns whole aligned 4-column groups, so no
+    window is starved, but a block's experts may reach none of a window
+    (an all-zero fallback block); otherwise they own arbitrary columns,
+    and starved windows are likely."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    if quads:
+        owner = g.permutation(np.concatenate((np.arange(4), g.integers(0, 4, d_ffn // 4 - 4))))
+        sets = [np.flatnonzero(np.repeat(owner, 4) == e) for e in range(4)]
+    else:
+        cuts = 4 * np.sort(g.choice(np.arange(1, d_ffn // 4), size=3, replace=False))
+        sets = np.split(g.permutation(d_ffn), cuts)
+    means = sfk.rand_matrix(d_model, 4, seed=seed + 1)
+    return sfk.ExpertBank(4, means / np.linalg.norm(means, axis=0), [g.permutation(cs) for cs in sets])
+
+
+def same_pack(got, want):
+    return (got.values.tobytes() == want.values.tobytes()
+            and np.array_equal(got.payload.slots, want.payload.slots)
+            and np.array_equal(got.col_table, want.col_table)
+            and np.array_equal(got.abs_columns(), want.abs_columns()))
+
+
+@given(
+    top_k=st.sampled_from([1, 2]),
+    quads=st.booleans(),
+    tokens=st.integers(1, 40),
+    v=st.sampled_from([1, 2, 4, 8]),
+    m=st.sampled_from([8, 16]),
+    ties=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60)
+def test_routed_encoder_is_the_dense_chain_bitwise(top_k, quads, tokens, v, m, ties, seed):
+    """The venom forward encodes its activation from y1's routed entries,
+    and moe_to_venom from the routed entries of its dense input.  Both
+    are bitwise the dense chain they replace (conftest's oracles): the
+    pack's values, slots, column table and columns, the activation mask
+    and y1 at its kept slots; or both raise the same InputError for a
+    starved window.  The draws cover top-2 routing, unequal expert sets
+    (whose shorter rows repeat a column the L1 key counts once), token
+    counts that are no multiple of V, empty expert groups, all-zero
+    fallback windows, and ties and -0.0 in the L1 key."""
+    d_model, d_ffn = 8, 64
+    bank = drawn_bank(d_model, d_ffn, seed, quads)
+    g = np.random.Generator(np.random.PCG64(seed + 2))
+    if ties:  # small integers: y1 and so the L1 key tie often
+        x = g.integers(-1, 2, size=(tokens, d_model)).astype(np.float64)
+        w1 = g.integers(-1, 3, size=(d_model, d_ffn)).astype(np.float64)
+        y2 = g.integers(-2, 3, size=(tokens, d_ffn)) * 1.0
+        y2[g.random(y2.shape) < 0.25] = -0.0
+    else:
+        x, w1 = spread(tokens, d_model, seed, False), spread(d_model, d_ffn, seed + 1, False)
+        y2 = spread(tokens, d_ffn, seed + 3, True)
+    pol = sfk.SparsityPolicy(act_mode="venom", venom=sfk.VenomParams(v, m),
+                             router=sfk.RouterConfig(num_experts=4, top_k=top_k))
+    p = sfk.FfnParams(w1, np.ones((d_ffn, 4)))
+    plan = sfk.route_tokens(x, bank, top_k)
+    cols = sfk.routed_columns(plan, bank)
+    try:
+        want = venom_chain_oracle(sfk.gemm(x, w1, cols), cols, plan, bank, pol.venom)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            sfk.ffn_forward(x, p, pol, bank=bank)
+        assert str(got.value) == str(exc) and "routable columns" in str(exc)
+    else:
+        _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+        vm, mask, y1_kept = want
+        assert same_pack(tape.y2, vm)
+        assert np.array_equal(tape.act_mask, mask)
+        real = tape.layout.source_row >= 0
+        assert tape._y1_kept.tobytes() == y1_kept[real].tobytes()
+        assert not y1_kept[~real].any()
+
+    y2p = sfk.apply_permutation(y2, plan)
+    try:
+        want = moe_to_venom_oracle(y2p, plan, bank, pol.venom)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            sfk.moe_to_venom(y2p, plan, bank, pol.venom)
+        assert str(got.value) == str(exc)
+    else:
+        assert same_pack(sfk.moe_to_venom(y2p, plan, bank, pol.venom), want)
