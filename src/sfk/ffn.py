@@ -324,7 +324,10 @@ def ffn_forward(
     on an x and a w1 bitwise equal to the ones passed now (again the
     caller's promise).  Nothing before y3 depends on w2, so the forward
     then skips routing, y1 and the activation chain: it packs only p.w2
-    (or takes packs[1]) and runs the one y3 product.  The tape it returns
+    (or takes packs[1]) and runs the one y3 product.  p.w2 may have
+    another width than hidden's w2: y3 then has that width, each column
+    bitwise the full forward's for that column of w2 (or, under w2's own
+    2:4 mask, for its 4-group of columns).  The tape it returns
     is hidden's, with the new w2 pack, params p and a matmul_log holding
     only the y3 entry; bank is not read.  hidden under another policy or
     for another x or w1 shape, hidden together with frozen, or a packs[0]
@@ -534,6 +537,10 @@ class GradcheckReport:
 
 _TIE_MARGIN = 1e-6
 _FD_STEP = 3e-7
+# float64 values one stacked finite-difference forward may hold in any
+# array it stacks: its rows of x or columns of w2, y1 and y3 of the
+# stack, and the copies of y3 its losses sum (2**12 is 32 KiB)
+_FD_BUDGET = 2**12
 
 
 def _group_mags(a: np.ndarray) -> np.ndarray:
@@ -578,6 +585,64 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _fd_steps(a: np.ndarray) -> np.ndarray:
+    """The central-difference step of each entry of a, flat: 3e-7 * max(1, |a|)."""
+    return _FD_STEP * np.maximum(1.0, np.abs(a)).reshape(-1)
+
+
+def _looped_fd(a: np.ndarray, loss) -> np.ndarray:
+    """Central differences of loss() in each entry of a, one entry and
+    two forwards at a time; a is edited in place and restored."""
+    flat, h = a.reshape(-1), _fd_steps(a)
+    fd = np.empty(a.size)
+    for e in range(a.size):
+        saved = flat[e]
+        flat[e] = saved + h[e]
+        lp = loss()
+        flat[e] = saved - h[e]
+        lm = loss()
+        flat[e] = saved
+        fd[e] = (lp - lm) / (2.0 * h[e])
+    return fd.reshape(a.shape)
+
+
+def _stack_chunks(n: int, width: int) -> list:
+    """Flat entries 0..n-1 in chunks whose +h and -h copies, width values
+    each, fit _FD_BUDGET (one entry at least)."""
+    k = max(1, _FD_BUDGET // (2 * width))
+    return [np.arange(s, min(s + k, n)) for s in range(0, n, k)]
+
+
+def _check_stack(a: np.ndarray, run, width: int, y3: np.ndarray, what: str) -> None:
+    """The first stacked forward of _stacked_fd, with nothing perturbed,
+    must give the base y3's entries bitwise, else GuardError."""
+    e = np.tile(_stack_chunks(a.size, width)[0], 2)
+    y, at = run(e, a.reshape(-1)[e])
+    if not np.array_equal(y, y3[at]):
+        raise GuardError(f"stacked {what} does not reproduce the base output")
+
+
+def _stacked_fd(a: np.ndarray, run, width: int, y3: np.ndarray) -> np.ndarray:
+    """Central differences of 0.5 * ||y3||^2 in each entry of a, the +h
+    and -h copies of a chunk of entries in one forward.  run(e, v) is
+    that forward, copy c having flat entry e[c] of a set to v[c]; it
+    returns the entries each copy moves of y3, shaped (copies, ...), and
+    their index in y3.  A copy's loss sums y3 * y3 over the base y3 with
+    those entries replaced, which is bitwise the per-entry forward's
+    loss: every other entry of that forward's y3 is the base one, and
+    each loss sums one C-ordered array in the same pairwise order."""
+    flat, h, sq = a.reshape(-1), _fd_steps(a), y3 * y3
+    fd = np.empty(a.size)
+    for e in _stack_chunks(a.size, width):
+        k = len(e)
+        y, at = run(np.tile(e, 2), np.concatenate([flat[e] + h[e], flat[e] - h[e]]))
+        copies = np.repeat(sq[None], 2 * k, axis=0)
+        copies[(np.arange(2 * k).reshape(-1, *[1] * (y.ndim - 1)), *at)] = y * y
+        loss = 0.5 * copies.reshape(2 * k, -1).sum(axis=1)
+        fd[e] = (loss[:k] - loss[k:]) / (2.0 * h[e])
+    return fd.reshape(a.shape)
+
+
 def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> GradcheckReport:
     """Compare ffn_backward against central finite differences of the
     loss 0.5*||y3||^2 through the policy's own forward.
@@ -586,16 +651,28 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     the differentiated function is fixed; all other masks are part of
     the differentiated function and the base point is audited to sit
     away from mask tie boundaries (margin 1e-6), deterministically
-    bumping the seed by 1000 until a generic point is found.  Each
-    finite-difference forward packs only the weight it perturbs: it
-    hands ffn_forward (``packs``) the base tape's pack of every weight
-    it leaves as it was, which is bitwise what packing it again gives.
-    A forward that perturbs w2 also reuses the base point's hidden stage
-    (``hidden``: the base tape, or for venom the frozen-mask forward's)
-    and runs only the y3 product, so at (8, 16, 32) y1 is computed
-    1 + 2 * (128 + 512) times rather than 2,305, and act24 packs its
-    activation 1,281 times; the forward on that hidden stage is checked
-    once to reproduce the base y3 bitwise (GuardError otherwise).
+    bumping the seed by 1000 until a generic point is found.
+
+    Perturbing x[i, j] moves only row i of y3, and perturbing w2[c, o]
+    only column o (under w2's own 2:4 mask, the columns of o's 4-group):
+    no mask spans rows of the activation, and a weight mask is local to a
+    4-group.  So the differences of x (but under venom, whose frozen
+    routing covers only the base tokens) run as forwards on stacked
+    perturbed rows, and those of w2 as forwards (``hidden``, on the base
+    point's hidden stage: the base tape, or for venom the frozen-mask
+    forward's) on a w2 of stacked perturbed column groups, each holding
+    the +h and -h copies of a chunk of entries.  Each copy's loss sums
+    the base y3 with its row or columns replaced, which is bitwise the
+    loss of that entry's own forward, since every kernel sums each output
+    entry on its own in a fixed order.  A chunk holds as many entries as
+    fit _FD_BUDGET float64 values in each array it stacks (16 at (8, 16,
+    32)).  Once per call, before any difference, one stacked forward of
+    unperturbed rows and one of unperturbed column groups must reproduce
+    the base y3 bitwise (GuardError otherwise).  The differences of w1,
+    which moves every entry of y3, and venom's of x run one entry and
+    two forwards at a time.  No forward packs a weight it leaves as it
+    was: it takes the base tape's pack (``packs``).  At (8, 16, 32) a
+    call runs 1,067 forwards rather than 2,306 (venom 1,315, not 2,307).
     shape is three integers (batch, d_model, d_ffn) and seed an integer;
     anything else, bools included, raises InputError.
     """
@@ -624,47 +701,54 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
 
     dx_an, dw1_an, dw2_an = ffn_backward(y3, tape, p, pol)
 
-    # the hidden stage (routing, y1, y2) of the forwards that perturb w2:
-    # the base tape's, or for venom the frozen-mask forward's
+    # the hidden stage (routing, y1, y2) of the forwards on w2: the base
+    # tape's, or for venom the frozen-mask forward's
     frozen, hidden = (tape, None) if pol.act_mode == "venom" else (None, tape)
-    base_packs = (tape.w1, tape.w2)
+    packs = (tape.w1, tape.w2)
     if frozen is not None:
-        y3_frozen, hidden = ffn_forward(x, p, pol, bank, frozen=frozen, packs=base_packs)
+        y3_frozen, hidden = ffn_forward(x, p, pol, bank, frozen=frozen, packs=packs)
         if not np.array_equal(y3_frozen, y3):
             raise GuardError("frozen-mask forward does not reproduce the base output")
-    y3_reused, _ = ffn_forward(x, p, pol, bank, hidden=hidden, packs=base_packs)
-    if not np.array_equal(y3_reused, y3):
-        raise GuardError("the forward on the base point's hidden stage does not reproduce the base output")
+    g = 4 if pol.w2_sparse else 1  # the columns of w2's effective form an entry of w2 moves
 
-    pv = FfnParams(p.w1.copy(), p.w2.copy())  # the loop perturbs these in place
-    tensors = [x.copy(), pv.w1, pv.w2]
+    def x_rows(e, v):
+        # no mask spans rows, so a row of x moves only its row of y3
+        i = e // d_model
+        rows = x[i]
+        rows[np.arange(len(e)), e % d_model] = v
+        yv, _ = ffn_forward(rows, p, pol, packs=packs)
+        return yv, (i[:, None], np.arange(p.d_out))
 
-    def loss(kw) -> float:
-        yv, _ = ffn_forward(tensors[0], pv, pol, bank, **kw)
+    def w2_groups(e, v):
+        # an entry of w2 moves only its column of y3, or under w2's own
+        # 2:4 mask its 4-group's columns: the stack holds g columns per copy
+        c, o = np.divmod(e, p.d_out)
+        cols = (o - o % g)[:, None] + np.arange(g)
+        w = p.w2[:, cols.reshape(-1)]
+        w[c, np.arange(len(e)) * g + o % g] = v
+        yv, _ = ffn_forward(x, FfnParams(p.w1, w), pol, hidden=hidden)
+        return yv.reshape(b, len(e), g).transpose(1, 0, 2), (np.arange(b)[:, None], cols[:, None])
+
+    x_side = (x, x_rows, max(d_ffn, y3.size))
+    w2_side = (p.w2, w2_groups, max(g * d_ffn, y3.size))
+    if frozen is None:
+        _check_stack(*x_side, y3, "rows of x")
+    _check_stack(*w2_side, y3, "column groups of w2 on the base point's hidden stage")
+
+    def loss(xv, pv, packs) -> float:
+        yv, _ = ffn_forward(xv, pv, pol, bank, frozen=frozen, packs=packs)
         return 0.5 * float(np.sum(yv * yv))
 
-    analytic = [dx_an, dw1_an, dw2_an]
-    rels = []
-    for t_ix, an in enumerate(analytic):
-        base = tensors[t_ix]
-        # only the perturbed weight is packed again: the other one, and
-        # both when x is perturbed, are bitwise the base point's; w2 is
-        # read only by y3, so perturbing it reuses the hidden stage
-        if t_ix == 2:
-            kw = {"hidden": hidden}
-        else:
-            kw = {"frozen": frozen, "packs": (tape.w1 if t_ix == 0 else None, tape.w2)}
-        fd = np.zeros_like(base)
-        for idx in np.ndindex(*base.shape):
-            h = _FD_STEP * max(1.0, abs(base[idx]))
-            saved = base[idx]
-            base[idx] = saved + h
-            lp = loss(kw)
-            base[idx] = saved - h
-            lm = loss(kw)
-            base[idx] = saved
-            fd[idx] = (lp - lm) / (2.0 * h)
-        rels.append(float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)))
+    if frozen is None:
+        fd_x = _stacked_fd(*x_side, y3)
+    else:
+        xv = x.copy()  # perturbed in place
+        fd_x = _looped_fd(xv, lambda: loss(xv, p, packs))
+    pv = FfnParams(p.w1.copy(), p.w2)  # its w1 is perturbed in place
+    fd_w1 = _looped_fd(pv.w1, lambda: loss(x, pv, (None, tape.w2)))
+    fd_w2 = _stacked_fd(*w2_side, y3)
+    rels = [float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12))
+            for fd, an in ((fd_x, dx_an), (fd_w1, dw1_an), (fd_w2, dw2_an))]
 
     return GradcheckReport(
         policy_tag=pol.tag,

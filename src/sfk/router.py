@@ -23,7 +23,7 @@ from .codec import config_from_json, config_to_json
 from .errors import InputError, ShapeError
 from .matcore import as_matrix, gemm, load_matrix, save_matrix
 from .sparse24 import GREEDY_MAGNITUDE, sparsify24
-from .venom import VenomMatrix, VenomParams, _block_columns
+from .venom import VenomMatrix, VenomParams, _block_columns, _unchecked_venom
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,7 @@ def _encode_routed(entries, plan: RoutingPlan, bank: ExpertBank, layout: PaddedL
     entry, strips = np.full(abs_cols.shape, -1), np.zeros(abs_cols.shape)
     entry[real], strips[real] = got, np.where(got >= 0, entries[np.arange(len(real))[:, None], got], 0.0)
     payload = sparsify24(strips, GREEDY_MAGNITUDE)
-    pack = VenomMatrix(layout.rows, d_ffn, p, col_table, payload)
+    pack = _unchecked_venom(d_ffn, p, col_table, abs_cols, payload)
     return pack, np.take_along_axis(entry, payload.abs_columns(), axis=1)
 
 

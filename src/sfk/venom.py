@@ -8,12 +8,13 @@ Storage reuses the packed 2:4 type: the 4 retained columns of every
 block window are gathered into a strip, strips are concatenated into a
 rows x 4*(cols/M) matrix, and that strip matrix is 2:4 packed.  A
 per-block column table (4 sorted byte offsets into the M-wide window)
-records which columns were retained.  The table is checked once, when
-the pack is built (in range and strictly increasing per block, or
-CorruptionError), and the absolute column of every kept slot is
-computed then; both are read-only afterwards.  A VenomMatrix reads like
-a Sparse24Matrix, so sparse24's pack ops and kernels serve it as they
-are.
+records which columns were retained.  The constructor (and so the VNMF
+reader) checks the table once (in range and strictly increasing per
+block, or CorruptionError); the encoders, whose tables are sorted picks
+by construction, skip that check.  The absolute column of every kept
+slot is computed when the pack is built; both are read-only afterwards.
+A VenomMatrix reads like a Sparse24Matrix, so sparse24's pack ops and
+kernels serve it as they are.
 
 VNMF file layout (little-endian): magic ``VNMF``, u64 rows, u64 cols,
 u32 V, u32 N (always 2), u32 M, the column table (uint8, 4 entries per block,
@@ -153,6 +154,20 @@ def _block_columns(key: np.ndarray, rows: int, p: VenomParams):
     return col_table, abs_cols.reshape(rows, 4 * nw)
 
 
+def _unchecked_venom(cols: int, p: VenomParams, col_table: np.ndarray, strip_cols: np.ndarray,
+                     payload: Sparse24Matrix) -> VenomMatrix:
+    """A VenomMatrix built without the constructor's checks: only for the
+    column table and strip columns of _block_columns, which are sorted
+    picks of 0..M-1 by construction.  A kept slot's absolute column is
+    that of its strip column."""
+    vm = object.__new__(VenomMatrix)
+    abs_cols = np.take_along_axis(strip_cols, payload.abs_columns(), axis=1)
+    abs_cols.flags.writeable = False
+    vm.__dict__.update(rows=payload.rows, cols=cols, params=p, col_table=_read_only(col_table),
+                       payload=payload, _abs_cols=abs_cols)
+    return vm
+
+
 def venom_encode(a, p: VenomParams) -> VenomMatrix:
     """Greedy V:N:M projection of a dense matrix.
 
@@ -166,7 +181,7 @@ def venom_encode(a, p: VenomParams) -> VenomMatrix:
     nbr, nw = a.shape[0] // p.v, a.shape[1] // p.m
     col_table, abs_cols = _block_columns(np.abs(a).reshape(nbr, p.v, nw, p.m).sum(axis=1), a.shape[0], p)
     strips = np.take_along_axis(a, abs_cols, axis=1)
-    return VenomMatrix(*a.shape, p, col_table, sparsify24(strips, GREEDY_MAGNITUDE))
+    return _unchecked_venom(a.shape[1], p, col_table, abs_cols, sparsify24(strips, GREEDY_MAGNITUDE))
 
 
 def venom_check(a, p: VenomParams) -> bool:

@@ -163,6 +163,42 @@ def venom_chain_oracle(y1, y1_cols, plan, bank, p):
     return vm, mask[kept], y1_rows[kept]
 
 
+def gradcheck_oracle(pol, shape, seed):
+    """gradcheck as it was written one entry at a time: the same base
+    point search, then two forwards per entry of x, w1 and w2, each
+    perturbing a copy in place (venom with the base point's frozen
+    masks), and each loss 0.5 * sum(y3 * y3) of that forward's whole y3."""
+    ffn = sfk.ffn
+    b, d_model, d_ffn = shape
+    for attempt in range(64):
+        seed_eff = seed + 1000 * attempt
+        x = sfk.rand_matrix(b, d_model, seed_eff + 3)
+        p = sfk.init_ffn_params(d_model, d_ffn, d_model, seed_eff + 7)
+        bank = sfk.cluster_columns(p.w1, pol.router, seed_eff + 13) if pol.act_mode == "venom" else None
+        y3, tape = sfk.ffn_forward(x, p, pol, bank)
+        if ffn._audit_generic_point(pol, tape, ffn._TIE_MARGIN):
+            break
+    else:
+        raise sfk.GuardError("no generic point found in 64 seed bumps; masks are persistently tied")
+    frozen = tape if pol.act_mode == "venom" else None
+    pv = sfk.FfnParams(p.w1.copy(), p.w2.copy())
+    tensors = [x.copy(), pv.w1, pv.w2]
+    rels = []
+    for base, an in zip(tensors, sfk.ffn_backward(y3, tape, p, pol)):
+        fd = np.zeros_like(base)
+        for idx in np.ndindex(*base.shape):
+            h = ffn._FD_STEP * max(1.0, abs(base[idx]))
+            saved, losses = base[idx], []
+            for v in (saved + h, saved - h):
+                base[idx] = v
+                yv, _ = sfk.ffn_forward(tensors[0], pv, pol, bank, frozen=frozen)
+                losses.append(0.5 * float(np.sum(yv * yv)))
+            base[idx] = saved
+            fd[idx] = (losses[0] - losses[1]) / (2.0 * h)
+        rels.append(float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)))
+    return sfk.GradcheckReport(pol.tag, (b, d_model, d_ffn), seed, seed_eff, *rels)
+
+
 def dealt_bank(d_model, d_ffn, m, num_experts, seed=0):
     """Build an ExpertBank whose column sets are dealt round-robin as 4-column
     packs inside every m-wide window.

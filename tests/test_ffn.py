@@ -7,6 +7,7 @@ import pytest
 
 import sfk
 from sfk import GuardError, InputError, ShapeError
+from conftest import gradcheck_oracle
 
 
 def small_problem(seed=0, d_model=8, d_ffn=16, d_out=8, tokens=8):
@@ -264,6 +265,21 @@ def test_hidden_forward_is_the_full_forward_bitwise(case):
     want = sfk.ffn_backward(dy3, tape, p2, pol)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+    # a w2 of another width: two edited copies of each 4-group of columns,
+    # side by side; each block of its y3 is that group's columns of the
+    # full forward on p2 with the group edited
+    groups = [np.arange(q, q + 4) for q in range(0, p2.d_out, 4)]
+    edits = [lambda w: 0.5 * w + 0.125, lambda w: -2.0 * w]
+    wide = np.hstack([edit(p2.w2[:, cols]) for edit in edits for cols in groups])
+    y3w, _ = sfk.ffn_forward(x, sfk.FfnParams(p.w1, wide), pol, hidden=hidden)
+    assert y3w.shape == (x.shape[0], wide.shape[1])
+    blocks = iter(np.hsplit(y3w, len(edits) * len(groups)))
+    for edit in edits:
+        for cols in groups:
+            w2 = p2.w2.copy()
+            w2[:, cols] = edit(w2[:, cols])
+            y3g, _ = sfk.ffn_forward(x, sfk.FfnParams(p.w1, w2), pol, bank=bank)
+            assert next(blocks).tobytes() == y3g[:, cols].tobytes()
 
 
 @pytest.mark.parametrize("case", ["act24", "recipe"])
@@ -593,9 +609,10 @@ def test_gradcheck_rejects_a_shape_or_seed_that_is_not_integers(shape, seed):
 
 @pytest.mark.parametrize("tag", ["dense", "w1", "venom"])
 def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag):
-    """One FfnParams for the base point and one over the copies that the
-    2 * (128 + 512 + 512) finite-difference forwards perturb in place,
-    not one per forward."""
+    """At (8, 16, 32) one FfnParams for the base point, one over the w1
+    copy that the 2 * 512 forwards on w1 perturb in place, and one per
+    stacked forward on w2: the guard and 512 / 16 chunks (16 entries fit
+    the budget), so 1 + 1 + 1 + 32 = 35, not one per forward."""
     calls = []
     real = sfk.FfnParams.__post_init__
 
@@ -606,22 +623,24 @@ def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag
     monkeypatch.setattr(sfk.FfnParams, "__post_init__", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0  # one base point
-    assert len(calls) == 2
+    assert len(calls) == 1 + 1 + 1 + 512 // 16
 
 
 @pytest.mark.parametrize("tag, packed", [
     ("w1", 1 + 2 * 512),  # the base forward, then both FD forwards per entry of w1
-    ("w2", 1 + 2 * 512),
     ("w1t", 1 + 2 * 512),
-    ("w2t", 1 + 2 * 512),
-    ("act24", 1 + 2 * (128 + 512)),  # the activation, every forward that runs y1
+    ("w2", 1 + 1 + 512 // 16),  # the base forward, the guard and one per stacked chunk
+    ("w2t", 1 + 1 + 512 // 16),
+    ("act24", 1 + 1 + 128 // 16 + 2 * 512),  # the activation, every forward that runs y1
 ])
 def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
-    """At (8, 16, 32) x has 128 entries and each weight 512.  A weight is
-    sparsified by the base forward and by the finite-difference forwards
-    that perturb it; the others reuse the base tape's pack.  The
-    activation is packed wherever y1 runs, which the forwards that
-    perturb w2 skip."""
+    """At (8, 16, 32) x has 128 entries and each weight 512, and 16
+    entries fit a stacked forward's budget.  A weight is sparsified by
+    the base forward and by the forwards that perturb it: one per entry
+    and sign for w1, one per stacked chunk and the guard for w2; the
+    others reuse the base tape's pack.  The activation is packed
+    wherever y1 runs: the base forward, the stacked guard and chunks of
+    x, and the forwards on w1; the forwards on w2 skip it."""
     calls = []
     real = sfk.ffn.sparsify24
 
@@ -637,10 +656,12 @@ def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
 
 @pytest.mark.parametrize("tag", sfk.ABLATIONS)
 def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
-    """At (8, 16, 32) y1 runs in the base forward (and, for venom, the
-    frozen-mask guard) and in the 2 * (128 + 512) forwards that perturb x
-    or w1.  The 2 * 512 forwards that perturb w2 and the guard on the
-    hidden stage run y3 alone."""
+    """At (8, 16, 32), 16 entries to a stacked forward, y1 runs in the
+    base forward (and, for venom, the frozen-mask guard), in the
+    forwards on x (the stacked guard and 128 / 16 chunks; for venom,
+    whose routing is frozen, 2 * 128 one-entry forwards) and in the
+    2 * 512 forwards on w1.  The stacked forwards on w2 (the guard and
+    512 / 16 chunks) run y3 alone."""
     products = []
     real = sfk.ffn.ffn_forward
 
@@ -652,22 +673,98 @@ def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0
-    base = 2 if tag == "venom" else 1
-    assert products.count("y1") == base + 2 * (128 + 512)
-    assert products.count("y3") == base + 1 + 2 * (128 + 512 + 512)
+    base, on_x = (2, 2 * 128) if tag == "venom" else (1, 1 + 128 // 16)
+    assert products.count("y1") == base + on_x + 2 * 512
+    assert products.count("y3") == products.count("y1") + 1 + 512 // 16
     assert len(products) == products.count("y1") + products.count("y3")
 
 
 def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
-    """A forward on the base point's hidden stage that does not reproduce the
-    base y3 stops gradcheck with GuardError before any finite difference."""
+    """A forward on the base point's hidden stage, or a stacked forward,
+    that does not reproduce the base y3 stops gradcheck with GuardError
+    before any finite difference: only the base forward, venom's
+    frozen-mask guard and the stacked guards have run."""
+    real = sfk.ffn.ffn_forward
+    b, d_out = 4, 8  # gradcheck's batch and d_out at (4, 8, 16)
+
+    def nudged(when):
+        def forward(*args, **kwargs):
+            y3, tape = real(*args, **kwargs)
+            calls.append(1)
+            return (np.nextafter(y3, np.inf) if when(args, kwargs) else y3), tape
+        return forward
+
+    hidden = nudged(lambda args, kwargs: "hidden" in kwargs)
+    # a stacked forward reads more rows of x or columns of w2 than the base one
+    stacked = nudged(lambda args, kwargs: args[0].shape[0] != b or args[1].w2.shape[1] != d_out)
+    for mutant, match in ((hidden, "hidden stage"), (stacked, "stacked")):
+        monkeypatch.setattr(sfk.ffn, "ffn_forward", mutant)
+        for tag in ("w2", "venom"):
+            calls = []
+            with pytest.raises(GuardError, match=match):
+                sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
+            assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("tag, shape", [
+    ("act24", (8, 16, 32)), ("w2", (8, 16, 32)), ("act24", (4, 64, 64)), ("w2", (4, 64, 64)),
+])
+def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
+    """No forward of gradcheck is handed an x or w2, or returns a y3, of
+    more float64 values than the stacking budget.  The largest stacks
+    hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has 128
+    entries) and 8 at (4, 64, 64) (256): the copies of y3 their losses
+    sum fill the budget."""
+    sizes = []
     real = sfk.ffn.ffn_forward
 
-    def off_by_one_ulp(*args, **kwargs):
-        y3, tape = real(*args, **kwargs)
-        return (np.nextafter(y3, np.inf) if "hidden" in kwargs else y3), tape
+    def recorded(x, p, *args, **kwargs):
+        y3, tape = real(x, p, *args, **kwargs)
+        sizes.append((x.shape, p.w2.shape, y3.size, "hidden" in kwargs))
+        return y3, tape
 
-    monkeypatch.setattr(sfk.ffn, "ffn_forward", off_by_one_ulp)
-    for tag in ("w2", "venom"):
-        with pytest.raises(GuardError, match="hidden stage"):
-            sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
+    monkeypatch.setattr(sfk.ffn, "ffn_forward", recorded)
+    sfk.gradcheck(sfk.ablation_policy(tag), shape=shape, seed=0)
+    budget = sfk.ffn._FD_BUDGET
+    assert all(xs[0] * xs[1] <= budget and ws[0] * ws[1] <= budget and ys <= budget
+               for xs, ws, ys, _ in sizes)
+    b, d_model, d_ffn = shape
+    k = budget // (2 * b * d_model)  # entries per chunk; d_out = d_model
+    assert k == {8: 16, 4: 8}[b]
+    g = 4 if tag == "w2" else 1
+    # the hidden= forwards are the stacks on w2; the others see b rows or a stack of x
+    assert max(xs[0] for xs, _, _, hidden in sizes if not hidden) == 2 * k
+    assert max(ws[1] for _, ws, _, hidden in sizes if hidden) == 2 * k * g
+
+
+ORACLE_CASES = (
+    [(tag, sfk.SOFT_THRESHOLD, (8, 16, 32), 0) for tag in sfk.ABLATIONS]
+    + [(tag, sfk.GREEDY_MAGNITUDE, (8, 16, 32), 1) for tag in sfk.ABLATIONS]
+    + [("recipe", sfk.SOFT_THRESHOLD, (16, 16, 32), 0), ("venom-top2", sfk.SOFT_THRESHOLD, (8, 8, 64), 0),
+       ("dense", sfk.SOFT_THRESHOLD, (3, 6, 10), 0),  # d_out = 6 is not a multiple of 4
+       ("w1t", sfk.SOFT_THRESHOLD, (3, 8, 10), 0), ("act24", sfk.GREEDY_MAGNITUDE, (5, 6, 12), 0)]
+    + [(combo, mode, (8, 16, 32), 0) for combo in ("w1+w2", "w2+act24") for mode in sfk.MODES]
+    + [("w1t+w2+act24", sfk.GREEDY_MAGNITUDE, (8, 16, 32), 0)]
+)
+
+
+def oracle_policy(tag, mode):
+    if tag == "recipe":
+        return sfk.default_sparse_policy()
+    if tag == "venom-top2":
+        return VENOM_TOP2
+    if tag in sfk.ABLATIONS:
+        return sfk.ablation_policy(tag, mode)
+    parts = tag.split("+")
+    return sfk.SparsityPolicy(act_mode="act24" if "act24" in parts else "dense", weight_mode=mode,
+                              **{part + "_sparse": True for part in parts if part != "act24"})
+
+
+@pytest.mark.parametrize("tag, mode, shape, seed", ORACLE_CASES,
+                         ids=[f"{t}-{m}-{'x'.join(map(str, s))}-{seed}" for t, m, s, seed in ORACLE_CASES])
+def test_gradcheck_is_the_per_entry_loop_bitwise(tag, mode, shape, seed):
+    """The stacked finite differences give the one-entry-at-a-time
+    loop's report exactly: both weight modes, venom under top-1 and
+    top-2 routing, the recipe, combined masks and odd shapes."""
+    pol = oracle_policy(tag, mode)
+    assert sfk.gradcheck(pol, shape, seed) == gradcheck_oracle(pol, shape, seed)

@@ -89,6 +89,43 @@ def test_column_table_is_checked_once_when_built():
     assert sfk.reencode24(np.ones((4, 8)), vm).abs_columns() is vm.abs_columns()
 
 
+def test_encoders_skip_the_table_check_the_constructor_and_reader_keep(monkeypatch, tmp_path):
+    """venom_encode and the routed encoder take their column tables from
+    sorted picks, so they build their packs unchecked, with the columns
+    the constructor would derive; the constructor and the VNMF reader
+    still reject a table that is not strictly increasing."""
+    p = sfk.VenomParams(4, 8)
+    a = sfk.rand_matrix(4, 8, seed=1)
+    good = sfk.venom_encode(a, p)
+    path = tmp_path / "w.vnm"
+    sfk.save_venom(good, path)
+    raw = bytearray(path.read_bytes())
+    raw[32:36] = bytes([0, 2, 1, 3])  # the one block's table, after the 32-byte header
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError):
+        sfk.load_venom(path)
+    with pytest.raises(CorruptionError):
+        sfk.VenomMatrix(4, 8, p, np.array([1, 1, 2, 3], dtype=np.uint8).reshape(1, 1, 4), good.payload)
+
+    def refuse(self):
+        raise AssertionError("an encoder re-checked the column table it sorted")
+
+    monkeypatch.setattr(sfk.VenomMatrix, "__post_init__", refuse)
+    vm = sfk.venom_encode(a, p)
+    pol = sfk.default_sparse_policy()
+    x, w = sfk.rand_matrix(16, 16, seed=0), sfk.init_ffn_params(16, 32, 16, seed=1)
+    y3, tape = sfk.ffn_forward(x, w, pol, bank=sfk.cluster_columns(w.w1, pol.router, seed=3))
+    sfk.ffn_backward(y3, tape, w, pol)
+    monkeypatch.undo()
+    for pack in (vm, tape.y2):
+        checked = sfk.VenomMatrix(pack.rows, pack.cols, pack.params, pack.col_table, pack.payload)
+        assert np.array_equal(pack.abs_columns(), checked.abs_columns())
+        for arr in (pack.abs_columns(), pack.col_table):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+    assert np.array_equal(sfk.decode24(vm), sfk.decode24(good))
+
+
 def test_kept_mask_counts():
     p = sfk.VenomParams(4, 8)
     a = sfk.rand_matrix(8, 16, seed=0)
