@@ -180,6 +180,10 @@ class FfnTape:
     w1/w2 its weights as packed for this step; the backward reuses them
     instead of sparsifying again.  matmul_log records (product,
     packed_operand) per matmul so operand placement can be asserted.
+    frozen_masks is True when the activation masks and routing came from
+    a frozen tape.  copies is 1 but on the tape of a w1-stacked forward
+    (ffn_forward's w1_cols), whose y1 and y2 stack that many copies
+    along their rows; ffn_backward rejects such a tape.
     """
 
     x: np.ndarray
@@ -193,6 +197,8 @@ class FfnTape:
     plan: RoutingPlan | None = None
     layout: PaddedLayout | None = None
     act_mask: np.ndarray | None = None
+    frozen_masks: bool = False
+    copies: int = 1
     matmul_log: list = field(default_factory=list)
     _y1_kept: np.ndarray | None = field(default=None, repr=False)  # y1 at _real_rows' slots, if at hand
 
@@ -277,7 +283,10 @@ def _real(tape: FfnTape):
 
 def _real_rows(tape: FfnTape) -> _Rows:
     """The activation pack's real rows, the only rows a product reads: a
-    pad row holds zeros, so its terms are +0.0 or land in dropped rows."""
+    pad row holds zeros, so its terms are +0.0 or land in dropped rows.
+    A stacked tape's y2 is already its copies' real rows."""
+    if isinstance(tape.y2, _Rows):
+        return tape.y2
     values = tape.y2.values[_real(tape)]
     return _Rows(len(values), tape.y2.cols, values, tape.y2.abs_columns()[_real(tape)])
 
@@ -299,6 +308,7 @@ def ffn_forward(
     *,
     packs: tuple[PackedWeight | None, PackedWeight | None] | None = None,
     hidden: FfnTape | None = None,
+    w1_cols: np.ndarray | None = None,
 ):
     """Run the FFN under a policy; returns (y3, tape).
 
@@ -332,6 +342,27 @@ def ffn_forward(
     only the y3 entry; bank is not read.  hidden under another policy or
     for another x or w1 shape, hidden together with frozen, or a packs[0]
     other than None or hidden.w1 raises InputError.
+
+    ``w1_cols``, with ``hidden``, stacks forwards on edited columns of
+    hidden's w1 instead.  p.w1 then holds n*g columns, g = 4 when w1's
+    own 2:4 mask is on (it spans a 4-group of columns) and 1 otherwise,
+    and w1_cols (n*g integers, n aligned groups of g) names the column
+    of hidden's w1 each one stands for.  Copy c is the forward on
+    hidden's w1 with columns w1_cols[c*g:(c+1)*g] replaced by columns
+    c*g..c*g+g-1 of p.w1; no mask of w1 reaches past a group, so those
+    columns of y1 are all that moves.  The forward packs p.w1 under the
+    policy's w1 masks, runs the one y1 product on its columns alone
+    (under frozen masks, only where a frozen slot reads them), splices
+    each copy's columns into a copy of hidden's y1, and runs the
+    activation chain and the one y3 product, on hidden's w2 pack, over
+    the stacked copies.  It returns their y3s stacked along the rows,
+    each in token order and bitwise the full forward's.  p.w2 must have
+    n*g rows, as FfnParams requires, but is not read, nor is bank.  The
+    tape is hidden's with params p, the stacked w1 pack, y1 and y2,
+    copies n and a matmul_log of the y1 and y3 entries.  Under venom,
+    hidden must come from a frozen-mask forward, whose masks do not
+    move with w1.  w1_cols without hidden, with packs, or not of that
+    form raises InputError.
     """
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
@@ -341,22 +372,29 @@ def ffn_forward(
     if packs is not None and not (isinstance(packs, (tuple, list)) and len(packs) == 2):
         raise InputError(f"packs must be a (w1, w2) tuple or list, got {packs!r}")
     pw1, pw2 = (None, None) if packs is None else packs
-    w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
     if hidden is not None:
-        if not isinstance(hidden, FfnTape) or hidden.policy != pol:
-            raise InputError("hidden must be a tape produced under the same policy")
-        if hidden.x.shape != x.shape or hidden.w1.eff.shape != p.w1.shape:
-            raise InputError("hidden tape was produced for another x or w1 shape")
+        if not isinstance(hidden, FfnTape) or hidden.policy != pol or hidden.copies != 1:
+            raise InputError("hidden must be an unstacked tape produced under the same policy")
         if frozen is not None:
             raise InputError("hidden and frozen cannot be combined")
+        if hidden.x.shape != x.shape:
+            raise InputError("hidden tape was produced for another x shape")
+        if w1_cols is not None:
+            return _w1_stacked_forward(x, p, hidden, w1_cols, packs)
+        if hidden.w1.eff.shape != p.w1.shape:
+            raise InputError("hidden tape was produced for another w1 shape")
         if pw1 is not None and pw1 is not hidden.w1:
             raise InputError("packs: with a hidden tape the w1 pack is hidden.w1 or None")
+        w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
         tape = replace(hidden, params=p, w2=w2, matmul_log=[])
         return _output_product(tape), tape
+    if w1_cols is not None:
+        raise InputError("w1_cols needs a hidden tape")
 
     w1 = _reuse_or_pack(pw1, p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode, "w1")
-    log: list = []
-    tape = FfnTape(x=x, y1=None, y2=None, policy=pol, params=p, w1=w1, w2=w2, matmul_log=log)
+    w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
+    tape = FfnTape(x=x, y1=None, y2=None, policy=pol, params=p, w1=w1, w2=w2,
+                   frozen_masks=frozen is not None and pol.act_mode != "dense")
     if pol.act_mode == "venom":
         if bank is None:
             raise InputError("venom activation mode requires an expert bank")
@@ -367,48 +405,110 @@ def ffn_forward(
         else:
             tape.plan = route_tokens(x, bank, pol.router.top_k)
             tape.layout = padded_layout(tape.plan, pol.venom.v)
-    rows = _row_maps(tape)[0]
 
     # y1 on the entries the activation chain reads: the frozen pack's kept
     # slots of its real rows, each token's routed columns, or all of them
-    refrozen = frozen is not None and pol.act_mode != "dense"
-    if refrozen:
-        y1_in, tape.y1_cols = rows(x), frozen.y2.abs_columns()[_real(frozen)]
+    if tape.frozen_masks:
+        y1_in, tape.y1_cols = _row_maps(tape)[0](x), frozen.y2.abs_columns()[_real(frozen)]
     else:
         y1_in = x
         tape.y1_cols = routed_columns(tape.plan, bank) if pol.act_mode == "venom" else None
-    if pol.w1_sparse:
-        tape.y1 = spmm24_rhs(y1_in, w1.own, label="ffn.y1", cols=tape.y1_cols)
-        log.append(("y1", "w1"))
-    else:
-        tape.y1 = gemm(y1_in, w1.eff, tape.y1_cols)
-        log.append(("y1", "none"))
+    tape.y1 = _y1_product(y1_in, tape, tape.y1_cols)
+    return _activation_and_output(tape, frozen if tape.frozen_masks else None, bank), tape
 
+
+def _y1_product(a: np.ndarray, tape: FfnTape, cols) -> np.ndarray:
+    """y1 = a @ tape.w1.eff, sampled at cols when given, logged with its
+    packed operand: w1's own-row pack if its mask is on."""
+    if tape.policy.w1_sparse:
+        tape.matmul_log.append(("y1", "w1"))
+        return spmm24_rhs(a, tape.w1.own, label="ffn.y1", cols=cols)
+    tape.matmul_log.append(("y1", "none"))
+    return gemm(a, tape.w1.eff, cols)
+
+
+def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, packs):
+    """ffn_forward with w1_cols (see there), hidden already checked."""
+    pol = hidden.policy
+    g = 4 if pol.w1_sparse else 1
+    cols = np.asarray(w1_cols)
+    if packs is not None:
+        raise InputError("packs: a w1-stacked forward packs p.w1 and runs y3 on hidden's w2 pack")
+    if pol.act_mode == "venom" and not hidden.frozen_masks:
+        raise InputError("under venom, w1_cols needs the hidden tape of a frozen-mask forward")
+    if not (
+        cols.ndim == 1 and cols.dtype.kind in "iu" and 0 < len(cols) == p.w1.shape[1] and len(cols) % g == 0
+        and cols.min() >= 0 and cols.max() < hidden.w1.eff.shape[1]
+        and not (cols[::g] % g).any() and (cols.reshape(-1, g) == cols[::g, None] + np.arange(g)).all()
+    ):
+        raise InputError(f"w1_cols must name p.w1's {p.w1.shape[1]} columns in aligned groups of {g} "
+                         f"of hidden's w1, got {w1_cols!r}")
+    copies = len(cols) // g
+    w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
+    tape = replace(hidden, params=p, w1=w1, copies=copies, matmul_log=[])
+    # slot[r, j]: where column j of p.w1 lands in row r of hidden's y1,
+    # at the entry of the base column it stands for (-1 where the frozen
+    # pack keeps no slot of that column in row r)
+    base, rows = hidden.y1, np.arange(len(hidden.y1))[:, None]
+    if hidden.y1_cols is None:
+        slot = np.repeat(cols[None], len(base), axis=0)
+        product = _y1_product(x, tape, None)
+    else:  # sampled: each row at the columns it reads, padded with others
+        at = np.full((len(base), hidden.w1.eff.shape[1]), -1)
+        at[rows, hidden.y1_cols] = np.arange(base.shape[1])
+        slot = at[:, cols]
+        need = slot >= 0
+        h = max(1, int(need.sum(axis=1).max()))
+        sampled = np.argsort(~need, axis=1, kind="stable")[:, :h]  # a row's needed columns first
+        product = np.empty(need.shape)
+        product[rows, sampled] = _y1_product(_row_maps(hidden)[0](x), tape, sampled)
+    r, j = np.nonzero(slot >= 0)
+    y1 = np.repeat(base[None], copies, axis=0)
+    y1[j // g, r, slot[r, j]] = product[r, j]
+    tape.y1 = y1.reshape(-1, base.shape[1])
+    return _activation_and_output(tape, hidden if hidden.frozen_masks else None, None), tape
+
+
+def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.ndarray:
+    """The forward from tape.y1 on, for every forward that computes y1:
+    the activation chain sets tape.y2 (with act_mask and _y1_kept), then
+    the y3 product runs; returns y3.  With frozen, the activation masks
+    are frozen's and y1 sits at its pack's kept slots of real rows.  A
+    stacked tape's y1 holds tape.copies copies along its rows; dense and
+    act24 treat each row on its own anyway, and frozen masks are tiled
+    over the copies (an unfrozen venom chain is never stacked)."""
+    pol, y1 = tape.policy, tape.y1
     if pol.act_mode == "dense":
-        tape.y2 = squared_relu(tape.y1)
-    elif refrozen:  # act24 or venom: y2 re-encoded on the frozen pack's slots
-        tape.act_mask, tape._y1_kept = frozen.act_mask, tape.y1
-        values = np.zeros(frozen.y2.values.shape)  # a pad row holds zeros
-        values[_real(tape)] = np.where(tape.act_mask[_real(tape)], squared_relu(tape.y1), 0.0)
-        tape.y2 = frozen.y2.with_values(values)
+        tape.y2 = squared_relu(y1)
+    elif frozen is not None:  # act24 or venom: y2 re-encoded on the frozen pack's slots
+        tape.act_mask, tape._y1_kept = frozen.act_mask, y1
+        real = _real(frozen)
+        kept = np.where(np.tile(frozen.act_mask[real], (tape.copies, 1)), squared_relu(y1), 0.0)
+        if tape.copies == 1:
+            values = np.zeros(frozen.y2.values.shape)  # a pad row holds zeros
+            values[real] = kept
+            tape.y2 = frozen.y2.with_values(values)
+        else:  # the copies' real rows, as the y3 product reads them
+            columns = np.tile(frozen.y2.abs_columns()[real], (tape.copies, 1))
+            tape.y2 = _Rows(len(kept), frozen.y2.cols, kept, columns)
     elif pol.act_mode == "venom":
-        y1 = rows(tape.y1)
+        y1 = _row_maps(tape)[0](y1)
         tape.y2, entry = _encode_routed(squared_relu(y1), tape.plan, bank, tape.layout, pol.venom)
         tape.act_mask, kept = entry >= 0, entry[_real(tape)]
         tape._y1_kept = np.where(kept >= 0, y1[np.arange(len(y1))[:, None], kept], 0.0)
     else:
-        tape.y2 = sparsify24(squared_relu(tape.y1), GREEDY_MAGNITUDE)
+        tape.y2 = sparsify24(squared_relu(y1), GREEDY_MAGNITUDE)
         tape.act_mask = np.ones(tape.y2.values.shape, dtype=bool)
-    return _output_product(tape), tape
+    return _output_product(tape)
 
 
 def _output_product(tape: FfnTape) -> np.ndarray:
     """y3 = y2 @ w2.eff in token order, logged with its packed operand:
     the activation pack (act24, venom), else w2's own-row pack if its
-    mask is on."""
+    mask is on.  A stacked tape's copies each come back in token order."""
     log, w2 = tape.matmul_log, tape.w2
     if tape.policy.act_mode != "dense":
-        y3 = _row_maps(tape)[1](spmm24(_real_rows(tape), w2.eff, label="ffn.y3"))
+        y3 = _token_order(spmm24(_real_rows(tape), w2.eff, label="ffn.y3"), tape)
         log.append(("y3", "y2"))
     elif tape.policy.w2_sparse:
         y3 = spmm24_rhs(tape.y2, w2.own, label="ffn.y3")
@@ -417,6 +517,16 @@ def _output_product(tape: FfnTape) -> np.ndarray:
         y3 = gemm(tape.y2, w2.eff)
         log.append(("y3", "none"))
     return y3
+
+
+def _token_order(y: np.ndarray, tape: FfnTape) -> np.ndarray:
+    """Rows of y, in the pack's real-row order (per copy of a stacked
+    tape), in the caller's token order."""
+    unrows, n = _row_maps(tape)[1], tape.copies
+    if n == 1 or tape.plan is None:
+        return unrows(y)
+    side = y.reshape(n, -1, y.shape[1]).transpose(1, 0, 2).reshape(-1, n * y.shape[1])  # copies side by side
+    return unrows(side).reshape(-1, n, y.shape[1]).transpose(1, 0, 2).reshape(y.shape)
 
 
 def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
@@ -434,6 +544,8 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         raise InputError("tape was produced under a different policy")
     if tape.params is not p:
         raise InputError("tape was produced with different weights")
+    if tape.copies != 1:
+        raise InputError("the tape of a w1-stacked forward has no backward")
     if dy3.shape != (tape.x.shape[0], p.d_out):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
     log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
@@ -538,8 +650,8 @@ class GradcheckReport:
 _TIE_MARGIN = 1e-6
 _FD_STEP = 3e-7
 # float64 values one stacked finite-difference forward may hold in any
-# array it stacks: its rows of x or columns of w2, y1 and y3 of the
-# stack, and the copies of y3 its losses sum (2**12 is 32 KiB)
+# array it stacks: its rows of x or columns of w1 or w2, y1 and y3 of
+# the stack, and the copies of y3 its losses sum (2**12 is 32 KiB)
 _FD_BUDGET = 2**12
 
 
@@ -590,19 +702,20 @@ def _fd_steps(a: np.ndarray) -> np.ndarray:
     return _FD_STEP * np.maximum(1.0, np.abs(a)).reshape(-1)
 
 
-def _looped_fd(a: np.ndarray, loss) -> np.ndarray:
-    """Central differences of loss() in each entry of a, one entry and
-    two forwards at a time; a is edited in place and restored."""
+def _looped_fd(a: np.ndarray, forward) -> np.ndarray:
+    """Central differences of 0.5 * ||y3||^2 in each entry of a, one
+    entry and two forwards at a time: forward() returns y3; a is edited
+    in place and restored."""
     flat, h = a.reshape(-1), _fd_steps(a)
     fd = np.empty(a.size)
     for e in range(a.size):
-        saved = flat[e]
-        flat[e] = saved + h[e]
-        lp = loss()
-        flat[e] = saved - h[e]
-        lm = loss()
+        saved, losses = flat[e], []
+        for v in (saved + h[e], saved - h[e]):
+            flat[e] = v
+            y3 = forward()
+            losses.append(0.5 * float(np.sum(y3 * y3)))
         flat[e] = saved
-        fd[e] = (lp - lm) / (2.0 * h[e])
+        fd[e] = (losses[0] - losses[1]) / (2.0 * h[e])
     return fd.reshape(a.shape)
 
 
@@ -653,26 +766,32 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     away from mask tie boundaries (margin 1e-6), deterministically
     bumping the seed by 1000 until a generic point is found.
 
-    Perturbing x[i, j] moves only row i of y3, and perturbing w2[c, o]
-    only column o (under w2's own 2:4 mask, the columns of o's 4-group):
-    no mask spans rows of the activation, and a weight mask is local to a
-    4-group.  So the differences of x (but under venom, whose frozen
+    Perturbing x[i, j] moves only row i of y3, perturbing w2[c, o] only
+    column o (under w2's own 2:4 mask, the columns of o's 4-group), and
+    perturbing w1[j, k] only column k of y1 (under w1's own 2:4 mask, the
+    columns of k's 4-group): no mask spans rows of the activation, a
+    weight's own-row mask is local to a 4-group, and w1's transposed mask
+    to a column.  So the differences of x (but under venom, whose frozen
     routing covers only the base tokens) run as forwards on stacked
-    perturbed rows, and those of w2 as forwards (``hidden``, on the base
+    perturbed rows; those of w2 as forwards (``hidden``, on the base
     point's hidden stage: the base tape, or for venom the frozen-mask
-    forward's) on a w2 of stacked perturbed column groups, each holding
+    forward's) on a w2 of stacked perturbed column groups; and those of
+    w1 as forwards (``hidden`` and ``w1_cols``, on the same hidden stage)
+    that splice stacked perturbed column groups of y1 into copies of its
+    y1 and run the rest of the forward on each copy.  Each forward holds
     the +h and -h copies of a chunk of entries.  Each copy's loss sums
-    the base y3 with its row or columns replaced, which is bitwise the
-    loss of that entry's own forward, since every kernel sums each output
-    entry on its own in a fixed order.  A chunk holds as many entries as
-    fit _FD_BUDGET float64 values in each array it stacks (16 at (8, 16,
-    32)).  Once per call, before any difference, one stacked forward of
-    unperturbed rows and one of unperturbed column groups must reproduce
-    the base y3 bitwise (GuardError otherwise).  The differences of w1,
-    which moves every entry of y3, and venom's of x run one entry and
-    two forwards at a time.  No forward packs a weight it leaves as it
-    was: it takes the base tape's pack (``packs``).  At (8, 16, 32) a
-    call runs 1,067 forwards rather than 2,306 (venom 1,315, not 2,307).
+    the base y3 with its row or columns replaced, or a w1 copy's whole
+    y3, which is bitwise the loss of that entry's own forward, since
+    every kernel sums each output entry on its own in a fixed order.  A
+    chunk holds as many entries as fit _FD_BUDGET float64 values in each
+    array it stacks (at (8, 16, 32), 16 for x and w2, and 8 for w1, 16
+    under venom).  Once per call, before any difference, one stacked
+    forward of unperturbed rows of x and one each of unperturbed column
+    groups of w2 and w1 must reproduce the base y3 bitwise (GuardError
+    otherwise).  Venom's differences of x run one entry and two forwards
+    at a time.  No forward packs a weight it leaves as it was: it takes
+    the base tape's pack (``packs``) or hidden stage.  At (8, 16, 32) a
+    call runs 108 forwards rather than 2,306 (venom 324, not 2,307).
     shape is three integers (batch, d_model, d_ffn) and seed an integer;
     anything else, bools included, raises InputError.
     """
@@ -701,15 +820,15 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
 
     dx_an, dw1_an, dw2_an = ffn_backward(y3, tape, p, pol)
 
-    # the hidden stage (routing, y1, y2) of the forwards on w2: the base
-    # tape's, or for venom the frozen-mask forward's
+    # the hidden stage (routing, y1, y2) of the forwards on w2 and w1: the
+    # base tape's, or for venom the frozen-mask forward's
     frozen, hidden = (tape, None) if pol.act_mode == "venom" else (None, tape)
     packs = (tape.w1, tape.w2)
     if frozen is not None:
         y3_frozen, hidden = ffn_forward(x, p, pol, bank, frozen=frozen, packs=packs)
         if not np.array_equal(y3_frozen, y3):
             raise GuardError("frozen-mask forward does not reproduce the base output")
-    g = 4 if pol.w2_sparse else 1  # the columns of w2's effective form an entry of w2 moves
+    g2 = 4 if pol.w2_sparse else 1  # the columns of w2's effective form an entry of w2 moves
 
     def x_rows(e, v):
         # no mask spans rows, so a row of x moves only its row of y3
@@ -721,31 +840,42 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
 
     def w2_groups(e, v):
         # an entry of w2 moves only its column of y3, or under w2's own
-        # 2:4 mask its 4-group's columns: the stack holds g columns per copy
+        # 2:4 mask its 4-group's columns: the stack holds g2 columns per copy
         c, o = np.divmod(e, p.d_out)
-        cols = (o - o % g)[:, None] + np.arange(g)
+        cols = (o - o % g2)[:, None] + np.arange(g2)
         w = p.w2[:, cols.reshape(-1)]
-        w[c, np.arange(len(e)) * g + o % g] = v
+        w[c, np.arange(len(e)) * g2 + o % g2] = v
         yv, _ = ffn_forward(x, FfnParams(p.w1, w), pol, hidden=hidden)
-        return yv.reshape(b, len(e), g).transpose(1, 0, 2), (np.arange(b)[:, None], cols[:, None])
+        return yv.reshape(b, len(e), g2).transpose(1, 0, 2), (np.arange(b)[:, None], cols[:, None])
+
+    g1 = 4 if pol.w1_sparse else 1  # the columns of y1 an entry of w1 moves
+
+    def w1_groups(e, v):
+        # an entry of w1 moves only its column of y1, or under w1's own
+        # 2:4 mask its 4-group's columns: the stack holds g1 columns per
+        # copy, and each copy's whole y3 comes back
+        j, k = np.divmod(e, d_ffn)
+        cols = ((k - k % g1)[:, None] + np.arange(g1)).reshape(-1)
+        w = p.w1[:, cols]
+        w[j, np.arange(len(e)) * g1 + k % g1] = v
+        yv, _ = ffn_forward(x, FfnParams(w, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
+        rows = np.zeros((len(e), 1, 1), dtype=np.intp) + np.arange(b)[:, None]  # each copy's every row
+        return yv.reshape(len(e), b, p.d_out), (rows, np.arange(p.d_out))
 
     x_side = (x, x_rows, max(d_ffn, y3.size))
-    w2_side = (p.w2, w2_groups, max(g * d_ffn, y3.size))
+    w2_side = (p.w2, w2_groups, max(g2 * d_ffn, y3.size))
+    w1_side = (p.w1, w1_groups, max(g1 * d_model, hidden.y1.size, y3.size))
     if frozen is None:
         _check_stack(*x_side, y3, "rows of x")
     _check_stack(*w2_side, y3, "column groups of w2 on the base point's hidden stage")
-
-    def loss(xv, pv, packs) -> float:
-        yv, _ = ffn_forward(xv, pv, pol, bank, frozen=frozen, packs=packs)
-        return 0.5 * float(np.sum(yv * yv))
+    _check_stack(*w1_side, y3, "column groups of w1 on the base point's hidden stage")
 
     if frozen is None:
         fd_x = _stacked_fd(*x_side, y3)
     else:
         xv = x.copy()  # perturbed in place
-        fd_x = _looped_fd(xv, lambda: loss(xv, p, packs))
-    pv = FfnParams(p.w1.copy(), p.w2)  # its w1 is perturbed in place
-    fd_w1 = _looped_fd(pv.w1, lambda: loss(x, pv, (None, tape.w2)))
+        fd_x = _looped_fd(xv, lambda: ffn_forward(xv, p, pol, bank, frozen=frozen, packs=packs)[0])
+    fd_w1 = _stacked_fd(*w1_side, y3)
     fd_w2 = _stacked_fd(*w2_side, y3)
     rels = [float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12))
             for fd, an in ((fd_x, dx_an), (fd_w1, dw1_an), (fd_w2, dw2_an))]

@@ -308,6 +308,79 @@ def test_hidden_forward_rejects_what_it_cannot_reuse(case):
         assert y3.tobytes() == sfk.ffn_forward(x, p, pol, bank=bank)[0].tobytes()
 
 
+def w1_stack_problem(case):
+    """reuse_problem's inputs plus the w1+w1t policy, the hidden tape a
+    w1-stacked forward reads (a frozen-mask forward's under venom and for
+    the frozen- cases) and the frozen tape, or None."""
+    if case == "w1+w1t":
+        pol, x, p, bank = sfk.SparsityPolicy(w1_sparse=True, w1t_sparse=True), *reuse_problem("dense")[1:]
+    else:
+        pol, x, p, bank = reuse_problem(case.removeprefix("frozen-"))
+    _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+    if pol.act_mode != "venom" and not case.startswith("frozen-"):
+        return pol, x, p, bank, tape, None
+    return pol, x, p, bank, sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)[1], tape
+
+
+@pytest.mark.parametrize("case", REUSE_CASES + ["w1+w1t", "frozen-act24"])
+def test_w1_stacked_forward_is_the_full_forward_bitwise(case):
+    """Each copy of a w1-stacked forward is bitwise the full forward (with
+    the same frozen masks, if any) on w1 with that copy's column group
+    replaced, and the stacked forward logs one y1 and one y3 product."""
+    pol, x, p, bank, hidden, frozen = w1_stack_problem(case)
+    g = 4 if pol.w1_sparse else 1
+    groups = [np.arange(q, q + g) for q in (0, 4, p.d_ffn - g)]
+    edits = [lambda w: 0.5 * w + 0.125, lambda w: -2.0 * w]
+    cols = np.concatenate([c for _ in edits for c in groups])
+    wide = np.hstack([edit(p.w1[:, c]) for edit in edits for c in groups])
+    y3s, tape_s = sfk.ffn_forward(x, sfk.FfnParams(wide, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
+    copies = len(edits) * len(groups)
+    assert tape_s.copies == copies and y3s.shape == (copies * len(x), p.d_out)
+    assert [name for name, _ in tape_s.matmul_log] == ["y1", "y3"]
+    assert tape_s.matmul_log == [e for e in hidden.matmul_log if e[0] in ("y1", "y3")]
+    blocks = iter(np.split(y3s, copies))
+    for edit in edits:
+        for c in groups:
+            w1 = p.w1.copy()
+            w1[:, c] = edit(w1[:, c])
+            y3c, _ = sfk.ffn_forward(x, sfk.FfnParams(w1, p.w2), pol, bank=bank, frozen=frozen)
+            assert next(blocks).tobytes() == y3c.tobytes()
+    with pytest.raises(InputError):
+        sfk.ffn_backward(y3s, tape_s, tape_s.params, pol)
+
+
+@pytest.mark.parametrize("case", ["w1", "venom"])
+def test_w1_stacked_forward_rejects_what_it_cannot_stack(case):
+    pol, x, p, bank, hidden, frozen = w1_stack_problem(case)
+    g = 4 if pol.w1_sparse else 1
+    cols = np.arange(2 * g)
+    ps = sfk.FfnParams(p.w1[:, cols], p.w2[cols])
+    _, stacked = sfk.ffn_forward(x, ps, pol, hidden=hidden, w1_cols=cols)
+    bad = [
+        ({}, cols),  # no hidden tape
+        ({"hidden": hidden, "packs": (None, hidden.w2)}, cols),
+        ({"hidden": hidden, "frozen": hidden}, cols),
+        ({"hidden": stacked}, cols),  # a stacked tape
+        ({"hidden": hidden}, cols[:-1]),  # fewer columns than p.w1
+        ({"hidden": hidden}, cols.astype(float)),
+        ({"hidden": hidden}, cols.reshape(1, -1)),
+        ({"hidden": hidden}, cols + p.d_ffn),  # past hidden's w1
+        ({"hidden": hidden}, cols - 1),
+        ({"hidden": hidden}, cols[:0]),
+    ]
+    if g == 4:
+        bad.append(({"hidden": hidden}, cols + 1))  # groups that are not aligned
+        bad.append(({"hidden": hidden}, cols[::-1].copy()))
+    for kw, w1_cols in bad:
+        with pytest.raises(InputError):
+            sfk.ffn_forward(x, ps, pol, bank=bank, w1_cols=w1_cols, **kw)
+    if frozen is not None:  # an unfrozen venom tape, whose masks would move with w1
+        with pytest.raises(InputError, match="frozen-mask forward"):
+            sfk.ffn_forward(x, ps, pol, bank=bank, hidden=frozen, w1_cols=cols)
+    with pytest.raises(InputError):  # another x shape
+        sfk.ffn_forward(x[:4], ps, pol, hidden=hidden, w1_cols=cols)
+
+
 # --------------------------------------------------- sparse operand placement
 
 
@@ -346,14 +419,16 @@ def test_packed_operand_placement(tag):
 
 
 @pytest.mark.parametrize("case", list(sfk.ABLATIONS) + ["recipe", "frozen-act24", "frozen-venom", "frozen-recipe"]
-                         + [f"hidden-{t}" for t in (*sfk.ABLATIONS, "recipe")] + ["hidden-frozen-venom"])
+                         + [f"hidden-{t}" for t in (*sfk.ABLATIONS, "recipe")] + ["hidden-frozen-venom"]
+                         + [f"stacked-{t}" for t in ("dense", "w1", "w1t", "act24", "frozen-venom", "frozen-recipe")])
 def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
     """One forward + backward calls gemm/spmm24_rhs/spmm24/spmm24_tn once
     per matmul_log entry (router scoring aside), and every multiply
     tallied in the step is tallied inside one of those calls: the
     contract a tracer needs to attribute each kernel call to a product.
-    A forward on a hidden tape (its forward alone) is the one y3 call."""
-    tag = case.removeprefix("hidden-").removeprefix("frozen-")
+    A forward on a hidden tape (its forward alone) is the one y3 call,
+    and a w1-stacked one the y1 and the y3 call."""
+    tag = case.removeprefix("hidden-").removeprefix("stacked-").removeprefix("frozen-")
     pol = sfk.default_sparse_policy() if tag == "recipe" else sfk.ablation_policy(tag)
     x, p = small_problem(d_model=16, d_ffn=32, d_out=16, tokens=16)
     bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
@@ -361,8 +436,11 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
     kw = {}
     if "frozen" in case:
         kw["frozen"] = prior
-    if case.startswith("hidden"):
+    if case.startswith(("hidden", "stacked")):
         kw = {"hidden": sfk.ffn_forward(x, p, pol, bank=bank, **kw)[1] if kw else prior}
+    if case.startswith("stacked"):
+        kw["w1_cols"] = np.arange(8)  # two 4-groups, or eight single columns
+        p = sfk.FfnParams(-p.w1[:, :8], p.w2[:8])
     calls, inside, routing = [], [], []
 
     def counted(name, real):
@@ -394,7 +472,7 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
         y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, **kw)
         if "hidden" not in kw:
             sfk.ffn_backward(y3, tape, p, pol)
-    assert len(calls) == len(tape.matmul_log) == (1 if "hidden" in kw else 6)
+    assert len(calls) == len(tape.matmul_log) == (6 if "hidden" not in kw else 2 if "w1_cols" in kw else 1)
     assert sum(inside) == step.total > 0
 
 
@@ -609,10 +687,12 @@ def test_gradcheck_rejects_a_shape_or_seed_that_is_not_integers(shape, seed):
 
 @pytest.mark.parametrize("tag", ["dense", "w1", "venom"])
 def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag):
-    """At (8, 16, 32) one FfnParams for the base point, one over the w1
-    copy that the 2 * 512 forwards on w1 perturb in place, and one per
-    stacked forward on w2: the guard and 512 / 16 chunks (16 entries fit
-    the budget), so 1 + 1 + 1 + 32 = 35, not one per forward."""
+    """At (8, 16, 32) one FfnParams for the base point and one per
+    stacked forward on a weight: on w2 the guard and 512 / 16 chunks (16
+    entries fit the budget), on w1 the guard and 512 / 8 chunks (8 fit,
+    as its stacks hold copies of y1; 16 under venom, whose y1 holds only
+    the frozen slots).  So 1 + 33 + 65 = 99 (venom 1 + 33 + 33 = 67),
+    not one per forward."""
     calls = []
     real = sfk.FfnParams.__post_init__
 
@@ -623,24 +703,25 @@ def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag
     monkeypatch.setattr(sfk.FfnParams, "__post_init__", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0  # one base point
-    assert len(calls) == 1 + 1 + 1 + 512 // 16
+    on_w1 = 512 // (16 if tag == "venom" else 8)
+    assert len(calls) == 1 + (1 + 512 // 16) + (1 + on_w1)
 
 
 @pytest.mark.parametrize("tag, packed", [
-    ("w1", 1 + 2 * 512),  # the base forward, then both FD forwards per entry of w1
-    ("w1t", 1 + 2 * 512),
-    ("w2", 1 + 1 + 512 // 16),  # the base forward, the guard and one per stacked chunk
+    ("w1", 1 + 1 + 512 // 8),  # the base forward, the guard and one per stacked chunk
+    ("w1t", 1 + 1 + 512 // 8),
+    ("w2", 1 + 1 + 512 // 16),
     ("w2t", 1 + 1 + 512 // 16),
-    ("act24", 1 + 1 + 128 // 16 + 2 * 512),  # the activation, every forward that runs y1
+    ("act24", 1 + 1 + 128 // 16 + 1 + 512 // 8),  # the activation, every forward that runs y1
 ])
 def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
-    """At (8, 16, 32) x has 128 entries and each weight 512, and 16
-    entries fit a stacked forward's budget.  A weight is sparsified by
-    the base forward and by the forwards that perturb it: one per entry
-    and sign for w1, one per stacked chunk and the guard for w2; the
-    others reuse the base tape's pack.  The activation is packed
-    wherever y1 runs: the base forward, the stacked guard and chunks of
-    x, and the forwards on w1; the forwards on w2 skip it."""
+    """At (8, 16, 32) x has 128 entries and each weight 512; 16 entries
+    fit the budget of a stacked forward on x or w2, and 8 of one on w1,
+    which stacks copies of y1.  A weight is sparsified by the base
+    forward and by the stacked forwards that perturb it, the guard and
+    one per chunk; the others reuse the base tape's pack.  The
+    activation is packed wherever y1 runs: the base forward and the
+    stacked guards and chunks of x and w1; the forwards on w2 skip it."""
     calls = []
     real = sfk.ffn.sparsify24
 
@@ -656,12 +737,13 @@ def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
 
 @pytest.mark.parametrize("tag", sfk.ABLATIONS)
 def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
-    """At (8, 16, 32), 16 entries to a stacked forward, y1 runs in the
-    base forward (and, for venom, the frozen-mask guard), in the
-    forwards on x (the stacked guard and 128 / 16 chunks; for venom,
-    whose routing is frozen, 2 * 128 one-entry forwards) and in the
-    2 * 512 forwards on w1.  The stacked forwards on w2 (the guard and
-    512 / 16 chunks) run y3 alone."""
+    """At (8, 16, 32) y1 runs in the base forward (and, for venom, the
+    frozen-mask guard), in the forwards on x (the stacked guard and
+    128 / 16 chunks; for venom, whose routing is frozen, 2 * 128
+    one-entry forwards) and in the stacked forwards on w1 (the guard and
+    512 / 8 chunks; 512 / 16 for venom, whose y1 holds only the frozen
+    slots).  The stacked forwards on w2 (the guard and 512 / 16 chunks)
+    run y3 alone."""
     products = []
     real = sfk.ffn.ffn_forward
 
@@ -673,8 +755,8 @@ def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0
-    base, on_x = (2, 2 * 128) if tag == "venom" else (1, 1 + 128 // 16)
-    assert products.count("y1") == base + on_x + 2 * 512
+    base, on_x, on_w1 = (2, 2 * 128, 1 + 512 // 16) if tag == "venom" else (1, 1 + 128 // 16, 1 + 512 // 8)
+    assert products.count("y1") == base + on_x + on_w1
     assert products.count("y3") == products.count("y1") + 1 + 512 // 16
     assert len(products) == products.count("y1") + products.count("y3")
 
@@ -683,7 +765,8 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
     """A forward on the base point's hidden stage, or a stacked forward,
     that does not reproduce the base y3 stops gradcheck with GuardError
     before any finite difference: only the base forward, venom's
-    frozen-mask guard and the stacked guards have run."""
+    frozen-mask guard and the stacked guards up to the failing one (rows
+    of x, column groups of w2, column groups of w1) have run."""
     real = sfk.ffn.ffn_forward
     b, d_out = 4, 8  # gradcheck's batch and d_out at (4, 8, 16)
 
@@ -697,44 +780,56 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
     hidden = nudged(lambda args, kwargs: "hidden" in kwargs)
     # a stacked forward reads more rows of x or columns of w2 than the base one
     stacked = nudged(lambda args, kwargs: args[0].shape[0] != b or args[1].w2.shape[1] != d_out)
-    for mutant, match in ((hidden, "hidden stage"), (stacked, "stacked")):
+    w1_stacked = nudged(lambda args, kwargs: "w1_cols" in kwargs)
+    # forwards run until the mutant's guard fails, for w2 and venom: the
+    # base, then the guards of x (or venom's frozen-mask one), w2 and w1
+    for mutant, match, ran in ((hidden, "hidden stage", (3, 3)), (stacked, "stacked", (2, 3)),
+                               (w1_stacked, "stacked column groups of w1", (4, 4))):
         monkeypatch.setattr(sfk.ffn, "ffn_forward", mutant)
-        for tag in ("w2", "venom"):
+        for tag, n in zip(("w2", "venom"), ran):
             calls = []
             with pytest.raises(GuardError, match=match):
                 sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
-            assert len(calls) <= 3
+            assert len(calls) == n
 
 
 @pytest.mark.parametrize("tag, shape", [
     ("act24", (8, 16, 32)), ("w2", (8, 16, 32)), ("act24", (4, 64, 64)), ("w2", (4, 64, 64)),
+    ("w1", (8, 16, 32)), ("w1", (4, 64, 64)),
 ])
 def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
-    """No forward of gradcheck is handed an x or w2, or returns a y3, of
-    more float64 values than the stacking budget.  The largest stacks
-    hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has 128
-    entries) and 8 at (4, 64, 64) (256): the copies of y3 their losses
-    sum fill the budget."""
+    """No forward of gradcheck is handed an x, w1 or w2, or returns a y1
+    or y3, of more float64 values than the stacking budget.  The stacks
+    on x and w2 hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has
+    128 entries) and 8 at (4, 64, 64) (256): the copies of y3 their
+    losses sum fill the budget.  Those on w1 hold copies of the whole
+    y1 (256 entries at both shapes), so 8 entries at both."""
     sizes = []
     real = sfk.ffn.ffn_forward
 
     def recorded(x, p, *args, **kwargs):
         y3, tape = real(x, p, *args, **kwargs)
-        sizes.append((x.shape, p.w2.shape, y3.size, "hidden" in kwargs))
+        sizes.append((x.shape, p.w1.shape, p.w2.shape, tape.y1.size, y3.size, tape.copies, kwargs))
         return y3, tape
 
     monkeypatch.setattr(sfk.ffn, "ffn_forward", recorded)
     sfk.gradcheck(sfk.ablation_policy(tag), shape=shape, seed=0)
     budget = sfk.ffn._FD_BUDGET
-    assert all(xs[0] * xs[1] <= budget and ws[0] * ws[1] <= budget and ys <= budget
-               for xs, ws, ys, _ in sizes)
+    assert all(xs[0] * xs[1] <= budget and w1s[0] * w1s[1] <= budget and w2s[0] * w2s[1] <= budget
+               and y1s <= budget and y3s <= budget for xs, w1s, w2s, y1s, y3s, _, _ in sizes)
     b, d_model, d_ffn = shape
     k = budget // (2 * b * d_model)  # entries per chunk; d_out = d_model
     assert k == {8: 16, 4: 8}[b]
-    g = 4 if tag == "w2" else 1
-    # the hidden= forwards are the stacks on w2; the others see b rows or a stack of x
-    assert max(xs[0] for xs, _, _, hidden in sizes if not hidden) == 2 * k
-    assert max(ws[1] for _, ws, _, hidden in sizes if hidden) == 2 * k * g
+    k1 = budget // (2 * b * d_ffn)  # entries per chunk on w1, whose copies hold y1
+    assert k1 == 8
+    g2, g1 = (4 if tag == "w2" else 1), (4 if tag == "w1" else 1)
+    # the hidden= forwards are the stacks on w2 and (with w1_cols) w1; the
+    # others see b rows or a stack of x
+    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k
+    assert max(w2s[1] for _, _, w2s, *_, kw in sizes if "hidden" in kw and "w1_cols" not in kw) == 2 * k * g2
+    w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, y3s, n, kw in sizes if "w1_cols" in kw]
+    assert max(w1_stacks) == (2 * k1 * g1, 2 * k1 * b * d_ffn, 2 * k1 * b * d_model, 2 * k1)
+    assert all(y1s == n * b * d_ffn and y3s == n * b * d_model for _, y1s, y3s, n in w1_stacks)
 
 
 ORACLE_CASES = (
@@ -745,6 +840,9 @@ ORACLE_CASES = (
        ("w1t", sfk.SOFT_THRESHOLD, (3, 8, 10), 0), ("act24", sfk.GREEDY_MAGNITUDE, (5, 6, 12), 0)]
     + [(combo, mode, (8, 16, 32), 0) for combo in ("w1+w2", "w2+act24") for mode in sfk.MODES]
     + [("w1t+w2+act24", sfk.GREEDY_MAGNITUDE, (8, 16, 32), 0)]
+    + [("w1+w2t", mode, (8, 16, 32), 0) for mode in sfk.MODES]
+    + [("w1t+act24", sfk.SOFT_THRESHOLD, (8, 16, 32), 0), ("w1", sfk.GREEDY_MAGNITUDE, (3, 8, 12), 0),
+       ("w1+act24", sfk.SOFT_THRESHOLD, (5, 8, 12), 0)]
 )
 
 
@@ -765,6 +863,8 @@ def oracle_policy(tag, mode):
 def test_gradcheck_is_the_per_entry_loop_bitwise(tag, mode, shape, seed):
     """The stacked finite differences give the one-entry-at-a-time
     loop's report exactly: both weight modes, venom under top-1 and
-    top-2 routing, the recipe, combined masks and odd shapes."""
+    top-2 routing, the recipe, combined masks (w1's own mask with w2's
+    transposed one or the activation's, w1's transposed mask with the
+    activation's) and odd shapes."""
     pol = oracle_policy(tag, mode)
     assert sfk.gradcheck(pol, shape, seed) == gradcheck_oracle(pol, shape, seed)
