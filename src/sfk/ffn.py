@@ -31,6 +31,7 @@ against central finite differences of the forward itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +64,7 @@ from .sparse24 import (
     spmm24_rhs,
     spmm24_tn,
 )
-from .venom import VenomParams
+from .venom import VenomMatrix, VenomParams
 
 ACT_MODES = ("dense", "act24", "venom")
 
@@ -183,7 +184,8 @@ class FfnTape:
     frozen_masks is True when the activation masks and routing came from
     a frozen tape.  copies is 1 but on the tape of a w1-stacked forward
     (ffn_forward's w1_cols), whose y1 and y2 stack that many copies
-    along their rows; ffn_backward rejects such a tape.
+    along their rows; ffn_backward, and ffn_forward as frozen, reject
+    such a tape.
     """
 
     x: np.ndarray
@@ -315,8 +317,9 @@ def ffn_forward(
     venom mode requires a bank whose column sets cover d_ffn; the
     output is returned in the caller's token order (routing permutes
     rows internally), and y1 is computed only on each token's routed
-    columns.  With ``frozen`` (a tape from a previous forward under the
-    same policy), the activation masks and routing plan are reused
+    columns.  With ``frozen`` (an unstacked tape from a previous forward
+    under the same policy; anything else raises InputError), the
+    activation masks and routing plan are reused
     instead of recomputed, making the forward a fixed piecewise-smooth
     function of (x, w1, w2), and y1 is computed only at the frozen
     pack's kept slots of real rows; weight masks are always recomputed
@@ -367,6 +370,8 @@ def ffn_forward(
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
         raise ShapeError(f"input is {x.shape}, w1 expects {p.d_model} features")
+    if frozen is not None and (not isinstance(frozen, FfnTape) or frozen.copies != 1):
+        raise InputError("frozen must be an unstacked tape")
     if frozen is not None and frozen.policy != pol:
         raise InputError("frozen tape was produced under a different policy")
     if packs is not None and not (isinstance(packs, (tuple, list)) and len(packs) == 2):
@@ -702,23 +707,6 @@ def _fd_steps(a: np.ndarray) -> np.ndarray:
     return _FD_STEP * np.maximum(1.0, np.abs(a)).reshape(-1)
 
 
-def _looped_fd(a: np.ndarray, forward) -> np.ndarray:
-    """Central differences of 0.5 * ||y3||^2 in each entry of a, one
-    entry and two forwards at a time: forward() returns y3; a is edited
-    in place and restored."""
-    flat, h = a.reshape(-1), _fd_steps(a)
-    fd = np.empty(a.size)
-    for e in range(a.size):
-        saved, losses = flat[e], []
-        for v in (saved + h[e], saved - h[e]):
-            flat[e] = v
-            y3 = forward()
-            losses.append(0.5 * float(np.sum(y3 * y3)))
-        flat[e] = saved
-        fd[e] = (losses[0] - losses[1]) / (2.0 * h[e])
-    return fd.reshape(a.shape)
-
-
 def _stack_chunks(n: int, width: int) -> list:
     """Flat entries 0..n-1 in chunks whose +h and -h copies, width values
     each, fit _FD_BUDGET (one entry at least)."""
@@ -731,7 +719,7 @@ def _check_stack(a: np.ndarray, run, width: int, y3: np.ndarray, what: str) -> N
     must give the base y3's entries bitwise, else GuardError."""
     e = np.tile(_stack_chunks(a.size, width)[0], 2)
     y, at = run(e, a.reshape(-1)[e])
-    if not np.array_equal(y, y3[at]):
+    if not np.array_equal(y, np.broadcast_to(y3, y.shape) if at is None else y3[at]):
         raise GuardError(f"stacked {what} does not reproduce the base output")
 
 
@@ -740,20 +728,53 @@ def _stacked_fd(a: np.ndarray, run, width: int, y3: np.ndarray) -> np.ndarray:
     and -h copies of a chunk of entries in one forward.  run(e, v) is
     that forward, copy c having flat entry e[c] of a set to v[c]; it
     returns the entries each copy moves of y3, shaped (copies, ...), and
-    their index in y3.  A copy's loss sums y3 * y3 over the base y3 with
-    those entries replaced, which is bitwise the per-entry forward's
-    loss: every other entry of that forward's y3 is the base one, and
-    each loss sums one C-ordered array in the same pairwise order."""
+    their index in y3, or each copy's whole y3 and None.  A copy's loss
+    sums y3 * y3 over the base y3 with those entries replaced, or over
+    its whole y3, which is bitwise the per-entry forward's loss: every
+    other entry of that forward's y3 is the base one, and each loss sums
+    one C-ordered array in the same pairwise order."""
     flat, h, sq = a.reshape(-1), _fd_steps(a), y3 * y3
     fd = np.empty(a.size)
     for e in _stack_chunks(a.size, width):
         k = len(e)
         y, at = run(np.tile(e, 2), np.concatenate([flat[e] + h[e], flat[e] - h[e]]))
-        copies = np.repeat(sq[None], 2 * k, axis=0)
-        copies[(np.arange(2 * k).reshape(-1, *[1] * (y.ndim - 1)), *at)] = y * y
+        if at is None:
+            copies = y * y
+        else:
+            copies = np.repeat(sq[None], 2 * k, axis=0)
+            copies[(np.arange(2 * k).reshape(-1, *[1] * (y.ndim - 1)), *at)] = y * y
         loss = 0.5 * copies.reshape(2 * k, -1).sum(axis=1)
         fd[e] = (loss[:k] - loss[k:]) / (2.0 * h[e])
     return fd.reshape(a.shape)
+
+
+def _tiled(tape: FfnTape, n: int) -> FfnTape:
+    """A frozen-mask venom tape tiled over n copies of its batch: the tape
+    of the frozen forward on np.tile(tape.x, (n, 1)), whose token c*b + t
+    is copy c of token t.  Tokens are in expert-major order (an expert's
+    tokens of copy 0, then of copy 1, ...), and each (expert, copy) group
+    is padded on its own, so no V-row block mixes copies and each copy
+    keeps tape's column tables and activation mask.  Each structure is
+    built through its checking constructor."""
+    plan, layout, pack, b = tape.plan, tape.layout, tape.y2, len(tape.x)
+    perm = np.concatenate([(np.arange(n)[:, None] * b + plan.permutation[lo:hi]).reshape(-1)
+                           for lo, hi in plan.group_bounds])
+    tiled_plan = RoutingPlan(np.tile(plan.assignments, (n, 1)), perm,
+                             tuple((n * lo, n * hi) for lo, hi in plan.group_bounds))
+    # tiled row r repeats padded row rows[r] of tape; as in any layout, the
+    # real rows hold the permuted rows in order
+    rows = np.concatenate([np.tile(np.arange(lo, hi), n) for lo, hi in layout.group_bounds])
+    real, source = layout._real[rows], np.full(len(rows), -1)
+    source[real] = np.arange(n * b)
+    tiled_layout = PaddedLayout(len(rows), source,
+                                tuple((n * lo, n * hi) for lo, hi in layout.group_bounds))
+    v = pack.params.v
+    payload = Sparse24Matrix(len(rows), pack.payload.cols, pack.values[rows], pack.payload.slots[rows])
+    y2 = VenomMatrix(len(rows), pack.cols, pack.params, pack.col_table[rows[::v] // v], payload)
+    y1 = tape.y1[(np.cumsum(layout._real) - 1)[rows[real]]]  # tape.y1 holds its real rows
+    return replace(tape, x=np.tile(tape.x, (n, 1)), y1=y1, y2=y2, y1_cols=y2.abs_columns()[real],
+                   plan=tiled_plan, layout=tiled_layout, act_mask=tape.act_mask[rows],
+                   matmul_log=[], _y1_kept=y1)
 
 
 def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> GradcheckReport:
@@ -771,9 +792,12 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     perturbing w1[j, k] only column k of y1 (under w1's own 2:4 mask, the
     columns of k's 4-group): no mask spans rows of the activation, a
     weight's own-row mask is local to a 4-group, and w1's transposed mask
-    to a column.  So the differences of x (but under venom, whose frozen
-    routing covers only the base tokens) run as forwards on stacked
-    perturbed rows; those of w2 as forwards (``hidden``, on the base
+    to a column.  So the differences of x run as forwards on stacked
+    perturbed rows, or under venom, whose frozen routing covers only the
+    base tokens, on copies of the whole batch with one entry perturbed,
+    each forward on the base point's frozen tape tiled over its copies
+    (each expert's tokens padded per copy, so every copy keeps the base
+    block masks); those of w2 as forwards (``hidden``, on the base
     point's hidden stage: the base tape, or for venom the frozen-mask
     forward's) on a w2 of stacked perturbed column groups; and those of
     w1 as forwards (``hidden`` and ``w1_cols``, on the same hidden stage)
@@ -784,14 +808,15 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     y3, which is bitwise the loss of that entry's own forward, since
     every kernel sums each output entry on its own in a fixed order.  A
     chunk holds as many entries as fit _FD_BUDGET float64 values in each
-    array it stacks (at (8, 16, 32), 16 for x and w2, and 8 for w1, 16
-    under venom).  Once per call, before any difference, one stacked
-    forward of unperturbed rows of x and one each of unperturbed column
-    groups of w2 and w1 must reproduce the base y3 bitwise (GuardError
-    otherwise).  Venom's differences of x run one entry and two forwards
-    at a time.  No forward packs a weight it leaves as it was: it takes
-    the base tape's pack (``packs``) or hidden stage.  At (8, 16, 32) a
-    call runs 108 forwards rather than 2,306 (venom 324, not 2,307).
+    array it stacks (at (8, 16, 32), 16 for x and w2, and 8 for w1; under
+    venom 16 for each, as a copy of x holds the batch, the tiled pack and
+    y3, and venom's y1 only the frozen slots).  Once per call, before any
+    difference, one stacked forward of unperturbed rows (or copies) of x
+    and one each of unperturbed column groups of w2 and w1 must
+    reproduce the base y3 bitwise (GuardError otherwise).  No forward
+    packs a weight it leaves as it was: it takes the base tape's pack
+    (``packs``) or hidden stage.  At (8, 16, 32) a call runs 108
+    forwards rather than 2,306 (venom 77, not 2,307).
     shape is three integers (batch, d_model, d_ffn) and seed an integer;
     anything else, bools included, raises InputError.
     """
@@ -830,13 +855,21 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
             raise GuardError("frozen-mask forward does not reproduce the base output")
     g2 = 4 if pol.w2_sparse else 1  # the columns of w2's effective form an entry of w2 moves
 
+    tiled = functools.cache(lambda n: _tiled(hidden, n))  # one per chunk length
+
     def x_rows(e, v):
-        # no mask spans rows, so a row of x moves only its row of y3
-        i = e // d_model
-        rows = x[i]
-        rows[np.arange(len(e)), e % d_model] = v
-        yv, _ = ffn_forward(rows, p, pol, packs=packs)
-        return yv, (i[:, None], np.arange(p.d_out))
+        # no mask spans rows, so a row of x moves only its row of y3: the
+        # stack holds the perturbed rows, or under venom, whose frozen
+        # routing covers the base tokens only, copies of the whole batch
+        # on the frozen tape tiled over them
+        i, n = e // d_model, len(e)
+        if frozen is None:
+            xs, at, kw = x[i], np.arange(n), {}
+        else:
+            xs, at, kw = np.tile(x, (n, 1)), np.arange(n) * b + i, {"frozen": tiled(n)}
+        xs[at, e % d_model] = v
+        yv, _ = ffn_forward(xs, p, pol, bank, packs=packs, **kw)
+        return yv[at], (i[:, None], np.arange(p.d_out))
 
     def w2_groups(e, v):
         # an entry of w2 moves only its column of y3, or under w2's own
@@ -859,22 +892,20 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         w = p.w1[:, cols]
         w[j, np.arange(len(e)) * g1 + k % g1] = v
         yv, _ = ffn_forward(x, FfnParams(w, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
-        rows = np.zeros((len(e), 1, 1), dtype=np.intp) + np.arange(b)[:, None]  # each copy's every row
-        return yv.reshape(len(e), b, p.d_out), (rows, np.arange(p.d_out))
+        return yv.reshape(len(e), b, p.d_out), None  # each copy's whole y3
 
-    x_side = (x, x_rows, max(d_ffn, y3.size))
+    if frozen is None:
+        x_side, x_what = (x, x_rows, max(d_ffn, y3.size)), "rows of x"
+    else:
+        x_side = (x, x_rows, max(x.size, hidden.y2.values.size, y3.size))
+        x_what = "copies of x on the base point's tiled frozen tape"
     w2_side = (p.w2, w2_groups, max(g2 * d_ffn, y3.size))
     w1_side = (p.w1, w1_groups, max(g1 * d_model, hidden.y1.size, y3.size))
-    if frozen is None:
-        _check_stack(*x_side, y3, "rows of x")
+    _check_stack(*x_side, y3, x_what)
     _check_stack(*w2_side, y3, "column groups of w2 on the base point's hidden stage")
     _check_stack(*w1_side, y3, "column groups of w1 on the base point's hidden stage")
 
-    if frozen is None:
-        fd_x = _stacked_fd(*x_side, y3)
-    else:
-        xv = x.copy()  # perturbed in place
-        fd_x = _looped_fd(xv, lambda: ffn_forward(xv, p, pol, bank, frozen=frozen, packs=packs)[0])
+    fd_x = _stacked_fd(*x_side, y3)
     fd_w1 = _stacked_fd(*w1_side, y3)
     fd_w2 = _stacked_fd(*w2_side, y3)
     rels = [float(np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12))

@@ -381,6 +381,49 @@ def test_w1_stacked_forward_rejects_what_it_cannot_stack(case):
         sfk.ffn_forward(x[:4], ps, pol, hidden=hidden, w1_cols=cols)
 
 
+def test_forward_rejects_a_frozen_that_is_not_an_unstacked_tape():
+    """frozen must be a tape of one copy: a string or a pack used to
+    raise an untyped AttributeError, and a w1-stacked tape an IndexError
+    or ShapeError from deep inside the forward."""
+    pol, x, p, bank, hidden, _ = w1_stack_problem("venom")
+    cols = np.arange(2)
+    _, stacked = sfk.ffn_forward(x, sfk.FfnParams(p.w1[:, cols], p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
+    for bad in ("abc", stacked, hidden.y2):
+        with pytest.raises(InputError, match="unstacked tape"):
+            sfk.ffn_forward(x, p, pol, bank=bank, frozen=bad)
+
+
+@pytest.mark.parametrize("case", ["venom", "venom-top2", "recipe"])
+def test_tiled_frozen_tape_runs_each_copy_as_its_own_frozen_forward(case):
+    """One forward on the frozen tape tiled over n copies of x gives each
+    copy's rows of y3 bitwise as that copy's own frozen forward does: 7
+    distinctly perturbed copies run in chunks of 4 and 3, as gradcheck's
+    last chunk may be short.  No V-row block of the tiled pack mixes
+    copies, and on n copies of x the tiled tape is a frozen tape like
+    any other: the forward's y1 is the tiled tape's and its y3 the base
+    y3 n times."""
+    pol, x, p, bank = reuse_problem(case)
+    _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
+    _, frozen = sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)
+    packs = (tape.w1, tape.w2)
+    copies = [x + 0.01 * (c + 1) * sfk.rand_matrix(*x.shape, seed=20 + c) for c in range(7)]
+    for chunk in (copies[:4], copies[4:]):
+        n = len(chunk)
+        tiled = sfk.ffn._tiled(frozen, n)
+        assert tiled.copies == 1 and tiled.plan.num_tokens == n * len(x)
+        # every real row of a block belongs to one copy
+        token = np.where(tiled.layout._real, tiled.plan.permutation[tiled.layout.source_row], -1)
+        for block in (token // len(x)).reshape(-1, pol.venom.v):
+            assert len(set(block[block >= 0].tolist())) <= 1
+        y3, _ = sfk.ffn_forward(np.vstack(chunk), p, pol, bank=bank, frozen=tiled, packs=packs)
+        for xc, yc in zip(chunk, np.split(y3, n)):
+            want, _ = sfk.ffn_forward(xc, p, pol, bank=bank, frozen=tape, packs=packs)
+            assert yc.tobytes() == want.tobytes()
+    y3, tape_t = sfk.ffn_forward(np.tile(x, (n, 1)), p, pol, bank=bank, frozen=tiled)
+    assert tape_t.y1.tobytes() == tiled.y1.tobytes()
+    assert y3.tobytes() == np.tile(sfk.ffn_forward(x, p, pol, bank=bank)[0], (n, 1)).tobytes()
+
+
 # --------------------------------------------------- sparse operand placement
 
 
@@ -738,12 +781,12 @@ def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
 @pytest.mark.parametrize("tag", sfk.ABLATIONS)
 def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     """At (8, 16, 32) y1 runs in the base forward (and, for venom, the
-    frozen-mask guard), in the forwards on x (the stacked guard and
-    128 / 16 chunks; for venom, whose routing is frozen, 2 * 128
-    one-entry forwards) and in the stacked forwards on w1 (the guard and
-    512 / 8 chunks; 512 / 16 for venom, whose y1 holds only the frozen
-    slots).  The stacked forwards on w2 (the guard and 512 / 16 chunks)
-    run y3 alone."""
+    frozen-mask guard), in the stacked forwards on x (the guard and
+    128 / 16 chunks; for venom, whose routing is frozen, copies of the
+    batch on the tiled frozen tape, 16 entries a chunk too) and in the
+    stacked forwards on w1 (the guard and 512 / 8 chunks; 512 / 16 for
+    venom, whose y1 holds only the frozen slots).  The stacked forwards
+    on w2 (the guard and 512 / 16 chunks) run y3 alone."""
     products = []
     real = sfk.ffn.ffn_forward
 
@@ -755,7 +798,8 @@ def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0
-    base, on_x, on_w1 = (2, 2 * 128, 1 + 512 // 16) if tag == "venom" else (1, 1 + 128 // 16, 1 + 512 // 8)
+    base, on_w1 = (2, 1 + 512 // 16) if tag == "venom" else (1, 1 + 512 // 8)
+    on_x = 1 + 128 // 16
     assert products.count("y1") == base + on_x + on_w1
     assert products.count("y3") == products.count("y1") + 1 + 512 // 16
     assert len(products) == products.count("y1") + products.count("y3")
@@ -766,7 +810,8 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
     that does not reproduce the base y3 stops gradcheck with GuardError
     before any finite difference: only the base forward, venom's
     frozen-mask guard and the stacked guards up to the failing one (rows
-    of x, column groups of w2, column groups of w1) have run."""
+    of x, or venom's copies of x on the tiled frozen tape, then column
+    groups of w2, then column groups of w1) have run."""
     real = sfk.ffn.ffn_forward
     b, d_out = 4, 8  # gradcheck's batch and d_out at (4, 8, 16)
 
@@ -777,59 +822,76 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
             return (np.nextafter(y3, np.inf) if when(args, kwargs) else y3), tape
         return forward
 
+    frozen_guard = nudged(lambda args, kwargs: "frozen" in kwargs and args[0].shape[0] == b)
     hidden = nudged(lambda args, kwargs: "hidden" in kwargs)
-    # a stacked forward reads more rows of x or columns of w2 than the base one
-    stacked = nudged(lambda args, kwargs: args[0].shape[0] != b or args[1].w2.shape[1] != d_out)
+    # a stacked forward on x holds more rows than the batch: perturbed
+    # rows, or under venom whole copies of the batch
+    x_stacked = nudged(lambda args, kwargs: args[0].shape[0] != b)
+    w2_stacked = nudged(lambda args, kwargs: args[1].w2.shape[1] != d_out)
     w1_stacked = nudged(lambda args, kwargs: "w1_cols" in kwargs)
-    # forwards run until the mutant's guard fails, for w2 and venom: the
-    # base, then the guards of x (or venom's frozen-mask one), w2 and w1
-    for mutant, match, ran in ((hidden, "hidden stage", (3, 3)), (stacked, "stacked", (2, 3)),
-                               (w1_stacked, "stacked column groups of w1", (4, 4))):
+    on_w2 = "stacked column groups of w2 on the base point's hidden stage"
+    for mutant, tag, match, ran in (
+        (frozen_guard, "venom", "frozen-mask forward", 2),
+        (x_stacked, "w2", "stacked rows of x", 2),
+        (x_stacked, "venom", "stacked copies of x on the base point's tiled frozen tape", 3),
+        (hidden, "w2", on_w2, 3),
+        (hidden, "venom", on_w2, 4),
+        (w2_stacked, "w2", on_w2, 3),
+        (w2_stacked, "venom", on_w2, 4),
+        (w1_stacked, "w2", "stacked column groups of w1", 4),
+        (w1_stacked, "venom", "stacked column groups of w1", 5),
+    ):
         monkeypatch.setattr(sfk.ffn, "ffn_forward", mutant)
-        for tag, n in zip(("w2", "venom"), ran):
-            calls = []
-            with pytest.raises(GuardError, match=match):
-                sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
-            assert len(calls) == n
+        calls = []
+        with pytest.raises(GuardError, match=match):
+            sfk.gradcheck(sfk.ablation_policy(tag), shape=(4, 8, 16), seed=0)
+        assert len(calls) == ran, (tag, match)
 
 
 @pytest.mark.parametrize("tag, shape", [
     ("act24", (8, 16, 32)), ("w2", (8, 16, 32)), ("act24", (4, 64, 64)), ("w2", (4, 64, 64)),
-    ("w1", (8, 16, 32)), ("w1", (4, 64, 64)),
+    ("w1", (8, 16, 32)), ("w1", (4, 64, 64)), ("venom", (8, 16, 32)), ("venom", (4, 64, 64)),
 ])
 def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
-    """No forward of gradcheck is handed an x, w1 or w2, or returns a y1
-    or y3, of more float64 values than the stacking budget.  The stacks
+    """No forward of gradcheck is handed an x, w1 or w2, or returns a y1,
+    y2 or y3, of more float64 values than the stacking budget.  The stacks
     on x and w2 hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has
     128 entries) and 8 at (4, 64, 64) (256): the copies of y3 their
-    losses sum fill the budget.  Those on w1 hold copies of the whole
-    y1 (256 entries at both shapes), so 8 entries at both."""
+    losses sum fill the budget.  Venom's stacks on x hold copies of the
+    whole batch (as many values as y3 here, and more than the tiled
+    pack), so the same number of entries.  Those on w1 hold copies of the
+    whole y1 (256 entries at both shapes), so 8 entries at both; venom's
+    y1 holds only the frozen slots, 2 of every 8 columns, so y3 sets
+    their size there too."""
     sizes = []
     real = sfk.ffn.ffn_forward
 
     def recorded(x, p, *args, **kwargs):
         y3, tape = real(x, p, *args, **kwargs)
-        sizes.append((x.shape, p.w1.shape, p.w2.shape, tape.y1.size, y3.size, tape.copies, kwargs))
+        y2 = tape.y2 if isinstance(tape.y2, np.ndarray) else tape.y2.values
+        sizes.append((x.shape, p.w1.shape, p.w2.shape, tape.y1.size, y2.size, y3.size, tape.copies, kwargs))
         return y3, tape
 
     monkeypatch.setattr(sfk.ffn, "ffn_forward", recorded)
     sfk.gradcheck(sfk.ablation_policy(tag), shape=shape, seed=0)
     budget = sfk.ffn._FD_BUDGET
-    assert all(xs[0] * xs[1] <= budget and w1s[0] * w1s[1] <= budget and w2s[0] * w2s[1] <= budget
-               and y1s <= budget and y3s <= budget for xs, w1s, w2s, y1s, y3s, _, _ in sizes)
+    assert all(max(xs[0] * xs[1], w1s[0] * w1s[1], w2s[0] * w2s[1], y1s, y2s, y3s) <= budget
+               for xs, w1s, w2s, y1s, y2s, y3s, *_ in sizes)
     b, d_model, d_ffn = shape
+    venom = tag == "venom"
     k = budget // (2 * b * d_model)  # entries per chunk; d_out = d_model
     assert k == {8: 16, 4: 8}[b]
-    k1 = budget // (2 * b * d_ffn)  # entries per chunk on w1, whose copies hold y1
-    assert k1 == 8
+    y1_row = d_ffn // 4 if venom else d_ffn
+    k1 = budget // (2 * b * max(y1_row, d_model))  # entries per chunk on w1, whose copies hold y1
+    assert k1 == (k if venom else 8)
     g2, g1 = (4 if tag == "w2" else 1), (4 if tag == "w1" else 1)
     # the hidden= forwards are the stacks on w2 and (with w1_cols) w1; the
     # others see b rows or a stack of x
-    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k
+    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k * (b if venom else 1)
     assert max(w2s[1] for _, _, w2s, *_, kw in sizes if "hidden" in kw and "w1_cols" not in kw) == 2 * k * g2
-    w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, y3s, n, kw in sizes if "w1_cols" in kw]
-    assert max(w1_stacks) == (2 * k1 * g1, 2 * k1 * b * d_ffn, 2 * k1 * b * d_model, 2 * k1)
-    assert all(y1s == n * b * d_ffn and y3s == n * b * d_model for _, y1s, y3s, n in w1_stacks)
+    w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, _, y3s, n, kw in sizes if "w1_cols" in kw]
+    assert max(w1_stacks) == (2 * k1 * g1, 2 * k1 * b * y1_row, 2 * k1 * b * d_model, 2 * k1)
+    assert all(y1s == n * b * y1_row and y3s == n * b * d_model for _, y1s, y3s, n in w1_stacks)
 
 
 ORACLE_CASES = (
@@ -843,6 +905,8 @@ ORACLE_CASES = (
     + [("w1+w2t", mode, (8, 16, 32), 0) for mode in sfk.MODES]
     + [("w1t+act24", sfk.SOFT_THRESHOLD, (8, 16, 32), 0), ("w1", sfk.GREEDY_MAGNITUDE, (3, 8, 12), 0),
        ("w1+act24", sfk.SOFT_THRESHOLD, (5, 8, 12), 0)]
+    + [("venom", sfk.SOFT_THRESHOLD, (12, 16, 32), 0),  # 192 entries of x, in chunks of 10
+       ("venom-top2", sfk.GREEDY_MAGNITUDE, (5, 6, 32), 0)]
 )
 
 
@@ -863,7 +927,7 @@ def oracle_policy(tag, mode):
 def test_gradcheck_is_the_per_entry_loop_bitwise(tag, mode, shape, seed):
     """The stacked finite differences give the one-entry-at-a-time
     loop's report exactly: both weight modes, venom under top-1 and
-    top-2 routing, the recipe, combined masks (w1's own mask with w2's
+    top-2 routing (venom's x with a short last chunk), the recipe, combined masks (w1's own mask with w2's
     transposed one or the activation's, w1's transposed mask with the
     activation's) and odd shapes."""
     pol = oracle_policy(tag, mode)
