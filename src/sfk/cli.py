@@ -212,6 +212,13 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_train(args) -> int:
     dims = _parse_ints(args.dims, 3, "--dims")
+    # a dense step's forward and backward: three products per weight
+    step_mults = 3 * args.batch_size * dims[1] * (dims[0] + dims[2])
+    if min(dims) > 0 and args.batch_size > 0 and step_mults > MAX_BENCH_FLOPS:
+        raise GuardError(
+            f"train dims {dims} at batch size {args.batch_size} take {step_mults} "
+            f"multiplies per dense step, over {MAX_BENCH_FLOPS}"
+        )
     task = ToyTask(
         input_dim=dims[0],
         hidden_dim=dims[1],

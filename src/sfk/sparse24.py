@@ -27,9 +27,10 @@ Both sparsifiers leave their input untouched and pick kept slots by
 input magnitude with a deterministic tie-break: larger magnitude first,
 then lower column index.
 
-decode24, kept_mask, reencode24, spmm24 and spmm24_tn read a pack only
-through rows, cols, values, abs_columns(), with_values() and
-validate(), so a VenomMatrix (sfk.venom) passes through them as well.
+decode24, kept_mask, reencode24, spmm24, spmm24_tn and the sampled
+spmm24_rhs read a pack only through rows, cols, values, abs_columns(),
+with_values() and validate(), so a VenomMatrix (sfk.venom) passes
+through them as well.
 validate() checks only that the values are finite; decode24, the
 writers and the readers call it.
 
@@ -310,12 +311,12 @@ def mass_kept_fraction(dense, decoded) -> float:
 # kernels: each touches only the kept values of the packed operand and
 # tallies its multiplies as it goes, and each is bitwise gemm on the
 # decoded operand: it sums the kept terms in gemm's order, and the
-# terms it skips are +-0.0 products there.  spmm24 and spmm24_tn read a
-# pack only as (absolute column, kept value) pairs, so they serve a
-# V:N:M matrix as well.  spmm24 takes one slot column per term,
-# spmm24_rhs one row of the pack, and spmm24_tn one rank pass of
-# _column_tables (which the sampled spmm24_rhs also reads); all three
-# fold small outputs in order with gemm's helper.
+# terms it skips are +-0.0 products there.  spmm24 takes one slot
+# column per term and the full spmm24_rhs one row of the pack, each
+# folding small outputs in order with gemm's helper.  spmm24_tn and the
+# sampled spmm24_rhs are one rank walk over the pack's column tables
+# (_rank_walk), so they read a pack only as (absolute column, kept
+# value) pairs and serve a V:N:M matrix as well.
 
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
@@ -390,51 +391,30 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs", cols=None) -> np
     return np.ascontiguousarray(out_t.T)
 
 
-def _spmm24_rhs_sampled(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
+def _spmm24_rhs_sampled(a, s: Sparse24Matrix | VenomMatrix, cols: np.ndarray, label: str) -> np.ndarray:
     """spmm24_rhs at the entries ``cols`` samples: entry [i, j] sums
     a[i, k] * W[k, c] (c = cols[i, j]) over the rows k of s that keep
-    column c, from +0.0 with k ascending, like the full kernel.
-
-    Up to ``_SAMPLED_FOLD_ENTRIES`` entries fold a chunk of rows k at once
-    (matcore._fold_in_order): row k, laid out densely (+0.0 off its kept
-    slots), is gathered at the sampled columns and multiplied by a only
-    where it keeps the column; the +0.0 left elsewhere adds nothing.
-    Larger outputs, and those of fewer than 2 entries, go by rank
-    (``_sampled_by_rank``).
+    column c, from +0.0 with k ascending, like the full kernel.  Two or
+    more rows of a with one column list (routed tokens of one expert
+    set) are one rank walk of whole rows, over a[rows].T; every other
+    entry is a unit of its own in one more walk.
     """
-    if cols.size <= _SAMPLED_FOLD_ENTRIES:
-        k_rows = np.arange(s.rows)[:, None]
-        w = np.zeros((s.rows, s.cols), dtype=np.float64)
-        w[k_rows, s.abs_columns()] = s.values
-        kept = np.zeros((s.rows, s.cols), dtype=bool)
-        kept[k_rows, s.abs_columns()] = True
+    tables = _column_tables(s)
+    rows_of = {}
+    for i, row in enumerate(cols):
+        rows_of.setdefault(row.tobytes(), []).append(i)
+    out = np.empty(cols.shape, dtype=np.float64)
+    single = []
+    for rows in rows_of.values():
+        if len(rows) == 1:
+            single += rows
+        else:
+            out[rows] = _rank_walk(tables, a[rows].T, cols[rows[0]], label).T
+    if single:
         h = cols.shape[1]
-
-        def products(k0, dst):
-            k1 = k0 + len(dst)
-            # the columns are in range; "clip" only skips a buffered bounds check
-            np.take(w[k0:k1], cols, axis=1, out=dst, mode="clip")
-            hit = np.flatnonzero(np.take(kept[k0:k1], cols, axis=1, mode="clip"))
-            flat = dst.reshape(-1)  # entry (kk, i, j) sits at kk*m*h + i*h + j
-            flat[hit] *= a[:, k0:k1].T.ravel()[hit // h]
-            return hit.size
-
-        out = _fold_in_order(cols.shape, s.rows, products, label)
-        if out is not None:
-            return out
-    return _sampled_by_rank(a, s, cols, label)
-
-
-# Crossovers of the sampled spmm24_rhs, measured on a 2-core x86 host
-# with numpy 2.4.  Up to _SAMPLED_FOLD_ENTRIES entries, the fold's
-# per-entry gathers cost less than the few numpy calls per rank of the
-# rank passes (toy_train's 1,024- and 640-entry products fold; wide_train's
-# 18,432 and about 10,000 go by rank).  Rows sharing one column list are
-# multiplied as one block per rank from _SHARED_ROWS rows on (wide_train's
-# routed y1 has about 48 per expert; blocks of 8 were slower that way
-# than row by row).
-_SAMPLED_FOLD_ENTRIES = 2**11
-_SHARED_ROWS = 16
+        got = _rank_walk(tables, a.T, cols[single].ravel(), label, np.repeat(single, h))
+        out[single] = got.reshape(len(single), h)
+    return out
 
 
 def _column_tables(s: Sparse24Matrix | VenomMatrix):
@@ -455,57 +435,73 @@ def _column_tables(s: Sparse24Matrix | VenomMatrix):
     return count, k_at, value_at
 
 
-def _sampled_by_rank(a, s: Sparse24Matrix, cols: np.ndarray, label: str) -> np.ndarray:
-    """Sampled spmm24_rhs, one pass per rank p: pass p adds, to every
-    entry whose column c is kept by more than p rows of s, the product
-    for the p-th of those rows k (k ascending).
+# Up to _ENTRY_FOLD single-entry units fold; past it the prefix passes
+# are cheaper, since the fold gathers an index per entry for every pass.
+# Measured on a 2-core x86 host with numpy 2.4: on wide_train's sampled
+# dy2 pack (61 passes) 768 entries fold in 0.43 ms against 0.51 ms by
+# prefix, 1,536 in 1.07 ms against 0.68 ms; toy_train's 512 (23 passes)
+# fold in 67 us against 198 us.  Whole-row units keep _fold_in_order's
+# own cutoff, about even with the prefix passes at 12,288 entries of
+# wide_train's dw products.
+_ENTRY_FOLD = 2**10
 
-    Rows with the same column list (routed tokens of one expert set) are
-    done together when there are at least ``_SHARED_ROWS`` of them: each
-    column's product is then a row gather of a.T times one value.  The
-    other entries are done one by one.  Either way the columns are sorted
-    by how many rows keep them, so each pass works on a prefix.
+
+def _rank_walk(tables, b, cols, label: str, at=None) -> np.ndarray:
+    """Per unit u, the sum of W[k, cols[u]] * b[k] over the rows k of the
+    pack W that keep column cols[u] (``tables``, from _column_tables),
+    from +0.0 with k ascending: an output row of len(b[0]) entries.
+    With ``at`` the unit is the single entry b[k, at[u]] instead, and
+    its output row has one entry.
+
+    Pass p adds each unit's p-th term.  Small outputs (up to _ENTRY_FOLD
+    entry units) fold the passes (matcore._fold_in_order): a unit past
+    its count gathers an all-zero row appended to b, times 0.0, which
+    adds nothing.  Others sort the units by count, so pass p works on a
+    prefix of them, and put them back in order at the end.
     """
-    count, k_at, value_at = _column_tables(s)
+    count, k_at, value_at = tables
+    n = b.shape[1]
+    b0 = np.concatenate((b, np.zeros((1, n))))  # row len(b): the all-zero row
+    if at is not None:
+        k_at, b0 = k_at * n, b0.reshape(-1, 1)  # entry (k, r) is row k*n + r of b0
+    n_kept = count[cols]
+    passes = int(n_kept.max(initial=0))
+    shape = (len(cols), b0.shape[1])
+    if at is None or len(cols) <= _ENTRY_FOLD:
+        done = 0  # terms before the chunk
 
-    def by_count(unit_cols):
-        """The units sorted by how many rows keep their column, and per
-        rank p the number of units with more than p."""
-        n_kept = count[unit_cols]
-        by_n = np.argsort(-n_kept, kind="stable")
-        prefix = np.searchsorted(-n_kept[by_n], -np.arange(len(k_at)), side="left")
-        return by_n, unit_cols[by_n], prefix.tolist()
+        def products(p0, dst):
+            nonlocal done
+            p1 = p0 + len(dst)
+            src = k_at[p0:p1].take(cols, axis=1)
+            if at is not None:
+                src += at
+            # the rows are in range; "clip" only skips a buffered bounds check
+            np.take(b0, src, axis=0, out=dst, mode="clip")
+            dst *= value_at[p0:p1].take(cols, axis=1)[..., None]
+            upto = int(np.minimum(n_kept, p1).sum())
+            terms, done = upto - done, upto
+            return terms * shape[1]
 
-    rows_of = {}
-    for i, row in enumerate(cols):
-        rows_of.setdefault(row.tobytes(), []).append(i)
-    out = np.empty(cols.shape, dtype=np.float64)
-    single = []
-    for rows in rows_of.values():
-        if len(rows) < _SHARED_ROWS:
-            single += rows
-            continue
-        by_n, c_sorted, prefix = by_count(cols[rows[0]])
-        a_t = np.ascontiguousarray(a[rows].T)
-        acc = np.zeros((cols.shape[1], len(rows)), dtype=np.float64)
-        for p, n in enumerate(prefix):
-            c = c_sorted[:n]
-            acc[:n] += a_t[k_at[p][c]] * value_at[p][c][:, None]
-            tally(n * len(rows), label)
-        out[np.asarray(rows)[:, None], by_n] = acc.T
-    if single:
-        by_n, c_sorted, prefix = by_count(cols[single].ravel())
-        a_t = np.ascontiguousarray(a[single].T).ravel()
-        k_off = k_at * len(single)  # row k of a[single].T starts there
-        row = by_n // cols.shape[1]
-        acc = np.zeros(len(by_n), dtype=np.float64)
-        for p, n in enumerate(prefix):
-            c = c_sorted[:n]
-            acc[:n] += a_t[k_off[p][c] + row[:n]] * value_at[p][c]
-            tally(n, label)
-        got = np.empty_like(acc)
-        got[by_n] = acc
-        out[single] = got.reshape(len(single), cols.shape[1])
+        out = _fold_in_order(shape, passes, products, label)
+        if out is not None:
+            return out
+    by_n = np.argsort(-n_kept, kind="stable")
+    cols = cols[by_n]
+    at = None if at is None else at[by_n]
+    width = np.searchsorted(-n_kept[by_n], -np.arange(passes), side="left")  # units per pass
+    acc = np.zeros(shape, dtype=np.float64)
+    tmp = np.empty_like(acc)
+    for p, w in enumerate(width.tolist()):
+        src = k_at[p].take(cols[:w])
+        if at is not None:
+            src += at[:w]
+        np.take(b0, src, axis=0, out=tmp[:w], mode="clip")
+        tmp[:w] *= value_at[p].take(cols[:w])[:, None]
+        acc[:w] += tmp[:w]
+        tally(w * shape[1], label)
+    out = np.empty_like(acc)
+    out[by_n] = acc
     return out
 
 
@@ -514,46 +510,13 @@ def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> n
 
     Output row c sums W[k, c] * b[k] over the rows k that keep column
     c, k ascending, so the result is bit-identical to
-    gemm(decode24(s).T, b).  Pass p adds the p-th entry of every output
-    row with more than p of them (_column_tables); the output rows are
-    sorted by that count, so pass p works on a prefix of them, and put
-    back in order once at the end.  Outputs of 2 to 2**14 entries fold
-    the passes (matcore._fold_in_order): an output row past its count
-    gathers an all-zero row appended to b, times 0.0, which adds
-    nothing.  Others add one pass at a time to a prefix of one
-    accumulator.
+    gemm(decode24(s).T, b): a rank walk (_rank_walk) with one unit per
+    column of s.
     """
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
-    n = b.shape[1]
-    count, k_at, value_at = _column_tables(s)
-    by_n = np.argsort(-count, kind="stable")
-    # row p: per output row, in by_n order, its p-th entry's row of b
-    # (the all-zero row s.rows past its count) and value
-    src, val = k_at[:, by_n], value_at[:, by_n]
-    width = np.searchsorted(-count[by_n], -np.arange(len(src)), side="left")  # per pass
-    mults = np.concatenate(([0], np.cumsum(width) * n)).tolist()
-    b0 = np.concatenate((b, np.zeros((1, n))))  # row s.rows: the all-zero row
-
-    def products(p0, dst):
-        p1 = p0 + len(dst)
-        np.take(b0, src[p0:p1], axis=0, out=dst, mode="clip")
-        dst *= val[p0:p1, :, None]
-        return mults[p1] - mults[p0]
-
-    acc = _fold_in_order((s.cols, n), len(src), products, label)
-    if acc is None:
-        acc = np.zeros((s.cols, n), dtype=np.float64)
-        tmp = np.empty_like(acc)
-        for p, w in enumerate(width.tolist()):
-            np.take(b, src[p, :w], axis=0, out=tmp[:w], mode="clip")
-            tmp[:w] *= val[p, :w, None]
-            acc[:w] += tmp[:w]
-            tally(w * n, label)
-    out = np.empty_like(acc)
-    out[by_n] = acc
-    return out
+    return _rank_walk(_column_tables(s), b, np.arange(s.cols), label)
 
 
 # ---------------------------------------------------------------------------

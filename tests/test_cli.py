@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sfk
-from sfk import FormatError
+from sfk import FormatError, cli
 from sfk.cli import build_parser, main
 
 
@@ -368,6 +368,26 @@ def test_bench_guards_oversized_problems(workdir, capsys):
     for repeat in ("0", "-2"):  # used to divide by zero
         assert main(["bench", "--shape", "32,64,16", "--repeat", repeat]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--batch-size", "100000000"],  # used to end in a MemoryError traceback
+        ["--dims", "100000,100000,100000", "--batch-size", "1"],
+    ],
+)
+def test_train_guards_oversized_problems(workdir, capsys, monkeypatch, argv):
+    """A train run whose dense step would take more than MAX_BENCH_FLOPS
+    multiplies exits 3 with one guard: line, before anything is built."""
+
+    def no_task(*args, **kwargs):
+        raise AssertionError("the task was built before the guard")
+
+    monkeypatch.setattr(cli, "ToyTask", no_task)
+    assert main(["train", "--steps", "2", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():

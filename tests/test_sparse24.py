@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sfk
@@ -364,9 +364,10 @@ def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, 
     assert np.array_equal(sfk.spmm24_rhs(a, s), sfk.gemm(a, sfk.decode24(s)))
 
 
-# Sampled outputs of 1 entry, of up to 2**11 entries (folded), of 2**11 to
-# 2**14 and beyond (by rank); rows of their own, or in blocks of rows
-# sharing one column list (16 or more of them are multiplied together).
+# Sampled outputs of 1 entry to past 2**14.  Rows of their own are
+# single-entry units of the rank walk (folded up to 2**10 units, by prefix
+# past it); rows sharing one of ``shared`` column lists are a row walk
+# each (folded up to 2**14 entries, by prefix past it).
 @given(
     st.sampled_from([(1, 1), (1, 3), (4, 1), (6, 5), (40, 60), (128, 128), (128, 129), (200, 90)]),
     st.integers(1, 24),
@@ -413,12 +414,17 @@ def test_spmm24_tn_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, r
     assert_spmm24_tn_is_gemm(s, spread(rows, n, seed + 1, neg_zero), inf_row=seed % rows)
 
 
-@pytest.mark.parametrize("rows,shared", [(4, 0), (200, 1), (200, 0)])
+@pytest.mark.parametrize(
+    "rows,shared", [(4, 0), (200, 1), (200, 0), (2, 1), (3, 1), (6, 2), (1100, 1)]
+)
 def test_sampled_spmm24_rhs_touches_only_kept_slots(rows, shared):
     """An infinite a[:, 3] meets only the weights row 3 keeps: a sampled
     entry whose column row 3 drops stays finite, as in the full kernel,
-    on every path (fold; rank, with rows sharing a column list or not);
-    multiplying a dropped slot's +0.0 would make it NaN."""
+    on every path; multiplying a dropped slot's +0.0 would make it NaN.
+    Rows of their own are entry units (folded for 4 rows, by prefix for
+    200); rows sharing a list are one row walk each (folded for 2, 3,
+    4 + 2 and 200 rows, by prefix for 1,100), whose padding must gather
+    the all-zero row appended to a[rows].T, never its infinite row 3."""
     s = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=4))
     a = sfk.rand_matrix(rows, 8, seed=5)
     a[:, 3] = np.inf
@@ -427,6 +433,54 @@ def test_sampled_spmm24_rhs_touches_only_kept_slots(rows, shared):
     np.testing.assert_array_equal(got, np.take_along_axis(sfk.spmm24_rhs(a, s), cols, axis=1))
     dropped = ~sfk.kept_mask(s)[3][cols]
     assert dropped.any() and np.isfinite(got[dropped]).all()
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_sampled_spmm24_rhs_on_an_empty_column_list(m):
+    """cols of shape (m, 0): one row is an entry walk with no units, and
+    3 rows sharing the empty list a row walk with none; either way the
+    product is m x 0, like gemm's, and nothing is multiplied."""
+    s = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=4))
+    a = sfk.rand_matrix(4, 8, seed=5)[:m]
+    cols = np.zeros((m, 0), dtype=np.int64)
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24_rhs(a, s, cols=cols)
+    assert got.shape == (m, 0) and counter.total == 0
+    assert got.tobytes() == sfk.gemm(a, sfk.decode24(s), cols).tobytes()
+
+
+# spmm24_tn and the sampled spmm24_rhs are one rank walk: with every
+# column sampled for each of n rows, spmm24_rhs(b.T, s, cols) is
+# spmm24_tn(s, b).T.  One row takes the entry walk, whose fold stops past
+# 2**10 units (1,024 columns against 1,028 and 1,032); n >= 2 rows share
+# one list and take the row walk, as spmm24_tn does, whose fold stops
+# past 2**14 entries (128 x 128 against 132 and 136 x 128 and 128 x 129).
+# A V:N:M pack (M = 8, V = 4 when the rows allow it) needs cols % 8 == 0.
+@given(
+    st.sampled_from(
+        [(8, 1), (1024, 1), (1028, 1), (1032, 1), (8, 2), (12, 5), (128, 128), (132, 128), (136, 128), (128, 129)]
+    ),
+    st.sampled_from([1, 3, 8]),
+    st.booleans(),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_spmm24_tn_is_the_sampled_spmm24_rhs_on_every_column(shape, rows, venom, seed, neg_zero):
+    cols, n = shape
+    assume(not venom or cols % 8 == 0)
+    w = spread(rows, cols, seed, neg_zero)
+    if venom:
+        s = sfk.venom_encode(w, sfk.VenomParams(4 if rows % 4 == 0 else 1, 8))
+    else:
+        s = sfk.sparsify24(w, sfk.MODES[seed % 2])
+    b = spread(rows, n, seed + 1, neg_zero)
+    with sfk.count_multiplies() as tn:
+        want = sfk.spmm24_tn(s, b)
+    with sfk.count_multiplies() as rhs:
+        got = sfk.spmm24_rhs(b.T, s, cols=np.tile(np.arange(cols), (n, 1)))
+    assert got.T.tobytes() == want.tobytes()
+    assert rhs.total == tn.total == s.values.size * n
 
 
 def test_kernel_shape_errors():
