@@ -126,7 +126,7 @@ def _cmd_check(args) -> int:
         print(f"{args.infile}: OK dense {a.shape[0]}x{a.shape[1]}")
     elif kind == "s24":
         s = load_s24(args.infile)
-        print(f"{args.infile}: OK 2:4 {s.rows}x{s.cols}, {s.slots_per_row} kept slots per row")
+        print(f"{args.infile}: OK 2:4 {s.rows}x{s.cols}, {s.cols // 2} kept slots per row")
     else:
         vm = load_venom(args.infile)
         p = vm.params

@@ -3,17 +3,15 @@ reference GEMM, seeded random matrices, and the SFK1 file format.
 
 All numeric work happens in float64 on plain numpy arrays.  ``gemm``
 sums every output entry from zero with k ascending, which makes it
-bit-identical to the classic triple loop.  Small outputs take k in
-chunks: the plain products of a chunk are stacked behind the running
-sum along the outer axis of one buffer, and ``np.add.reduce`` folds
-that axis in order, because numpy sums pairwise only along the fast
-axis in memory.  The packed kernels of ``sfk.sparse24`` fold their
-small products with the same helper.  Large outputs add one rank-1
-update per k index into a reused buffer.  That fixed summation order is
-what lets the sparse kernels be checked against it bit for bit, and it
-keeps every result reproducible across runs.  A sampled product
-(``cols``) computes only some entries of each row, each in the same
-order, so it is bitwise equal to those entries of the full product.
+bit-identical to the classic triple loop.  One loop does that summing
+for ``gemm`` and, but for the prefix passes of their rank walk, for the
+packed kernels of ``sfk.sparse24``: ``_fold_in_order``, whose docstring
+states when it takes the terms in chunks and when one at a time.  That
+fixed summation order is what lets the sparse kernels be checked
+against ``gemm`` bit for bit, and it keeps every result reproducible
+across runs.  A sampled product (``cols``) computes only some entries
+of each row, each in the same order, so it is bitwise equal to those
+entries of the full product.
 
 SFK1 layout (little-endian): 4-byte magic ``SFK1``, one dtype code byte
 (1 = real32, 2 = real64), three reserved zero bytes, u64 rows, u64
@@ -48,30 +46,39 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
+def _folds_in_chunks(shape) -> bool:
+    """The size rule of ``_fold_in_order``: whether an output of
+    ``shape`` takes its terms in chunks (2 to ``_CHUNK_ELEMS // 4``
+    entries) rather than one at a time."""
+    return 2 <= math.prod(shape) <= _CHUNK_ELEMS // 4
+
+
 def _fold_in_order(shape, terms, products, label):
     """Sum ``terms`` plain products into a new float64 array of ``shape``,
-    every entry from +0.0 with the term index ascending, or return None.
+    every entry from +0.0 with the term index ascending.
 
-    The terms go in chunks of ``c = _CHUNK_ELEMS // size`` (size = the
-    number of output entries): a C-contiguous ``(c+1, *shape)`` buffer
-    holds the running sum in slot 0 and ``products(t0, dst)`` writes
-    terms t0, t0+1, ... into ``dst``, slots 1..w of it, and returns how
-    many multiplies that took, which the chunk tallies under ``label``.
-    ``np.add.reduce`` then folds the outer axis into the output, in
-    order: that axis has stride ``8*size``, so unless the output is a
-    single entry it is never the fast axis in memory, the only one numpy
-    sums pairwise.
-
-    Returns None, having done nothing, for a 1-entry output, an output of
-    more than ``_CHUNK_ELEMS // 4`` entries (chunks too short to pay for
-    the strided reduction) or no terms; the caller then adds one term at
-    a time, in the same order.
+    ``products(t0, dst)`` writes terms t0, t0+1, ... into the slots of
+    ``dst``'s outer axis and returns how many multiplies that took,
+    which are tallied under ``label``.  An output of 2 to
+    ``_CHUNK_ELEMS // 4`` entries (``_folds_in_chunks``) takes the terms
+    in chunks of ``c = _CHUNK_ELEMS // size``: a C-contiguous
+    ``(c+1, *shape)`` buffer holds the running sum in slot 0 and the
+    chunk's terms in slots 1..w, and ``np.add.reduce`` folds the outer
+    axis into the output, in order: that axis has stride ``8*size``, so
+    it is never the fast axis in memory, the only one numpy sums
+    pairwise.  Every other output adds one term at a time: a single
+    entry, whose outer axis would be the fast one, and outputs past the
+    rule, whose chunks would be too short to pay for the strided
+    reduction.
     """
-    size = math.prod(shape)
-    if not terms or not 2 <= size <= _CHUNK_ELEMS // 4:
-        return None
-    c = min(_CHUNK_ELEMS // size, terms)
     out = np.zeros(shape, dtype=np.float64)
+    if not _folds_in_chunks(shape):
+        dst = np.empty((1, *shape), dtype=np.float64)
+        for t in range(terms):
+            tally(products(t, dst), label)
+            out += dst[0]
+        return out
+    c = max(1, min(_CHUNK_ELEMS // out.size, terms))
     buf = np.empty((c + 1, *shape), dtype=np.float64)
     buf[0] = 0.0
     for t0 in range(0, terms, c):
@@ -100,11 +107,9 @@ def gemm(a, b, cols=None) -> np.ndarray:
     """Reference matrix product with a fixed summation order.
 
     Every output entry is summed from zero with k ascending, so the
-    result matches the naive triple loop bit for bit.  An m x n output
-    of 2 to ``_CHUNK_ELEMS // 4`` entries folds the plain products
-    ``a[:, k] * b[k]`` in chunks (``_fold_in_order``).  Larger outputs,
-    whose chunks would be too short to pay for the strided reduction,
-    and 1 x 1 outputs add one rank-1 update per k into a reused buffer.
+    result matches the naive triple loop bit for bit: the plain products
+    ``a[:, k] * b[k]`` go through ``_fold_in_order``, whose size rule
+    picks chunks or one k at a time.
 
     With ``cols`` (m x h integers, see ``check_cols``) the product is
     sampled: it returns the m x h matrix whose entry [i, j] is entry
@@ -123,9 +128,6 @@ def gemm(a, b, cols=None) -> np.ndarray:
         def products(k0, dst):
             np.einsum("ik,kj->kij", a[:, k0 : k0 + len(dst)], b[k0 : k0 + len(dst)], out=dst)
             return dst.size
-
-        def term(ak, bk, dst):
-            np.einsum("i,j->ij", ak, bk, out=dst)
     else:
         cols = check_cols(cols, a.shape[0], b.shape[1])
         shape = cols.shape
@@ -137,21 +139,7 @@ def gemm(a, b, cols=None) -> np.ndarray:
             dst *= a[:, k0:k1].T[:, :, None]
             return dst.size
 
-        def term(ak, bk, dst):
-            np.take(bk, cols, out=dst, mode="clip")
-            dst *= ak[:, None]
-
-    out = _fold_in_order(shape, k, products, "gemm")
-    if out is not None:
-        return out
-    out = np.zeros(shape, dtype=np.float64)
-    a_t = np.ascontiguousarray(a.T)
-    tmp = np.empty(shape, dtype=np.float64)
-    for kk in range(k):
-        term(a_t[kk], b[kk], tmp)
-        out += tmp
-        tally(tmp.size, "gemm")
-    return out
+    return _fold_in_order(shape, k, products, "gemm")
 
 
 def rand_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -27,10 +27,10 @@ Both sparsifiers leave their input untouched and pick kept slots by
 input magnitude with a deterministic tie-break: larger magnitude first,
 then lower column index.
 
-decode24, kept_mask, reencode24, spmm24, spmm24_tn and the sampled
-spmm24_rhs read a pack only through rows, cols, values, abs_columns(),
-with_values() and validate(), so a VenomMatrix (sfk.venom) passes
-through them as well.
+decode24, kept_mask, reencode24, spmm24, spmm24_rhs and spmm24_tn read
+a pack only through rows, cols, values, abs_columns(), with_values()
+and validate(), so a VenomMatrix (sfk.venom) passes through them as
+well.
 validate() checks only that the values are finite; decode24, the
 writers and the readers call it.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from .counters import tally
 from .errors import CorruptionError, FormatError, InputError, ShapeError
-from .matcore import _fold_in_order, as_matrix, check_cols
+from .matcore import _fold_in_order, _folds_in_chunks, as_matrix, check_cols
 
 if TYPE_CHECKING:
     from .venom import VenomMatrix
@@ -99,10 +99,6 @@ class Sparse24Matrix:
                 "in-group indices are not two strictly increasing values in 0..3 per group"
             )
         _set_columns(self)
-
-    @property
-    def slots_per_row(self) -> int:
-        return self.cols // 2
 
     def abs_columns(self) -> np.ndarray:
         """Absolute column of every kept slot, shape (rows, cols // 2), read-only."""
@@ -311,12 +307,13 @@ def mass_kept_fraction(dense, decoded) -> float:
 # kernels: each touches only the kept values of the packed operand and
 # tallies its multiplies as it goes, and each is bitwise gemm on the
 # decoded operand: it sums the kept terms in gemm's order, and the
-# terms it skips are +-0.0 products there.  spmm24 takes one slot
-# column per term and the full spmm24_rhs one row of the pack, each
-# folding small outputs in order with gemm's helper.  spmm24_tn and the
-# sampled spmm24_rhs are one rank walk over the pack's column tables
-# (_rank_walk), so they read a pack only as (absolute column, kept
-# value) pairs and serve a V:N:M matrix as well.
+# terms it skips are +-0.0 products there.  Each sums through gemm's
+# loop, matcore._fold_in_order, whose size rule picks chunks or one term
+# at a time; the rank walk's prefix passes are the one other summation
+# loop.  spmm24's terms are its slot columns.  spmm24_tn, the sampled
+# spmm24_rhs and the full one on outputs the rule does not chunk are one
+# rank walk over the pack's column tables (_rank_walk); the full
+# spmm24_rhs on smaller outputs folds one row of the pack per term.
 
 
 def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndarray:
@@ -324,15 +321,13 @@ def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndar
 
     out[i] = sum_j values[i, j] * b[cols[i, j]], kept slot j ascending,
     so the result is bit-identical to gemm(decode24(s), b): the dropped
-    columns add only +-0.0 products there.  Outputs of 2 to 2**14
-    entries fold the gathered products of a chunk of slots at once
-    (matcore._fold_in_order); others add one slot at a time.
+    columns add only +-0.0 products there.  The gathered products of
+    each slot j are the terms of matcore._fold_in_order.
     """
     b = as_matrix(b)
     if s.cols != b.shape[0]:
         raise ShapeError(f"spmm24: inner dimensions differ: {s.rows}x{s.cols} times {b.shape}")
-    cols, values, n = s.abs_columns(), s.values, b.shape[1]
-    cols_t, values_t = cols.T, values.T
+    cols_t, values_t = s.abs_columns().T, s.values.T
 
     def products(j0, dst):
         j1 = j0 + len(dst)
@@ -341,25 +336,18 @@ def spmm24(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24") -> np.ndar
         dst *= values_t[j0:j1, :, None]
         return dst.size
 
-    out = _fold_in_order((s.rows, n), cols.shape[1], products, label)
-    if out is not None:
-        return out
-    out = np.zeros((s.rows, n), dtype=np.float64)
-    for j in range(cols.shape[1]):
-        out += values[:, j : j + 1] * b[cols[:, j]]
-        tally(s.rows * n, label)
-    return out
+    return _fold_in_order((s.rows, b.shape[1]), len(cols_t), products, label)
 
 
-def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs", cols=None) -> np.ndarray:
+def spmm24_rhs(a, s: Sparse24Matrix | VenomMatrix, label: str = "spmm24_rhs", cols=None) -> np.ndarray:
     """a @ decode24(s) without decoding: sparse operand on the right.
 
     Accumulates k strictly ascending, so the result is bit-identical to
-    gemm(a, decode24(s)).  The output is built transposed, so kept row k
-    of s scatters into contiguous rows.  Outputs of 2 to 2**14 entries
-    fold a chunk of rows k at once (matcore._fold_in_order), each
-    product zero outside row k's kept columns; others scatter one row k
-    at a time.
+    gemm(a, decode24(s)).  The output is built transposed.  Where
+    matcore._fold_in_order's size rule folds it in chunks, its terms are
+    the rows k of s, each product zero outside row k's kept columns and
+    scattered into contiguous rows; elsewhere it is the rank walk of
+    spmm24_tn(s, a.T) (_rank_walk).
 
     With ``cols`` (one row of output columns per row of a, see
     ``matcore.check_cols``) the product is sampled, as in ``gemm``:
@@ -372,23 +360,19 @@ def spmm24_rhs(a, s: Sparse24Matrix, label: str = "spmm24_rhs", cols=None) -> np
         raise ShapeError(f"spmm24_rhs: inner dimensions differ: {a.shape} times {s.rows}x{s.cols}")
     if cols is not None:
         return _spmm24_rhs_sampled(a, s, check_cols(cols, a.shape[0], s.cols), label)
-    m, cols, values, half = a.shape[0], s.abs_columns(), s.values, s.slots_per_row
-    a_t = np.ascontiguousarray(a.T)
+    m = a.shape[0]
+    if not _folds_in_chunks((s.cols, m)):
+        return np.ascontiguousarray(_rank_walk(_column_tables(s), a.T, np.arange(s.cols), label).T)
+    cols, values, a_t = s.abs_columns(), s.values, np.ascontiguousarray(a.T)
 
     def products(k0, dst):
         k1 = k0 + len(dst)
         dst.fill(0.0)
         at = cols[k0:k1] + (np.arange(k1 - k0) * s.cols)[:, None]
         dst.reshape(-1, m)[at.ravel()] = np.einsum("kh,ki->khi", values[k0:k1], a_t[k0:k1]).reshape(-1, m)
-        return dst.shape[0] * m * half
+        return at.size * m
 
-    out_t = _fold_in_order((s.cols, m), s.rows, products, label)
-    if out_t is None:
-        out_t = np.zeros((s.cols, m), dtype=np.float64)
-        for k in range(s.rows):
-            out_t[cols[k]] += values[k][:, None] * a_t[k]
-            tally(m * half, label)
-    return np.ascontiguousarray(out_t.T)
+    return np.ascontiguousarray(_fold_in_order((s.cols, m), s.rows, products, label).T)
 
 
 def _spmm24_rhs_sampled(a, s: Sparse24Matrix | VenomMatrix, cols: np.ndarray, label: str) -> np.ndarray:
@@ -441,7 +425,7 @@ def _column_tables(s: Sparse24Matrix | VenomMatrix):
 # dy2 pack (61 passes) 768 entries fold in 0.43 ms against 0.51 ms by
 # prefix, 1,536 in 1.07 ms against 0.68 ms; toy_train's 512 (23 passes)
 # fold in 67 us against 198 us.  Whole-row units keep _fold_in_order's
-# own cutoff, about even with the prefix passes at 12,288 entries of
+# own size rule, about even with the prefix passes at 12,288 entries of
 # wide_train's dw products.
 _ENTRY_FOLD = 2**10
 
@@ -453,11 +437,13 @@ def _rank_walk(tables, b, cols, label: str, at=None) -> np.ndarray:
     With ``at`` the unit is the single entry b[k, at[u]] instead, and
     its output row has one entry.
 
-    Pass p adds each unit's p-th term.  Small outputs (up to _ENTRY_FOLD
-    entry units) fold the passes (matcore._fold_in_order): a unit past
-    its count gathers an all-zero row appended to b, times 0.0, which
-    adds nothing.  Others sort the units by count, so pass p works on a
-    prefix of them, and put them back in order at the end.
+    Pass p adds each unit's p-th term.  Outputs that
+    matcore._fold_in_order's size rule folds in chunks (and have at most
+    _ENTRY_FOLD entry units) fold the passes there: a unit past its
+    count gathers an all-zero row appended to b, times 0.0, which adds
+    nothing.  Others sort the units by count, so pass p works on a
+    prefix of them, and put them back in order at the end: these prefix
+    passes skip the padding.
     """
     count, k_at, value_at = tables
     n = b.shape[1]
@@ -467,7 +453,7 @@ def _rank_walk(tables, b, cols, label: str, at=None) -> np.ndarray:
     n_kept = count[cols]
     passes = int(n_kept.max(initial=0))
     shape = (len(cols), b0.shape[1])
-    if at is None or len(cols) <= _ENTRY_FOLD:
+    if _folds_in_chunks(shape) and (at is None or len(cols) <= _ENTRY_FOLD):
         done = 0  # terms before the chunk
 
         def products(p0, dst):
@@ -483,9 +469,7 @@ def _rank_walk(tables, b, cols, label: str, at=None) -> np.ndarray:
             terms, done = upto - done, upto
             return terms * shape[1]
 
-        out = _fold_in_order(shape, passes, products, label)
-        if out is not None:
-            return out
+        return _fold_in_order(shape, passes, products, label)
     by_n = np.argsort(-n_kept, kind="stable")
     cols = cols[by_n]
     at = None if at is None else at[by_n]

@@ -331,9 +331,11 @@ def test_transposed_kernels_pin_summation_order(rows, groups, n, seed, kind):
     assert np.array_equal(sfk.spmm24_tn(s, c), sfk.gemm(sfk.decode24(s).T, c))
 
 
-# spmm24 and spmm24_rhs fold outputs of 2 to 2**14 entries in chunks and
-# add one term at a time otherwise: 1 x 1 and small outputs, the cutoff
-# itself (128 x 128) and just past it.  spmm24_rhs's shapes are (m,
+# spmm24 and spmm24_rhs fold outputs of 2 to 2**14 entries in chunks;
+# past that spmm24 adds one term at a time, as it does for 1 x 1 outputs,
+# and spmm24_rhs runs the rank walk.  The cases are 1 x 1 and small
+# outputs, the cutoff itself (128 x 128) and just past it, each tallying
+# one multiply per kept slot and column.  spmm24_rhs's shapes are (m,
 # groups), for an m x 4*groups output, so it has no 1 x 1 case.  Up to
 # 24 terms reach past the 8-wide block of numpy's pairwise summation.
 @given(
@@ -347,21 +349,34 @@ def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, grou
     rows, n = out_shape
     s = sfk.sparsify24(spread(rows, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
     b = spread(4 * groups, n, seed + 1, neg_zero)
-    assert np.array_equal(sfk.spmm24(s, b), sfk.gemm(sfk.decode24(s), b))
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24(s, b)
+    assert np.array_equal(got, sfk.gemm(sfk.decode24(s), b))
+    assert counter.total == rows * 2 * groups * n
 
 
+# With ``venom`` the pack is V:N:M (M = 8, V = 4 when k allows it), whose
+# width rounds 4 * groups up to a multiple of 8.
 @given(
     st.sampled_from([(1, 1), (2, 1), (3, 2), (7, 5), (128, 32), (129, 32), (128, 33)]),
     st.integers(1, 24),
     st.integers(0, 10_000),
     st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=40)
-def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, k, seed, neg_zero):
+def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, k, seed, neg_zero, venom):
     m, groups = out_shape
-    s = sfk.sparsify24(spread(k, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
+    if venom:
+        w = spread(k, 8 * -(-groups // 2), seed, neg_zero)
+        s = sfk.venom_encode(w, sfk.VenomParams(4 if k % 4 == 0 else 1, 8))
+    else:
+        s = sfk.sparsify24(spread(k, 4 * groups, seed, neg_zero), sfk.MODES[seed % 2])
     a = spread(m, k, seed + 1, neg_zero)
-    assert np.array_equal(sfk.spmm24_rhs(a, s), sfk.gemm(a, sfk.decode24(s)))
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24_rhs(a, s)
+    assert np.array_equal(got, sfk.gemm(a, sfk.decode24(s)))
+    assert counter.total == m * s.values.size
 
 
 # Sampled outputs of 1 entry to past 2**14.  Rows of their own are

@@ -196,7 +196,10 @@ def test_spmm24_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(shape, m, windo
     v, rows, n = shape
     vm = sfk.venom_encode(spread(rows, m * windows, seed, neg_zero), sfk.VenomParams(v, m))
     b = spread(m * windows, n, seed + 1, neg_zero)
-    assert np.array_equal(sfk.spmm24(vm, b), sfk.gemm(sfk.decode24(vm), b))
+    with sfk.count_multiplies() as counter:
+        got = sfk.spmm24(vm, b)
+    assert np.array_equal(got, sfk.gemm(sfk.decode24(vm), b))
+    assert counter.total == rows * 2 * windows * n
 
 
 @given(
