@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("venom-encode", help="encode an SFK1 matrix in the V:N:M format")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--venom", default="64,2,16", help="V,N,M")
+    p.add_argument("--venom", help="V,N,M (default 64,2,16)")
     p.set_defaults(func=_cmd_venom_encode)
 
     p = sub.add_parser("check", help="validate a matrix file of any supported format")

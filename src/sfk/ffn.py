@@ -31,7 +31,6 @@ against central finite differences of the forward itself.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,7 +63,7 @@ from .sparse24 import (
     spmm24_rhs,
     spmm24_tn,
 )
-from .venom import VenomMatrix, VenomParams
+from .venom import VenomParams
 
 ACT_MODES = ("dense", "act24", "venom")
 
@@ -175,17 +174,18 @@ class FfnTape:
     tape's activation pack (y1_cols is then their abs_columns()).  y2
     holds the post-sparsification form actually used by the y3 product:
     a plain array (dense), a Sparse24Matrix (act24), or a VenomMatrix
-    (venom).  act_mask, in the pack's shape, flags the kept slots the
-    activation mask keeps: all of them under act24, the routed ones
-    under venom.  params is the FfnParams the forward ran with, and
+    (venom); on a tape of some tokens' rows of a frozen pack (plan and
+    layout None, see _rows_of), those rows.  act_mask, in the pack's
+    shape, flags the kept slots the activation mask keeps: all of them
+    under act24, the routed ones under venom.  params is the FfnParams the forward ran with, and
     w1/w2 its weights as packed for this step; the backward reuses them
     instead of sparsifying again.  matmul_log records (product,
     packed_operand) per matmul so operand placement can be asserted.
     frozen_masks is True when the activation masks and routing came from
     a frozen tape.  copies is 1 but on the tape of a w1-stacked forward
     (ffn_forward's w1_cols), whose y1 and y2 stack that many copies
-    along their rows; ffn_backward, and ffn_forward as frozen, reject
-    such a tape.
+    along their rows; ffn_backward, and ffn_forward as frozen or hidden,
+    reject such a tape.
     """
 
     x: np.ndarray
@@ -277,6 +277,9 @@ class _Rows:
     def abs_columns(self) -> np.ndarray:
         return self.columns
 
+    def with_values(self, values: np.ndarray) -> _Rows:
+        return replace(self, values=values)
+
 
 def _real(tape: FfnTape):
     """Index of the activation pack's real rows: under venom, its non-pad rows."""
@@ -285,10 +288,7 @@ def _real(tape: FfnTape):
 
 def _real_rows(tape: FfnTape) -> _Rows:
     """The activation pack's real rows, the only rows a product reads: a
-    pad row holds zeros, so its terms are +0.0 or land in dropped rows.
-    A stacked tape's y2 is already its copies' real rows."""
-    if isinstance(tape.y2, _Rows):
-        return tape.y2
+    pad row holds zeros, so its terms are +0.0 or land in dropped rows."""
     values = tape.y2.values[_real(tape)]
     return _Rows(len(values), tape.y2.cols, values, tape.y2.abs_columns()[_real(tape)])
 
@@ -299,6 +299,20 @@ def _row_maps(tape: FfnTape):
     if tape.plan is None:
         return (lambda a: a), (lambda a: a)
     return (lambda a: apply_permutation(a, tape.plan)), (lambda a: invert_permutation(a, tape.plan))
+
+
+def _rows_of(tape: FfnTape, tokens: np.ndarray) -> FfnTape:
+    """The frozen tape of the forward on tape.x[tokens] (repeats allowed),
+    tape being a frozen-mask forward's: its y2 holds each token's real row
+    of tape's activation pack, in the order of tokens, with those rows'
+    y1, columns and mask.  With no plan or layout, its rows are its
+    tokens; no routing or pack is built."""
+    real = tokens if tape.plan is None else np.argsort(tape.plan.permutation)[tokens]
+    pack = _real_rows(tape)
+    y2 = _Rows(len(real), pack.cols, pack.values[real], pack.columns[real])
+    return replace(tape, x=tape.x[tokens], y1=tape.y1[real], y2=y2, y1_cols=tape.y1_cols[real],
+                   plan=None, layout=None, act_mask=tape.act_mask[_real(tape)][real],
+                   matmul_log=[], _y1_kept=tape._y1_kept[real])
 
 
 def ffn_forward(
@@ -356,16 +370,18 @@ def ffn_forward(
     columns of y1 are all that moves.  The forward packs p.w1 under the
     policy's w1 masks, runs the one y1 product on its columns alone
     (under frozen masks, only where a frozen slot reads them), splices
-    each copy's columns into a copy of hidden's y1, and runs the
-    activation chain and the one y3 product, on hidden's w2 pack, over
-    the stacked copies.  It returns their y3s stacked along the rows,
-    each in token order and bitwise the full forward's.  p.w2 must have
-    n*g rows, as FfnParams requires, but is not read, nor is bank.  The
-    tape is hidden's with params p, the stacked w1 pack, y1 and y2,
-    copies n and a matmul_log of the y1 and y3 entries.  Under venom,
-    hidden must come from a frozen-mask forward, whose masks do not
-    move with w1.  w1_cols without hidden, with packs, or not of that
-    form raises InputError.
+    each copy's columns into a copy of hidden's y1 in token order, and
+    runs the activation chain and the one y3 product, on hidden's w2
+    pack, over the stacked copies (under frozen masks, on the frozen
+    pack's rows of every copy's tokens).  It returns their y3s stacked
+    along the rows, each in token order and bitwise the full forward's.
+    p.w2 must have n*g rows, as FfnParams requires, but is not read, nor
+    is bank.  The tape is hidden's (under frozen masks, that of hidden's
+    rows for n copies of the batch) with params p, the stacked w1 pack,
+    y1 and y2, copies n and a matmul_log of the y1 and y3 entries.
+    Under venom, hidden must come from a frozen-mask forward, whose masks
+    do not move with w1.  w1_cols without hidden, with packs, or not of
+    that form raises InputError.
     """
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
@@ -448,30 +464,32 @@ def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, p
     ):
         raise InputError(f"w1_cols must name p.w1's {p.w1.shape[1]} columns in aligned groups of {g} "
                          f"of hidden's w1, got {w1_cols!r}")
-    copies = len(cols) // g
+    copies, b = len(cols) // g, len(x)
     w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
-    tape = replace(hidden, params=p, w1=w1, copies=copies, matmul_log=[])
-    # slot[r, j]: where column j of p.w1 lands in row r of hidden's y1,
-    # at the entry of the base column it stands for (-1 where the frozen
-    # pack keeps no slot of that column in row r)
-    base, rows = hidden.y1, np.arange(len(hidden.y1))[:, None]
-    if hidden.y1_cols is None:
-        slot = np.repeat(cols[None], len(base), axis=0)
+    # under frozen masks, hidden's rows of every copy's tokens, in token order
+    frozen = _rows_of(hidden, np.tile(np.arange(b), copies)) if hidden.frozen_masks else None
+    tape = replace(hidden if frozen is None else frozen, params=p, w1=w1, copies=copies, matmul_log=[])
+    # slot[t, j]: where column j of p.w1 lands in token t's row of the base
+    # y1, at the entry of the base column it stands for (-1 where the
+    # frozen pack keeps no slot of that column in the row)
+    base, rows = tape.y1[:b], np.arange(b)[:, None]
+    if tape.y1_cols is None:
+        slot = np.repeat(cols[None], b, axis=0)
         product = _y1_product(x, tape, None)
     else:  # sampled: each row at the columns it reads, padded with others
-        at = np.full((len(base), hidden.w1.eff.shape[1]), -1)
-        at[rows, hidden.y1_cols] = np.arange(base.shape[1])
+        at = np.full((b, hidden.w1.eff.shape[1]), -1)
+        at[rows, tape.y1_cols[:b]] = np.arange(base.shape[1])
         slot = at[:, cols]
         need = slot >= 0
         h = max(1, int(need.sum(axis=1).max()))
         sampled = np.argsort(~need, axis=1, kind="stable")[:, :h]  # a row's needed columns first
         product = np.empty(need.shape)
-        product[rows, sampled] = _y1_product(_row_maps(hidden)[0](x), tape, sampled)
+        product[rows, sampled] = _y1_product(x, tape, sampled)
     r, j = np.nonzero(slot >= 0)
     y1 = np.repeat(base[None], copies, axis=0)
     y1[j // g, r, slot[r, j]] = product[r, j]
     tape.y1 = y1.reshape(-1, base.shape[1])
-    return _activation_and_output(tape, hidden if hidden.frozen_masks else None, None), tape
+    return _activation_and_output(tape, frozen, None), tape
 
 
 def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.ndarray:
@@ -479,23 +497,19 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
     the activation chain sets tape.y2 (with act_mask and _y1_kept), then
     the y3 product runs; returns y3.  With frozen, the activation masks
     are frozen's and y1 sits at its pack's kept slots of real rows.  A
-    stacked tape's y1 holds tape.copies copies along its rows; dense and
-    act24 treat each row on its own anyway, and frozen masks are tiled
-    over the copies (an unfrozen venom chain is never stacked)."""
+    w1-stacked tape's y1 holds tape.copies copies along its rows; dense
+    and act24 treat each row on its own anyway, and frozen is then the
+    _rows_of tape of the copies' tokens (an unfrozen venom chain is never
+    stacked)."""
     pol, y1 = tape.policy, tape.y1
     if pol.act_mode == "dense":
         tape.y2 = squared_relu(y1)
     elif frozen is not None:  # act24 or venom: y2 re-encoded on the frozen pack's slots
         tape.act_mask, tape._y1_kept = frozen.act_mask, y1
         real = _real(frozen)
-        kept = np.where(np.tile(frozen.act_mask[real], (tape.copies, 1)), squared_relu(y1), 0.0)
-        if tape.copies == 1:
-            values = np.zeros(frozen.y2.values.shape)  # a pad row holds zeros
-            values[real] = kept
-            tape.y2 = frozen.y2.with_values(values)
-        else:  # the copies' real rows, as the y3 product reads them
-            columns = np.tile(frozen.y2.abs_columns()[real], (tape.copies, 1))
-            tape.y2 = _Rows(len(kept), frozen.y2.cols, kept, columns)
+        values = np.zeros(frozen.y2.values.shape)  # a pad row holds zeros
+        values[real] = np.where(frozen.act_mask[real], squared_relu(y1), 0.0)
+        tape.y2 = frozen.y2.with_values(values)
     elif pol.act_mode == "venom":
         y1 = _row_maps(tape)[0](y1)
         tape.y2, entry = _encode_routed(squared_relu(y1), tape.plan, bank, tape.layout, pol.venom)
@@ -510,10 +524,10 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
 def _output_product(tape: FfnTape) -> np.ndarray:
     """y3 = y2 @ w2.eff in token order, logged with its packed operand:
     the activation pack (act24, venom), else w2's own-row pack if its
-    mask is on.  A stacked tape's copies each come back in token order."""
+    mask is on."""
     log, w2 = tape.matmul_log, tape.w2
     if tape.policy.act_mode != "dense":
-        y3 = _token_order(spmm24(_real_rows(tape), w2.eff, label="ffn.y3"), tape)
+        y3 = _row_maps(tape)[1](spmm24(_real_rows(tape), w2.eff, label="ffn.y3"))
         log.append(("y3", "y2"))
     elif tape.policy.w2_sparse:
         y3 = spmm24_rhs(tape.y2, w2.own, label="ffn.y3")
@@ -522,16 +536,6 @@ def _output_product(tape: FfnTape) -> np.ndarray:
         y3 = gemm(tape.y2, w2.eff)
         log.append(("y3", "none"))
     return y3
-
-
-def _token_order(y: np.ndarray, tape: FfnTape) -> np.ndarray:
-    """Rows of y, in the pack's real-row order (per copy of a stacked
-    tape), in the caller's token order."""
-    unrows, n = _row_maps(tape)[1], tape.copies
-    if n == 1 or tape.plan is None:
-        return unrows(y)
-    side = y.reshape(n, -1, y.shape[1]).transpose(1, 0, 2).reshape(-1, n * y.shape[1])  # copies side by side
-    return unrows(side).reshape(-1, n, y.shape[1]).transpose(1, 0, 2).reshape(y.shape)
 
 
 def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
@@ -748,35 +752,6 @@ def _stacked_fd(a: np.ndarray, run, width: int, y3: np.ndarray) -> np.ndarray:
     return fd.reshape(a.shape)
 
 
-def _tiled(tape: FfnTape, n: int) -> FfnTape:
-    """A frozen-mask venom tape tiled over n copies of its batch: the tape
-    of the frozen forward on np.tile(tape.x, (n, 1)), whose token c*b + t
-    is copy c of token t.  Tokens are in expert-major order (an expert's
-    tokens of copy 0, then of copy 1, ...), and each (expert, copy) group
-    is padded on its own, so no V-row block mixes copies and each copy
-    keeps tape's column tables and activation mask.  Each structure is
-    built through its checking constructor."""
-    plan, layout, pack, b = tape.plan, tape.layout, tape.y2, len(tape.x)
-    perm = np.concatenate([(np.arange(n)[:, None] * b + plan.permutation[lo:hi]).reshape(-1)
-                           for lo, hi in plan.group_bounds])
-    tiled_plan = RoutingPlan(np.tile(plan.assignments, (n, 1)), perm,
-                             tuple((n * lo, n * hi) for lo, hi in plan.group_bounds))
-    # tiled row r repeats padded row rows[r] of tape; as in any layout, the
-    # real rows hold the permuted rows in order
-    rows = np.concatenate([np.tile(np.arange(lo, hi), n) for lo, hi in layout.group_bounds])
-    real, source = layout._real[rows], np.full(len(rows), -1)
-    source[real] = np.arange(n * b)
-    tiled_layout = PaddedLayout(len(rows), source,
-                                tuple((n * lo, n * hi) for lo, hi in layout.group_bounds))
-    v = pack.params.v
-    payload = Sparse24Matrix(len(rows), pack.payload.cols, pack.values[rows], pack.payload.slots[rows])
-    y2 = VenomMatrix(len(rows), pack.cols, pack.params, pack.col_table[rows[::v] // v], payload)
-    y1 = tape.y1[(np.cumsum(layout._real) - 1)[rows[real]]]  # tape.y1 holds its real rows
-    return replace(tape, x=np.tile(tape.x, (n, 1)), y1=y1, y2=y2, y1_cols=y2.abs_columns()[real],
-                   plan=tiled_plan, layout=tiled_layout, act_mask=tape.act_mask[rows],
-                   matmul_log=[], _y1_kept=y1)
-
-
 def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> GradcheckReport:
     """Compare ffn_backward against central finite differences of the
     loss 0.5*||y3||^2 through the policy's own forward.
@@ -793,14 +768,11 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     columns of k's 4-group): no mask spans rows of the activation, a
     weight's own-row mask is local to a 4-group, and w1's transposed mask
     to a column.  So the differences of x run as forwards on stacked
-    perturbed rows, or under venom, whose frozen routing covers only the
-    base tokens, on copies of the whole batch with one entry perturbed,
-    each forward on the base point's frozen tape tiled over its copies
-    (each expert's tokens padded per copy, so every copy keeps the base
-    block masks); those of w2 as forwards (``hidden``, on the base
-    point's hidden stage: the base tape, or for venom the frozen-mask
-    forward's) on a w2 of stacked perturbed column groups; and those of
-    w1 as forwards (``hidden`` and ``w1_cols``, on the same hidden stage)
+    perturbed rows (under venom, on the frozen-mask forward's rows of
+    their tokens, see _rows_of); those of w2 as forwards (``hidden``, on
+    the base point's hidden stage: the base tape, or for venom the
+    frozen-mask forward's) on a w2 of stacked perturbed column groups;
+    and those of w1 as forwards (``hidden`` and ``w1_cols``, on the same hidden stage)
     that splice stacked perturbed column groups of y1 into copies of its
     y1 and run the rest of the forward on each copy.  Each forward holds
     the +h and -h copies of a chunk of entries.  Each copy's loss sums
@@ -809,11 +781,10 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     every kernel sums each output entry on its own in a fixed order.  A
     chunk holds as many entries as fit _FD_BUDGET float64 values in each
     array it stacks (at (8, 16, 32), 16 for x and w2, and 8 for w1; under
-    venom 16 for each, as a copy of x holds the batch, the tiled pack and
-    y3, and venom's y1 only the frozen slots).  Once per call, before any
-    difference, one stacked forward of unperturbed rows (or copies) of x
-    and one each of unperturbed column groups of w2 and w1 must
-    reproduce the base y3 bitwise (GuardError otherwise).  No forward
+    venom 16 for w1 too, as venom's y1 holds only the frozen slots).
+    Once per call, before any difference, one stacked forward of
+    unperturbed rows of x and one each of unperturbed column groups of
+    w2 and w1 must reproduce the base y3 bitwise (GuardError otherwise).  No forward
     packs a weight it leaves as it was: it takes the base tape's pack
     (``packs``) or hidden stage.  At (8, 16, 32) a call runs 108
     forwards rather than 2,306 (venom 77, not 2,307).
@@ -855,21 +826,16 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
             raise GuardError("frozen-mask forward does not reproduce the base output")
     g2 = 4 if pol.w2_sparse else 1  # the columns of w2's effective form an entry of w2 moves
 
-    tiled = functools.cache(lambda n: _tiled(hidden, n))  # one per chunk length
-
     def x_rows(e, v):
         # no mask spans rows, so a row of x moves only its row of y3: the
-        # stack holds the perturbed rows, or under venom, whose frozen
-        # routing covers the base tokens only, copies of the whole batch
-        # on the frozen tape tiled over them
-        i, n = e // d_model, len(e)
-        if frozen is None:
-            xs, at, kw = x[i], np.arange(n), {}
-        else:
-            xs, at, kw = np.tile(x, (n, 1)), np.arange(n) * b + i, {"frozen": tiled(n)}
-        xs[at, e % d_model] = v
+        # stack holds the perturbed rows (under venom, on the frozen-mask
+        # forward's rows of their tokens)
+        i = e // d_model
+        xs = x[i]
+        xs[np.arange(len(e)), e % d_model] = v
+        kw = {} if frozen is None else {"frozen": _rows_of(hidden, i)}
         yv, _ = ffn_forward(xs, p, pol, bank, packs=packs, **kw)
-        return yv[at], (i[:, None], np.arange(p.d_out))
+        return yv, (i[:, None], np.arange(p.d_out))
 
     def w2_groups(e, v):
         # an entry of w2 moves only its column of y3, or under w2's own
@@ -894,14 +860,10 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         yv, _ = ffn_forward(x, FfnParams(w, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
         return yv.reshape(len(e), b, p.d_out), None  # each copy's whole y3
 
-    if frozen is None:
-        x_side, x_what = (x, x_rows, max(d_ffn, y3.size)), "rows of x"
-    else:
-        x_side = (x, x_rows, max(x.size, hidden.y2.values.size, y3.size))
-        x_what = "copies of x on the base point's tiled frozen tape"
+    x_side = (x, x_rows, max(d_ffn, y3.size))
     w2_side = (p.w2, w2_groups, max(g2 * d_ffn, y3.size))
     w1_side = (p.w1, w1_groups, max(g1 * d_model, hidden.y1.size, y3.size))
-    _check_stack(*x_side, y3, x_what)
+    _check_stack(*x_side, y3, "rows of x")
     _check_stack(*w2_side, y3, "column groups of w2 on the base point's hidden stage")
     _check_stack(*w1_side, y3, "column groups of w1 on the base point's hidden stage")
 

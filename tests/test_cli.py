@@ -126,6 +126,16 @@ def test_venom_encode_check_spmm(workdir, capsys):
     assert np.array_equal(sfk.load_matrix("c.sfk"), sfk.spmm24(vm, sfk.load_matrix("b.sfk")))
 
 
+def test_venom_encode_defaults_to_64_2_16(workdir, capsys):
+    a = sfk.rand_matrix(64, 32, seed=3)
+    sfk.save_matrix(a, "tall.sfk")
+    assert main(["venom-encode", "--in", "tall.sfk", "--out", "tall.vnm"]) == 0
+    assert " at 64:2:16, " in capsys.readouterr().out
+    vm = sfk.load_venom("tall.vnm")
+    assert (vm.params.v, vm.params.m) == (64, 16)
+    assert np.array_equal(sfk.decode24(vm), sfk.decode24(sfk.venom_encode(a, sfk.VenomParams(64, 16))))
+
+
 @pytest.mark.parametrize("argv", [
     ["venom-encode", "--in", "a.sfk", "--out", "a.vnm"],
     ["bench", "--shape", "16,16,16", "--format", "venom"],

@@ -393,35 +393,30 @@ def test_forward_rejects_a_frozen_that_is_not_an_unstacked_tape():
             sfk.ffn_forward(x, p, pol, bank=bank, frozen=bad)
 
 
-@pytest.mark.parametrize("case", ["venom", "venom-top2", "recipe"])
-def test_tiled_frozen_tape_runs_each_copy_as_its_own_frozen_forward(case):
-    """One forward on the frozen tape tiled over n copies of x gives each
-    copy's rows of y3 bitwise as that copy's own frozen forward does: 7
-    distinctly perturbed copies run in chunks of 4 and 3, as gradcheck's
-    last chunk may be short.  No V-row block of the tiled pack mixes
-    copies, and on n copies of x the tiled tape is a frozen tape like
-    any other: the forward's y1 is the tiled tape's and its y3 the base
-    y3 n times."""
-    pol, x, p, bank = reuse_problem(case)
-    _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
-    _, frozen = sfk.ffn_forward(x, p, pol, bank=bank, frozen=tape)
-    packs = (tape.w1, tape.w2)
-    copies = [x + 0.01 * (c + 1) * sfk.rand_matrix(*x.shape, seed=20 + c) for c in range(7)]
-    for chunk in (copies[:4], copies[4:]):
-        n = len(chunk)
-        tiled = sfk.ffn._tiled(frozen, n)
-        assert tiled.copies == 1 and tiled.plan.num_tokens == n * len(x)
-        # every real row of a block belongs to one copy
-        token = np.where(tiled.layout._real, tiled.plan.permutation[tiled.layout.source_row], -1)
-        for block in (token // len(x)).reshape(-1, pol.venom.v):
-            assert len(set(block[block >= 0].tolist())) <= 1
-        y3, _ = sfk.ffn_forward(np.vstack(chunk), p, pol, bank=bank, frozen=tiled, packs=packs)
-        for xc, yc in zip(chunk, np.split(y3, n)):
-            want, _ = sfk.ffn_forward(xc, p, pol, bank=bank, frozen=tape, packs=packs)
-            assert yc.tobytes() == want.tobytes()
-    y3, tape_t = sfk.ffn_forward(np.tile(x, (n, 1)), p, pol, bank=bank, frozen=tiled)
-    assert tape_t.y1.tobytes() == tiled.y1.tobytes()
-    assert y3.tobytes() == np.tile(sfk.ffn_forward(x, p, pol, bank=bank)[0], (n, 1)).tobytes()
+@pytest.mark.parametrize("case", ["venom", "venom-top2", "recipe", "frozen-act24"])
+def test_rows_of_runs_each_token_as_the_frozen_forward_does(case):
+    """A forward on the frozen tape of some tokens (_rows_of) gives each
+    token's row of y3 bitwise as the frozen-mask forward on the whole
+    batch does, for token lists with repeats, in reversed order and a
+    strict subset: on the tokens' own rows of x, and on perturbed rows,
+    each as the whole-batch forward with that one row replaced.  The
+    tape has no routing plan or padded layout."""
+    pol, x, p, bank, hidden, frozen = w1_stack_problem(case)
+    packs = (frozen.w1, frozen.w2)
+    base, _ = sfk.ffn_forward(x, p, pol, bank=bank, frozen=frozen, packs=packs)
+    b = len(x)
+    for tokens in (np.array([3, 3, 0, b - 1, 3]), np.arange(b)[::-1].copy(), np.arange(1, b, 2)):
+        rows = sfk.ffn._rows_of(hidden, tokens)
+        assert rows.plan is None and rows.layout is None and rows.copies == 1
+        y3, _ = sfk.ffn_forward(x[tokens], p, pol, bank=bank, frozen=rows, packs=packs)
+        assert y3.tobytes() == base[tokens].tobytes()
+        moved = x[tokens] + 0.01 * sfk.rand_matrix(len(tokens), x.shape[1], seed=20)
+        y3, _ = sfk.ffn_forward(moved, p, pol, bank=bank, frozen=rows, packs=packs)
+        for t, xr, yr in zip(tokens, moved, y3):
+            xt = x.copy()
+            xt[t] = xr
+            want, _ = sfk.ffn_forward(xt, p, pol, bank=bank, frozen=frozen, packs=packs)
+            assert yr.tobytes() == want[t].tobytes()
 
 
 # --------------------------------------------------- sparse operand placement
@@ -805,13 +800,36 @@ def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     assert len(products) == products.count("y1") + products.count("y3")
 
 
+def test_gradcheck_venom_counts(monkeypatch):
+    """Count pin: one venom gradcheck at (8, 16, 32), seed 0, runs 77
+    forwards and tallies 1,265,920 multiplies.  y3 costs 8 kept slots x
+    16 outputs per row it runs on; its stacks on x (a guard and 8 chunks)
+    run only their 32 perturbed rows, on the frozen pack's rows of their
+    tokens, not 32 copies of the 8-row batch, so ffn.y3 and the y1 gemm
+    each lose 9 x 224 rows x 128 = 258,048 against tiled copies
+    (1,445,888 and 333,056)."""
+    forwards = []
+    real = sfk.ffn.ffn_forward
+
+    def counted(*args, **kwargs):
+        forwards.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
+    with sfk.count_multiplies() as counter:
+        rep = sfk.gradcheck(sfk.ablation_policy("venom"), shape=(8, 16, 32), seed=0)
+    assert rep.seed_used == 0 and len(forwards) == 77
+    assert counter.per_op == {"gemm": 75_008, "ffn.y3": 1_187_840,
+                              "ffn.dx": 1_024, "ffn.dw1": 1_024, "ffn.dw2": 1_024}
+    assert counter.total == 1_265_920
+
+
 def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
     """A forward on the base point's hidden stage, or a stacked forward,
     that does not reproduce the base y3 stops gradcheck with GuardError
     before any finite difference: only the base forward, venom's
     frozen-mask guard and the stacked guards up to the failing one (rows
-    of x, or venom's copies of x on the tiled frozen tape, then column
-    groups of w2, then column groups of w1) have run."""
+    of x, then column groups of w2, then column groups of w1) have run."""
     real = sfk.ffn.ffn_forward
     b, d_out = 4, 8  # gradcheck's batch and d_out at (4, 8, 16)
 
@@ -824,8 +842,8 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
 
     frozen_guard = nudged(lambda args, kwargs: "frozen" in kwargs and args[0].shape[0] == b)
     hidden = nudged(lambda args, kwargs: "hidden" in kwargs)
-    # a stacked forward on x holds more rows than the batch: perturbed
-    # rows, or under venom whole copies of the batch
+    # a stacked forward on x holds more rows than the batch: the
+    # perturbed rows, 2 * 32 of them at (4, 8, 16)
     x_stacked = nudged(lambda args, kwargs: args[0].shape[0] != b)
     w2_stacked = nudged(lambda args, kwargs: args[1].w2.shape[1] != d_out)
     w1_stacked = nudged(lambda args, kwargs: "w1_cols" in kwargs)
@@ -833,7 +851,7 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
     for mutant, tag, match, ran in (
         (frozen_guard, "venom", "frozen-mask forward", 2),
         (x_stacked, "w2", "stacked rows of x", 2),
-        (x_stacked, "venom", "stacked copies of x on the base point's tiled frozen tape", 3),
+        (x_stacked, "venom", "stacked rows of x", 3),
         (hidden, "w2", on_w2, 3),
         (hidden, "venom", on_w2, 4),
         (w2_stacked, "w2", on_w2, 3),
@@ -857,12 +875,11 @@ def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     y2 or y3, of more float64 values than the stacking budget.  The stacks
     on x and w2 hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has
     128 entries) and 8 at (4, 64, 64) (256): the copies of y3 their
-    losses sum fill the budget.  Venom's stacks on x hold copies of the
-    whole batch (as many values as y3 here, and more than the tiled
-    pack), so the same number of entries.  Those on w1 hold copies of the
-    whole y1 (256 entries at both shapes), so 8 entries at both; venom's
-    y1 holds only the frozen slots, 2 of every 8 columns, so y3 sets
-    their size there too."""
+    losses sum fill the budget, under venom too, whose stacks on x hold
+    the perturbed rows on the frozen pack's rows of their tokens.  Those
+    on w1 hold copies of the whole y1 (256 entries at both shapes), so 8
+    entries at both; venom's y1 holds only the frozen slots, 2 of every 8
+    columns, so y3 sets their size there too."""
     sizes = []
     real = sfk.ffn.ffn_forward
 
@@ -887,7 +904,7 @@ def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     g2, g1 = (4 if tag == "w2" else 1), (4 if tag == "w1" else 1)
     # the hidden= forwards are the stacks on w2 and (with w1_cols) w1; the
     # others see b rows or a stack of x
-    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k * (b if venom else 1)
+    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k
     assert max(w2s[1] for _, _, w2s, *_, kw in sizes if "hidden" in kw and "w1_cols" not in kw) == 2 * k * g2
     w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, _, y3s, n, kw in sizes if "w1_cols" in kw]
     assert max(w1_stacks) == (2 * k1 * g1, 2 * k1 * b * y1_row, 2 * k1 * b * d_model, 2 * k1)
