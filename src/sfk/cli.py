@@ -180,20 +180,22 @@ def _cmd_roofline(args) -> int:
         else:
             sys.stdout.write(csv)
         return 0
+    lines = []  # every report is computed before any is printed, so an error prints none
     for c in configs:
         label = c.model or "config"
-        print(f"{label}: total_flops {total_flops(c)}")
-        print(f"{label}: ffn_fraction {ffn_fraction(c):.6f}")
+        lines.append(f"{label}: total_flops {total_flops(c)}")
+        lines.append(f"{label}: ffn_fraction {ffn_fraction(c):.6f}")
         for s in (1.5, 7.0):
-            print(f"{label}: end_to_end_speedup at ffn_speedup {s:g}: {end_to_end_speedup(c, s):.6f}")
+            lines.append(f"{label}: end_to_end_speedup at ffn_speedup {s:g}: {end_to_end_speedup(c, s):.6f}")
         if args.overhead:
             rep = conversion_overhead_model(c, venom, experts)
             for stepname in ("routing", "permutation", "sparsify_scan", "expert_matmul"):
                 st = rep[stepname]
-                print(
+                lines.append(
                     f"{label}: {stepname}: {st['bytes']} bytes, {st['flops']} flops, "
                     f"{st['bound']}-bound"
                 )
+    print("\n".join(lines))
     return 0
 
 

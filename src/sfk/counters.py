@@ -18,31 +18,30 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
-@dataclass(eq=False)  # identity equality: _active.remove must drop this counter, not an equal one
+@dataclass(eq=False)
 class MultiplyCounter:
     total: int = 0
     per_op: dict[str, int] = field(default_factory=dict)
-    owner: int = field(default_factory=threading.get_ident, init=False, repr=False)
 
     def add(self, n: int, op: str) -> None:
         self.total += n
         self.per_op[op] = self.per_op.get(op, 0) + n
 
 
-_lock = threading.Lock()
-_active: list[MultiplyCounter] = []
+class _ThreadCounters(threading.local):
+    # the calling thread's open counters; a class default, so a thread that
+    # opened none reads () without raising (tally runs on every kernel update)
+    active: tuple[MultiplyCounter, ...] = ()
+
+
+_open = _ThreadCounters()
 
 
 def tally(n: int, op: str) -> None:
     """Record n scalar multiplies against every active counter opened
     by the calling thread."""
-    if not _active:
-        return
-    me = threading.get_ident()
-    with _lock:
-        for counter in _active:
-            if counter.owner == me:
-                counter.add(n, op)
+    for counter in _open.active:
+        counter.add(n, op)
 
 
 @contextmanager
@@ -50,10 +49,9 @@ def count_multiplies():
     """Context manager yielding a MultiplyCounter active inside the block
     for work done in the calling thread."""
     counter = MultiplyCounter()
-    with _lock:
-        _active.append(counter)
+    _open.active += (counter,)
     try:
         yield counter
     finally:
-        with _lock:
-            _active.remove(counter)
+        # by identity, not by restoring a snapshot: scopes may close out of order
+        _open.active = tuple(c for c in _open.active if c is not counter)

@@ -434,18 +434,21 @@ def ffn_forward(
     else:
         y1_in = x
         tape.y1_cols = routed_columns(tape.plan, bank) if pol.act_mode == "venom" else None
-    tape.y1 = _y1_product(y1_in, tape, tape.y1_cols)
+    tape.y1 = _weight_product(tape, "y1", y1_in, "w1", tape.y1_cols)
     return _activation_and_output(tape, frozen if tape.frozen_masks else None, bank), tape
 
 
-def _y1_product(a: np.ndarray, tape: FfnTape, cols) -> np.ndarray:
-    """y1 = a @ tape.w1.eff, sampled at cols when given, logged with its
-    packed operand: w1's own-row pack if its mask is on."""
-    if tape.policy.w1_sparse:
-        tape.matmul_log.append(("y1", "w1"))
-        return spmm24_rhs(a, tape.w1.own, label="ffn.y1", cols=cols)
-    tape.matmul_log.append(("y1", "none"))
-    return gemm(a, tape.w1.eff, cols)
+def _weight_product(tape: FfnTape, product: str, a: np.ndarray, weight: str, cols=None) -> np.ndarray:
+    """a @ the tape's effective weight ("w1", "w2", or the transposed
+    "w1t", "w2t"), sampled at cols when given, logged with its packed
+    operand: that orientation's 2:4 pack if the tape holds one."""
+    w = tape.w1 if weight.startswith("w1") else tape.w2
+    transposed = weight.endswith("t")
+    pack = w.t if transposed else w.own
+    tape.matmul_log.append((product, "none" if pack is None else weight))
+    if pack is not None:
+        return spmm24_rhs(a, pack, label=f"ffn.{product}", cols=cols)
+    return gemm(a, _t(w.eff) if transposed else w.eff, cols)
 
 
 def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, packs):
@@ -475,7 +478,7 @@ def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, p
     base, rows = tape.y1[:b], np.arange(b)[:, None]
     if tape.y1_cols is None:
         slot = np.repeat(cols[None], b, axis=0)
-        product = _y1_product(x, tape, None)
+        product = _weight_product(tape, "y1", x, "w1")
     else:  # sampled: each row at the columns it reads, padded with others
         at = np.full((b, hidden.w1.eff.shape[1]), -1)
         at[rows, tape.y1_cols[:b]] = np.arange(base.shape[1])
@@ -484,7 +487,7 @@ def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, p
         h = max(1, int(need.sum(axis=1).max()))
         sampled = np.argsort(~need, axis=1, kind="stable")[:, :h]  # a row's needed columns first
         product = np.empty(need.shape)
-        product[rows, sampled] = _y1_product(x, tape, sampled)
+        product[rows, sampled] = _weight_product(tape, "y1", x, "w1", sampled)
     r, j = np.nonzero(slot >= 0)
     y1 = np.repeat(base[None], copies, axis=0)
     y1[j // g, r, slot[r, j]] = product[r, j]
@@ -523,18 +526,11 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
 
 def _output_product(tape: FfnTape) -> np.ndarray:
     """y3 = y2 @ w2.eff in token order, logged with its packed operand:
-    the activation pack (act24, venom), else w2's own-row pack if its
-    mask is on."""
-    log, w2 = tape.matmul_log, tape.w2
-    if tape.policy.act_mode != "dense":
-        y3 = _row_maps(tape)[1](spmm24(_real_rows(tape), w2.eff, label="ffn.y3"))
-        log.append(("y3", "y2"))
-    elif tape.policy.w2_sparse:
-        y3 = spmm24_rhs(tape.y2, w2.own, label="ffn.y3")
-        log.append(("y3", "w2"))
-    else:
-        y3 = gemm(tape.y2, w2.eff)
-        log.append(("y3", "none"))
+    the activation pack (act24, venom), else as _weight_product logs it."""
+    if tape.policy.act_mode == "dense":
+        return _weight_product(tape, "y3", tape.y2, "w2")
+    y3 = _row_maps(tape)[1](spmm24(_real_rows(tape), tape.w2.eff, label="ffn.y3"))
+    tape.matmul_log.append(("y3", "y2"))
     return y3
 
 
@@ -558,16 +554,6 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     if dy3.shape != (tape.x.shape[0], p.d_out):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
     log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
-
-    def dy2_product(dy3_rows, cols):
-        # dy2 = dy3 @ w2.eff.T; the packed operand is the transposed
-        # weight when its own 2:4 mask is on, never the activation.
-        if pol.w2t_sparse:
-            log.append(("dy2", "w2t"))
-            return spmm24_rhs(dy3_rows, w2.t, label="ffn.dy2", cols=cols)
-        log.append(("dy2", "none"))
-        return gemm(dy3_rows, _t(w2.eff), cols)
-
     if pol.act_mode != "dense":
         # the forward's activation chain in reverse, on the pack's real
         # rows: dy2 and dy1 live on y2's kept slots, so dx and dw1 stay
@@ -578,7 +564,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         dw2_eff = spmm24_tn(y2, dy3r, label="ffn.dw2")
         log.append(("dw2", "y2"))
         kept = y2.abs_columns()
-        dy2 = np.where(tape.act_mask[_real(tape)], dy2_product(dy3r, kept), 0.0)
+        dy2 = np.where(tape.act_mask[_real(tape)], _weight_product(tape, "dy2", dy3r, "w2t", kept), 0.0)
         y1 = np.take_along_axis(tape.y1, kept, axis=1) if tape._y1_kept is None else tape._y1_kept
         dy1 = replace(y2, values=squared_relu_backward(dy2, y1))
         dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))
@@ -589,13 +575,8 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         y2 = tape.y2
         dw2_eff = gemm(_t(y2), dy3)
         log.append(("dw2", "none"))
-        dy1 = squared_relu_backward(dy2_product(dy3, None), tape.y1)
-        if pol.w1t_sparse:
-            dx = spmm24_rhs(dy1, w1.t, label="ffn.dx")
-            log.append(("dx", "w1t"))
-        else:
-            dx = gemm(dy1, _t(w1.eff))
-            log.append(("dx", "none"))
+        dy1 = squared_relu_backward(_weight_product(tape, "dy2", dy3, "w2t"), tape.y1)
+        dx = _weight_product(tape, "dx", dy1, "w1t")
         dw1_eff = gemm(_t(tape.x), dy1)
         log.append(("dw1", "none"))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .codec import config_from_json, config_to_json
 from .errors import InputError, ShapeError
 from .matcore import as_matrix, gemm, load_matrix, save_matrix
-from .sparse24 import GREEDY_MAGNITUDE, sparsify24
+from .sparse24 import GREEDY_MAGNITUDE, _read_only, sparsify24
 from .venom import VenomMatrix, VenomParams, _block_columns, _unchecked_venom
 
 
@@ -121,12 +121,6 @@ class ExpertBank:
     def column_mask(self) -> np.ndarray:
         """(num_experts, d_ffn) boolean ownership matrix, read-only."""
         return self._ownership
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = a.view()
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

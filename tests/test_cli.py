@@ -309,6 +309,14 @@ def test_roofline_config_rejects_non_integers(config_file, workdir, capsys, edit
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_roofline_overhead_error_prints_no_report(config_file, capsys):
+    # used to print the FLOP lines to stdout before rejecting the expert count
+    assert main(["roofline", "--config", config_file, "--overhead", "--experts", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: num_experts must be positive")
+
+
 def test_roofline_rejects_an_empty_config_list(workdir, capsys):
     (workdir / "configs.json").write_text("[]")  # used to print nothing and exit 0
     assert main(["roofline", "--config", "configs.json"]) == 2

@@ -437,19 +437,35 @@ EXPECTED_LOGS = {
               ("dx", "dy1"), ("dw1", "dy1")],
     "venom": [("y1", "none"), ("y3", "y2"), ("dw2", "y2"), ("dy2", "none"),
               ("dx", "dy1"), ("dw1", "dy1")],
+    "recipe": [("y1", "w1"), ("y3", "y2"), ("dw2", "y2"), ("dy2", "w2t"),
+               ("dx", "dy1"), ("dw1", "dy1")],
+    "weights": [("y1", "w1"), ("y3", "w2"), ("dw2", "none"), ("dy2", "w2t"),
+                ("dx", "w1t"), ("dw1", "none")],
+    "weights-act24": [("y1", "w1"), ("y3", "y2"), ("dw2", "y2"), ("dy2", "w2t"),
+                      ("dx", "dy1"), ("dw1", "dy1")],
+}
+
+# every weight mask on, so each weight holds both its own-row and its transposed pack
+ALL_WEIGHTS = dict(w1_sparse=True, w1t_sparse=True, w2_sparse=True, w2t_sparse=True)
+COMBINED_POLICIES = {
+    "recipe": sfk.default_sparse_policy(),
+    "weights": sfk.SparsityPolicy(**ALL_WEIGHTS),
+    "weights-act24": sfk.SparsityPolicy(**ALL_WEIGHTS, act_mode="act24"),
 }
 
 
-@pytest.mark.parametrize("tag", sfk.ABLATIONS)
+@pytest.mark.parametrize("tag", list(sfk.ABLATIONS) + list(COMBINED_POLICIES))
 def test_packed_operand_placement(tag):
     """Each policy keeps the sparse operand packed exactly where it claims to.
 
     In the activation-sparse modes all four products that touch the activation
     (or its gradient) carry the packed activation operand, matching the
-    compute-saving placement the counters measure.
+    compute-saving placement the counters measure.  Where a weight holds
+    both packs, each weight product reads the one of its orientation (on
+    these non-square weights the other one would not fit).
     """
     x, p = small_problem(d_ffn=32)
-    pol = sfk.ablation_policy(tag)
+    pol = COMBINED_POLICIES[tag] if tag in COMBINED_POLICIES else sfk.ablation_policy(tag)
     bank = sfk.cluster_columns(p.w1, pol.router, seed=3) if pol.router else None
     y3, tape = sfk.ffn_forward(x, p, pol, bank=bank)
     sfk.ffn_backward(np.ones_like(y3), tape, p, pol)
