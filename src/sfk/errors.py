@@ -26,7 +26,8 @@ class CorruptionError(SfkError):
 
 
 class GuardError(SfkError):
-    """A size/safety guard tripped; rerun with --force to override."""
+    """A size/safety guard tripped; only `sfk bench`'s guard has an
+    override (--force)."""
 
 
 class DivergenceError(SfkError):

@@ -31,7 +31,7 @@ against central finite differences of the forward itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .sparse24 import (
     MODES,
     SOFT_THRESHOLD,
     Sparse24Matrix,
+    _with,
     decode24,
     reencode24,
     sparsify24,
@@ -182,10 +183,9 @@ class FfnTape:
     instead of sparsifying again.  matmul_log records (product,
     packed_operand) per matmul so operand placement can be asserted.
     frozen_masks is True when the activation masks and routing came from
-    a frozen tape.  copies is 1 but on the tape of a w1-stacked forward
-    (ffn_forward's w1_cols), whose y1 and y2 stack that many copies
-    along their rows; ffn_backward, and ffn_forward as frozen or hidden,
-    reject such a tape.
+    a frozen tape.  Only the stacked forwards of gradcheck on w1 (see
+    _staged_forward) make a tape whose y1 and y2 hold several copies of
+    the batch along their rows; it has no backward.
     """
 
     x: np.ndarray
@@ -200,7 +200,6 @@ class FfnTape:
     layout: PaddedLayout | None = None
     act_mask: np.ndarray | None = None
     frozen_masks: bool = False
-    copies: int = 1
     matmul_log: list = field(default_factory=list)
     _y1_kept: np.ndarray | None = field(default=None, repr=False)  # y1 at _real_rows' slots, if at hand
 
@@ -278,7 +277,7 @@ class _Rows:
         return self.columns
 
     def with_values(self, values: np.ndarray) -> _Rows:
-        return replace(self, values=values)
+        return _with(self, values=values)
 
 
 def _real(tape: FfnTape):
@@ -310,9 +309,9 @@ def _rows_of(tape: FfnTape, tokens: np.ndarray) -> FfnTape:
     real = tokens if tape.plan is None else np.argsort(tape.plan.permutation)[tokens]
     pack = _real_rows(tape)
     y2 = _Rows(len(real), pack.cols, pack.values[real], pack.columns[real])
-    return replace(tape, x=tape.x[tokens], y1=tape.y1[real], y2=y2, y1_cols=tape.y1_cols[real],
-                   plan=None, layout=None, act_mask=tape.act_mask[_real(tape)][real],
-                   matmul_log=[], _y1_kept=tape._y1_kept[real])
+    return _with(tape, x=tape.x[tokens], y1=tape.y1[real], y2=y2, y1_cols=tape.y1_cols[real],
+                 plan=None, layout=None, act_mask=tape.act_mask[_real(tape)][real],
+                 matmul_log=[], _y1_kept=tape._y1_kept[real])
 
 
 def ffn_forward(
@@ -323,15 +322,14 @@ def ffn_forward(
     frozen: FfnTape | None = None,
     *,
     packs: tuple[PackedWeight | None, PackedWeight | None] | None = None,
-    hidden: FfnTape | None = None,
-    w1_cols: np.ndarray | None = None,
+    _stage: tuple[FfnTape, np.ndarray | None] | None = None,
 ):
     """Run the FFN under a policy; returns (y3, tape).
 
     venom mode requires a bank whose column sets cover d_ffn; the
     output is returned in the caller's token order (routing permutes
     rows internally), and y1 is computed only on each token's routed
-    columns.  With ``frozen`` (an unstacked tape from a previous forward
+    columns.  With ``frozen`` (a tape from a previous forward
     under the same policy; anything else raises InputError), the
     activation masks and routing plan are reused
     instead of recomputed, making the forward a fixed piecewise-smooth
@@ -347,70 +345,22 @@ def ffn_forward(
     compared (that would cost what packing does); a pack whose masks or
     shape do not match the policy and p raises InputError.
 
-    ``hidden`` is a tape from an earlier forward under the same policy,
-    on an x and a w1 bitwise equal to the ones passed now (again the
-    caller's promise).  Nothing before y3 depends on w2, so the forward
-    then skips routing, y1 and the activation chain: it packs only p.w2
-    (or takes packs[1]) and runs the one y3 product.  p.w2 may have
-    another width than hidden's w2: y3 then has that width, each column
-    bitwise the full forward's for that column of w2 (or, under w2's own
-    2:4 mask, for its 4-group of columns).  The tape it returns
-    is hidden's, with the new w2 pack, params p and a matmul_log holding
-    only the y3 entry; bank is not read.  hidden under another policy or
-    for another x or w1 shape, hidden together with frozen, or a packs[0]
-    other than None or hidden.w1 raises InputError.
-
-    ``w1_cols``, with ``hidden``, stacks forwards on edited columns of
-    hidden's w1 instead.  p.w1 then holds n*g columns, g = 4 when w1's
-    own 2:4 mask is on (it spans a 4-group of columns) and 1 otherwise,
-    and w1_cols (n*g integers, n aligned groups of g) names the column
-    of hidden's w1 each one stands for.  Copy c is the forward on
-    hidden's w1 with columns w1_cols[c*g:(c+1)*g] replaced by columns
-    c*g..c*g+g-1 of p.w1; no mask of w1 reaches past a group, so those
-    columns of y1 are all that moves.  The forward packs p.w1 under the
-    policy's w1 masks, runs the one y1 product on its columns alone
-    (under frozen masks, only where a frozen slot reads them), splices
-    each copy's columns into a copy of hidden's y1 in token order, and
-    runs the activation chain and the one y3 product, on hidden's w2
-    pack, over the stacked copies (under frozen masks, on the frozen
-    pack's rows of every copy's tokens).  It returns their y3s stacked
-    along the rows, each in token order and bitwise the full forward's.
-    p.w2 must have n*g rows, as FfnParams requires, but is not read, nor
-    is bank.  The tape is hidden's (under frozen masks, that of hidden's
-    rows for n copies of the batch) with params p, the stacked w1 pack,
-    y1 and y2, copies n and a matmul_log of the y1 and y3 entries.
-    Under venom, hidden must come from a frozen-mask forward, whose masks
-    do not move with w1.  w1_cols without hidden, with packs, or not of
-    that form raises InputError.
+    ``_stage`` is private to gradcheck: its stacked forwards on w2 and
+    w1 (see _staged_forward) run inside this call, so that a tracer of
+    ffn_forward sees their kernels as it sees every other forward's.
     """
+    if _stage is not None:
+        return _staged_forward(x, p, *_stage)
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
         raise ShapeError(f"input is {x.shape}, w1 expects {p.d_model} features")
-    if frozen is not None and (not isinstance(frozen, FfnTape) or frozen.copies != 1):
-        raise InputError("frozen must be an unstacked tape")
+    if frozen is not None and not isinstance(frozen, FfnTape):
+        raise InputError("frozen must be a tape from ffn_forward")
     if frozen is not None and frozen.policy != pol:
         raise InputError("frozen tape was produced under a different policy")
     if packs is not None and not (isinstance(packs, (tuple, list)) and len(packs) == 2):
         raise InputError(f"packs must be a (w1, w2) tuple or list, got {packs!r}")
     pw1, pw2 = (None, None) if packs is None else packs
-    if hidden is not None:
-        if not isinstance(hidden, FfnTape) or hidden.policy != pol or hidden.copies != 1:
-            raise InputError("hidden must be an unstacked tape produced under the same policy")
-        if frozen is not None:
-            raise InputError("hidden and frozen cannot be combined")
-        if hidden.x.shape != x.shape:
-            raise InputError("hidden tape was produced for another x shape")
-        if w1_cols is not None:
-            return _w1_stacked_forward(x, p, hidden, w1_cols, packs)
-        if hidden.w1.eff.shape != p.w1.shape:
-            raise InputError("hidden tape was produced for another w1 shape")
-        if pw1 is not None and pw1 is not hidden.w1:
-            raise InputError("packs: with a hidden tape the w1 pack is hidden.w1 or None")
-        w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
-        tape = replace(hidden, params=p, w2=w2, matmul_log=[])
-        return _output_product(tape), tape
-    if w1_cols is not None:
-        raise InputError("w1_cols needs a hidden tape")
 
     w1 = _reuse_or_pack(pw1, p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode, "w1")
     w2 = _reuse_or_pack(pw2, p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode, "w2")
@@ -451,27 +401,37 @@ def _weight_product(tape: FfnTape, product: str, a: np.ndarray, weight: str, col
     return gemm(a, _t(w.eff) if transposed else w.eff, cols)
 
 
-def _w1_stacked_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, w1_cols, packs):
-    """ffn_forward with w1_cols (see there), hidden already checked."""
+def _staged_forward(x: np.ndarray, p: FfnParams, hidden: FfnTape, cols: np.ndarray | None):
+    """A forward gradcheck stacks on the hidden stage (routing, y1, y2)
+    of hidden, a tape under the same policy on this x and a w1 bitwise
+    equal to hidden's; returns (y3, tape), logging only the products run.
+
+    With cols None, the forward on p.w2, which may have another width:
+    it packs p.w2 and runs the one y3 product, each column bitwise the
+    full forward's (under w2's own 2:4 mask, per 4-group).
+
+    Else p.w1 holds n aligned groups of g columns (g = 4 under w1's own
+    2:4 mask, else 1), cols names the column of hidden's w1 each stands
+    for, and copy c replaces columns cols[c*g:(c+1)*g] of hidden's w1.
+    No w1 mask reaches past a group, so y1 runs on p.w1's columns alone
+    (under frozen masks, only where a frozen slot reads them), spliced
+    into copies of hidden's y1, and the activation chain and y3, on
+    hidden's w2 pack, run over the stacked copies (under frozen masks, on
+    hidden's rows of every copy's tokens; under venom, hidden is a
+    frozen-mask forward's).  y3 stacks the copies' y3s along the rows,
+    each bitwise the full forward's.  p.w2 is not read.
+    """
     pol = hidden.policy
+    if cols is None:
+        w2 = _pack_weight(p.w2, pol.w2_sparse, pol.w2t_sparse, pol.weight_mode)
+        tape = _with(hidden, params=p, w2=w2, matmul_log=[])
+        return _output_product(tape), tape
     g = 4 if pol.w1_sparse else 1
-    cols = np.asarray(w1_cols)
-    if packs is not None:
-        raise InputError("packs: a w1-stacked forward packs p.w1 and runs y3 on hidden's w2 pack")
-    if pol.act_mode == "venom" and not hidden.frozen_masks:
-        raise InputError("under venom, w1_cols needs the hidden tape of a frozen-mask forward")
-    if not (
-        cols.ndim == 1 and cols.dtype.kind in "iu" and 0 < len(cols) == p.w1.shape[1] and len(cols) % g == 0
-        and cols.min() >= 0 and cols.max() < hidden.w1.eff.shape[1]
-        and not (cols[::g] % g).any() and (cols.reshape(-1, g) == cols[::g, None] + np.arange(g)).all()
-    ):
-        raise InputError(f"w1_cols must name p.w1's {p.w1.shape[1]} columns in aligned groups of {g} "
-                         f"of hidden's w1, got {w1_cols!r}")
     copies, b = len(cols) // g, len(x)
     w1 = _pack_weight(p.w1, pol.w1_sparse, pol.w1t_sparse, pol.weight_mode)
     # under frozen masks, hidden's rows of every copy's tokens, in token order
     frozen = _rows_of(hidden, np.tile(np.arange(b), copies)) if hidden.frozen_masks else None
-    tape = replace(hidden if frozen is None else frozen, params=p, w1=w1, copies=copies, matmul_log=[])
+    tape = _with(hidden if frozen is None else frozen, params=p, w1=w1, matmul_log=[])
     # slot[t, j]: where column j of p.w1 lands in token t's row of the base
     # y1, at the entry of the base column it stands for (-1 where the
     # frozen pack keeps no slot of that column in the row)
@@ -499,11 +459,11 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
     """The forward from tape.y1 on, for every forward that computes y1:
     the activation chain sets tape.y2 (with act_mask and _y1_kept), then
     the y3 product runs; returns y3.  With frozen, the activation masks
-    are frozen's and y1 sits at its pack's kept slots of real rows.  A
-    w1-stacked tape's y1 holds tape.copies copies along its rows; dense
-    and act24 treat each row on its own anyway, and frozen is then the
-    _rows_of tape of the copies' tokens (an unfrozen venom chain is never
-    stacked)."""
+    are frozen's and y1 sits at its pack's kept slots of real rows.  The
+    y1 of a w1-stacked forward (see _staged_forward) holds copies of the
+    batch along its rows; dense and act24 treat each row on its own
+    anyway, and frozen is then the _rows_of tape of the copies' tokens
+    (an unfrozen venom chain is never stacked)."""
     pol, y1 = tape.policy, tape.y1
     if pol.act_mode == "dense":
         tape.y2 = squared_relu(y1)
@@ -549,8 +509,6 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         raise InputError("tape was produced under a different policy")
     if tape.params is not p:
         raise InputError("tape was produced with different weights")
-    if tape.copies != 1:
-        raise InputError("the tape of a w1-stacked forward has no backward")
     if dy3.shape != (tape.x.shape[0], p.d_out):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
     log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
@@ -566,7 +524,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         kept = y2.abs_columns()
         dy2 = np.where(tape.act_mask[_real(tape)], _weight_product(tape, "dy2", dy3r, "w2t", kept), 0.0)
         y1 = np.take_along_axis(tape.y1, kept, axis=1) if tape._y1_kept is None else tape._y1_kept
-        dy1 = replace(y2, values=squared_relu_backward(dy2, y1))
+        dy1 = _with(y2, values=squared_relu_backward(dy2, y1))
         dx = unrows(spmm24(dy1, _t(w1.eff), label="ffn.dx"))
         log.append(("dx", "dy1"))
         dw1_eff = _t(spmm24_tn(dy1, rows(tape.x), label="ffn.dw1"))
@@ -750,10 +708,10 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     weight's own-row mask is local to a 4-group, and w1's transposed mask
     to a column.  So the differences of x run as forwards on stacked
     perturbed rows (under venom, on the frozen-mask forward's rows of
-    their tokens, see _rows_of); those of w2 as forwards (``hidden``, on
+    their tokens, see _rows_of); those of w2 as forwards (``_stage``, on
     the base point's hidden stage: the base tape, or for venom the
     frozen-mask forward's) on a w2 of stacked perturbed column groups;
-    and those of w1 as forwards (``hidden`` and ``w1_cols``, on the same hidden stage)
+    and those of w1 as forwards (``_stage`` with columns, on the same stage)
     that splice stacked perturbed column groups of y1 into copies of its
     y1 and run the rest of the forward on each copy.  Each forward holds
     the +h and -h copies of a chunk of entries.  Each copy's loss sums
@@ -825,7 +783,7 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         cols = (o - o % g2)[:, None] + np.arange(g2)
         w = p.w2[:, cols.reshape(-1)]
         w[c, np.arange(len(e)) * g2 + o % g2] = v
-        yv, _ = ffn_forward(x, FfnParams(p.w1, w), pol, hidden=hidden)
+        yv, _ = ffn_forward(x, FfnParams(p.w1, w), pol, _stage=(hidden, None))
         return yv.reshape(b, len(e), g2).transpose(1, 0, 2), (np.arange(b)[:, None], cols[:, None])
 
     g1 = 4 if pol.w1_sparse else 1  # the columns of y1 an entry of w1 moves
@@ -838,7 +796,7 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
         cols = ((k - k % g1)[:, None] + np.arange(g1)).reshape(-1)
         w = p.w1[:, cols]
         w[j, np.arange(len(e)) * g1 + k % g1] = v
-        yv, _ = ffn_forward(x, FfnParams(w, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
+        yv, _ = ffn_forward(x, FfnParams(w, p.w2[cols]), pol, _stage=(hidden, cols))
         return yv.reshape(len(e), b, p.d_out), None  # each copy's whole y3
 
     x_side = (x, x_rows, max(d_ffn, y3.size))

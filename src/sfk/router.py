@@ -206,6 +206,8 @@ def cluster_columns(w1, cfg: RouterConfig, seed: int) -> ExpertBank:
     follows.  Deterministic given the seed.
     """
     w1 = as_matrix(w1)
+    if not w1.size:
+        raise ShapeError(f"w1 is {w1.shape}; clustering its columns needs at least one row and one column")
     d_ffn = w1.shape[1]
     e = cfg.num_experts
     if d_ffn % e:

@@ -255,7 +255,7 @@ def test_hidden_forward_is_the_full_forward_bitwise(case):
     _, hidden = sfk.ffn_forward(x, p, pol, bank=bank)
     p2 = sfk.FfnParams(p.w1, 1.5 * p.w2 - 0.25)  # the same x and w1, another w2
     y3, tape = sfk.ffn_forward(x, p2, pol, bank=bank)
-    y3r, tape_r = sfk.ffn_forward(x, p2, pol, bank=bank, hidden=hidden)
+    y3r, tape_r = sfk.ffn_forward(x, p2, pol, bank=bank, _stage=(hidden, None))
     assert y3r.tobytes() == y3.tobytes()
     assert tape_r.matmul_log == [e for e in tape.matmul_log if e[0] == "y3"]
     assert tape_r.params is p2 and tape_r.w1 is hidden.w1 and tape_r.y2 is hidden.y2
@@ -271,7 +271,7 @@ def test_hidden_forward_is_the_full_forward_bitwise(case):
     groups = [np.arange(q, q + 4) for q in range(0, p2.d_out, 4)]
     edits = [lambda w: 0.5 * w + 0.125, lambda w: -2.0 * w]
     wide = np.hstack([edit(p2.w2[:, cols]) for edit in edits for cols in groups])
-    y3w, _ = sfk.ffn_forward(x, sfk.FfnParams(p.w1, wide), pol, hidden=hidden)
+    y3w, _ = sfk.ffn_forward(x, sfk.FfnParams(p.w1, wide), pol, _stage=(hidden, None))
     assert y3w.shape == (x.shape[0], wide.shape[1])
     blocks = iter(np.hsplit(y3w, len(edits) * len(groups)))
     for edit in edits:
@@ -280,32 +280,6 @@ def test_hidden_forward_is_the_full_forward_bitwise(case):
             w2[:, cols] = edit(w2[:, cols])
             y3g, _ = sfk.ffn_forward(x, sfk.FfnParams(p.w1, w2), pol, bank=bank)
             assert next(blocks).tobytes() == y3g[:, cols].tobytes()
-
-
-@pytest.mark.parametrize("case", ["act24", "recipe"])
-def test_hidden_forward_rejects_what_it_cannot_reuse(case):
-    pol, x, p, bank = reuse_problem(case)
-    _, hidden = sfk.ffn_forward(x, p, pol, bank=bank)
-    _, other_pol = sfk.ffn_forward(x, p, sfk.DENSE_POLICY)
-    x8 = x[:8]
-    _, fewer = sfk.ffn_forward(x8, p, pol, bank=bank)
-    _, repacked = sfk.ffn_forward(x, p, pol, bank=bank)
-    bad = [
-        {"hidden": other_pol},  # another policy
-        {"hidden": fewer},  # another x shape
-        {"hidden": hidden, "frozen": hidden},
-        {"hidden": hidden, "packs": (repacked.w1, None)},  # a w1 pack that is not hidden's
-        {"hidden": hidden.y2},  # not a tape
-    ]
-    if pol.router is None:  # another w1 shape, same x
-        _, wider = sfk.ffn_forward(x, sfk.init_ffn_params(16, 32, 16, seed=1), pol)
-        bad.append({"hidden": wider})
-    for kw in bad:
-        with pytest.raises(InputError):
-            sfk.ffn_forward(x, p, pol, bank=bank, **kw)
-    for w1_pack in (None, hidden.w1):  # the packs a hidden forward accepts
-        y3, _ = sfk.ffn_forward(x, p, pol, bank=bank, hidden=hidden, packs=(w1_pack, hidden.w2))
-        assert y3.tobytes() == sfk.ffn_forward(x, p, pol, bank=bank)[0].tobytes()
 
 
 def w1_stack_problem(case):
@@ -333,9 +307,9 @@ def test_w1_stacked_forward_is_the_full_forward_bitwise(case):
     edits = [lambda w: 0.5 * w + 0.125, lambda w: -2.0 * w]
     cols = np.concatenate([c for _ in edits for c in groups])
     wide = np.hstack([edit(p.w1[:, c]) for edit in edits for c in groups])
-    y3s, tape_s = sfk.ffn_forward(x, sfk.FfnParams(wide, p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
+    y3s, tape_s = sfk.ffn_forward(x, sfk.FfnParams(wide, p.w2[cols]), pol, _stage=(hidden, cols))
     copies = len(edits) * len(groups)
-    assert tape_s.copies == copies and y3s.shape == (copies * len(x), p.d_out)
+    assert y3s.shape == (copies * len(x), p.d_out)
     assert [name for name, _ in tape_s.matmul_log] == ["y1", "y3"]
     assert tape_s.matmul_log == [e for e in hidden.matmul_log if e[0] in ("y1", "y3")]
     blocks = iter(np.split(y3s, copies))
@@ -345,51 +319,14 @@ def test_w1_stacked_forward_is_the_full_forward_bitwise(case):
             w1[:, c] = edit(w1[:, c])
             y3c, _ = sfk.ffn_forward(x, sfk.FfnParams(w1, p.w2), pol, bank=bank, frozen=frozen)
             assert next(blocks).tobytes() == y3c.tobytes()
-    with pytest.raises(InputError):
-        sfk.ffn_backward(y3s, tape_s, tape_s.params, pol)
-
-
-@pytest.mark.parametrize("case", ["w1", "venom"])
-def test_w1_stacked_forward_rejects_what_it_cannot_stack(case):
-    pol, x, p, bank, hidden, frozen = w1_stack_problem(case)
-    g = 4 if pol.w1_sparse else 1
-    cols = np.arange(2 * g)
-    ps = sfk.FfnParams(p.w1[:, cols], p.w2[cols])
-    _, stacked = sfk.ffn_forward(x, ps, pol, hidden=hidden, w1_cols=cols)
-    bad = [
-        ({}, cols),  # no hidden tape
-        ({"hidden": hidden, "packs": (None, hidden.w2)}, cols),
-        ({"hidden": hidden, "frozen": hidden}, cols),
-        ({"hidden": stacked}, cols),  # a stacked tape
-        ({"hidden": hidden}, cols[:-1]),  # fewer columns than p.w1
-        ({"hidden": hidden}, cols.astype(float)),
-        ({"hidden": hidden}, cols.reshape(1, -1)),
-        ({"hidden": hidden}, cols + p.d_ffn),  # past hidden's w1
-        ({"hidden": hidden}, cols - 1),
-        ({"hidden": hidden}, cols[:0]),
-    ]
-    if g == 4:
-        bad.append(({"hidden": hidden}, cols + 1))  # groups that are not aligned
-        bad.append(({"hidden": hidden}, cols[::-1].copy()))
-    for kw, w1_cols in bad:
-        with pytest.raises(InputError):
-            sfk.ffn_forward(x, ps, pol, bank=bank, w1_cols=w1_cols, **kw)
-    if frozen is not None:  # an unfrozen venom tape, whose masks would move with w1
-        with pytest.raises(InputError, match="frozen-mask forward"):
-            sfk.ffn_forward(x, ps, pol, bank=bank, hidden=frozen, w1_cols=cols)
-    with pytest.raises(InputError):  # another x shape
-        sfk.ffn_forward(x[:4], ps, pol, hidden=hidden, w1_cols=cols)
 
 
 def test_forward_rejects_a_frozen_that_is_not_an_unstacked_tape():
-    """frozen must be a tape of one copy: a string or a pack used to
-    raise an untyped AttributeError, and a w1-stacked tape an IndexError
-    or ShapeError from deep inside the forward."""
+    """frozen must be a tape: a string or a pack used to raise an untyped
+    AttributeError from deep inside the forward."""
     pol, x, p, bank, hidden, _ = w1_stack_problem("venom")
-    cols = np.arange(2)
-    _, stacked = sfk.ffn_forward(x, sfk.FfnParams(p.w1[:, cols], p.w2[cols]), pol, hidden=hidden, w1_cols=cols)
-    for bad in ("abc", stacked, hidden.y2):
-        with pytest.raises(InputError, match="unstacked tape"):
+    for bad in ("abc", hidden.y2):
+        with pytest.raises(InputError, match="frozen must be a tape"):
             sfk.ffn_forward(x, p, pol, bank=bank, frozen=bad)
 
 
@@ -407,7 +344,7 @@ def test_rows_of_runs_each_token_as_the_frozen_forward_does(case):
     b = len(x)
     for tokens in (np.array([3, 3, 0, b - 1, 3]), np.arange(b)[::-1].copy(), np.arange(1, b, 2)):
         rows = sfk.ffn._rows_of(hidden, tokens)
-        assert rows.plan is None and rows.layout is None and rows.copies == 1
+        assert rows.plan is None and rows.layout is None
         y3, _ = sfk.ffn_forward(x[tokens], p, pol, bank=bank, frozen=rows, packs=packs)
         assert y3.tobytes() == base[tokens].tobytes()
         moved = x[tokens] + 0.01 * sfk.rand_matrix(len(tokens), x.shape[1], seed=20)
@@ -480,8 +417,8 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
     per matmul_log entry (router scoring aside), and every multiply
     tallied in the step is tallied inside one of those calls: the
     contract a tracer needs to attribute each kernel call to a product.
-    A forward on a hidden tape (its forward alone) is the one y3 call,
-    and a w1-stacked one the y1 and the y3 call."""
+    A staged forward on a tape's hidden stage (its forward alone) is the
+    one y3 call, and a w1-stacked one the y1 and the y3 call."""
     tag = case.removeprefix("hidden-").removeprefix("stacked-").removeprefix("frozen-")
     pol = sfk.default_sparse_policy() if tag == "recipe" else sfk.ablation_policy(tag)
     x, p = small_problem(d_model=16, d_ffn=32, d_out=16, tokens=16)
@@ -491,9 +428,10 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
     if "frozen" in case:
         kw["frozen"] = prior
     if case.startswith(("hidden", "stacked")):
-        kw = {"hidden": sfk.ffn_forward(x, p, pol, bank=bank, **kw)[1] if kw else prior}
+        hidden = sfk.ffn_forward(x, p, pol, bank=bank, **kw)[1] if kw else prior
+        cols = np.arange(8) if case.startswith("stacked") else None  # two 4-groups, or eight single columns
+        kw = {"_stage": (hidden, cols)}
     if case.startswith("stacked"):
-        kw["w1_cols"] = np.arange(8)  # two 4-groups, or eight single columns
         p = sfk.FfnParams(-p.w1[:, :8], p.w2[:8])
     calls, inside, routing = [], [], []
 
@@ -524,9 +462,9 @@ def test_each_product_is_one_kernel_call_with_one_log_entry(monkeypatch, case):
                 monkeypatch.setattr(mod, name, wrapper)
     with sfk.count_multiplies() as step:
         y3, tape = sfk.ffn_forward(x, p, pol, bank=bank, **kw)
-        if "hidden" not in kw:
+        if "_stage" not in kw:
             sfk.ffn_backward(y3, tape, p, pol)
-    assert len(calls) == len(tape.matmul_log) == (6 if "hidden" not in kw else 2 if "w1_cols" in kw else 1)
+    assert len(calls) == len(tape.matmul_log) == (6 if "_stage" not in kw else 2 if case.startswith("stacked") else 1)
     assert sum(inside) == step.total > 0
 
 
@@ -857,12 +795,12 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
         return forward
 
     frozen_guard = nudged(lambda args, kwargs: "frozen" in kwargs and args[0].shape[0] == b)
-    hidden = nudged(lambda args, kwargs: "hidden" in kwargs)
+    hidden = nudged(lambda args, kwargs: "_stage" in kwargs)
     # a stacked forward on x holds more rows than the batch: the
     # perturbed rows, 2 * 32 of them at (4, 8, 16)
     x_stacked = nudged(lambda args, kwargs: args[0].shape[0] != b)
     w2_stacked = nudged(lambda args, kwargs: args[1].w2.shape[1] != d_out)
-    w1_stacked = nudged(lambda args, kwargs: "w1_cols" in kwargs)
+    w1_stacked = nudged(lambda args, kwargs: "_stage" in kwargs and kwargs["_stage"][1] is not None)
     on_w2 = "stacked column groups of w2 on the base point's hidden stage"
     for mutant, tag, match, ran in (
         (frozen_guard, "venom", "frozen-mask forward", 2),
@@ -902,7 +840,9 @@ def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     def recorded(x, p, *args, **kwargs):
         y3, tape = real(x, p, *args, **kwargs)
         y2 = tape.y2 if isinstance(tape.y2, np.ndarray) else tape.y2.values
-        sizes.append((x.shape, p.w1.shape, p.w2.shape, tape.y1.size, y2.size, y3.size, tape.copies, kwargs))
+        stage = kwargs.get("_stage")
+        on = None if stage is None else "w2" if stage[1] is None else "w1"  # the weight a stack is on
+        sizes.append((x.shape, p.w1.shape, p.w2.shape, tape.y1.size, y2.size, y3.size, len(y3) // len(x), on))
         return y3, tape
 
     monkeypatch.setattr(sfk.ffn, "ffn_forward", recorded)
@@ -918,11 +858,11 @@ def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     k1 = budget // (2 * b * max(y1_row, d_model))  # entries per chunk on w1, whose copies hold y1
     assert k1 == (k if venom else 8)
     g2, g1 = (4 if tag == "w2" else 1), (4 if tag == "w1" else 1)
-    # the hidden= forwards are the stacks on w2 and (with w1_cols) w1; the
+    # the _stage forwards are the stacks on w2 and (with columns) w1; the
     # others see b rows or a stack of x
-    assert max(xs[0] for xs, *_, kw in sizes if "hidden" not in kw) == 2 * k
-    assert max(w2s[1] for _, _, w2s, *_, kw in sizes if "hidden" in kw and "w1_cols" not in kw) == 2 * k * g2
-    w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, _, y3s, n, kw in sizes if "w1_cols" in kw]
+    assert max(xs[0] for xs, *_, on in sizes if on is None) == 2 * k
+    assert max(w2s[1] for _, _, w2s, *_, on in sizes if on == "w2") == 2 * k * g2
+    w1_stacks = [(w1s[1], y1s, y3s, n) for _, w1s, _, y1s, _, y3s, n, on in sizes if on == "w1"]
     assert max(w1_stacks) == (2 * k1 * g1, 2 * k1 * b * y1_row, 2 * k1 * b * d_model, 2 * k1)
     assert all(y1s == n * b * y1_row and y3s == n * b * d_model for _, y1s, y3s, n in w1_stacks)
 

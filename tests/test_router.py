@@ -64,6 +64,17 @@ def test_cluster_columns_dimension_errors():
         sfk.cluster_columns(sfk.rand_matrix(8, 24, seed=0), cfg16, seed=0)  # not % align_m
 
 
+def test_cluster_columns_rejects_an_empty_w1():
+    """A w1 with no columns used to raise ZeroDivisionError, or ValueError
+    from the centroid draw under align_m; one with no rows warned and
+    then raised IndexError."""
+    cfg = sfk.RouterConfig(num_experts=2, top_k=1)
+    aligned = sfk.RouterConfig(num_experts=2, top_k=1, align_m=8)
+    for shape, c in (((4, 0), cfg), ((4, 0), aligned), ((0, 8), cfg)):
+        with pytest.raises(ShapeError):
+            sfk.cluster_columns(np.zeros(shape), c, seed=0)
+
+
 def test_bank_validation_and_file_roundtrip(tmp_path):
     bank = dealt_bank(8, 32, 16, 4, seed=2)
     sfk.save_bank(bank, tmp_path / "bank")
