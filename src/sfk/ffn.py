@@ -170,18 +170,21 @@ class FfnTape:
 
     y1 holds the pre-activation entries the forward computed: all of
     them when y1_cols is None, else entry [i, j] is at column
-    y1_cols[i, j] of row i, where the rows are tokens (a venom forward,
-    y1_cols from router.routed_columns) or the real rows of a frozen
-    tape's activation pack (y1_cols is then their abs_columns()).  y2
+    y1_cols[i, j] of row i.  Its rows are the activation pack's real
+    rows: the tokens in routing order under venom (frozen or not), else
+    in the caller's order.  y1_cols is each routed token's
+    router.routed_columns (a venom forward), or the frozen pack's
+    abs_columns() of those rows (a frozen-mask forward).  y2
     holds the post-sparsification form actually used by the y3 product:
     a plain array (dense), a Sparse24Matrix (act24), or a VenomMatrix
     (venom); on a tape of some tokens' rows of a frozen pack (plan and
     layout None, see _rows_of), those rows.  act_mask, in the pack's
     shape, flags the kept slots the activation mask keeps: all of them
-    under act24, the routed ones under venom.  params is the FfnParams the forward ran with, and
-    w1/w2 its weights as packed for this step; the backward reuses them
-    instead of sparsifying again.  matmul_log records (product,
-    packed_operand) per matmul so operand placement can be asserted.
+    under act24, the routed ones under venom.  params is the FfnParams
+    the forward ran with, and w1/w2 its weights as packed for this step;
+    the backward reuses them instead of sparsifying again.  matmul_log
+    records (product, packed_operand) per matmul so operand placement
+    can be asserted.
     frozen_masks is True when the activation masks and routing came from
     a frozen tape.  Only the stacked forwards of gradcheck on w1 (see
     _staged_forward) make a tape whose y1 and y2 hold several copies of
@@ -377,14 +380,14 @@ def ffn_forward(
             tape.plan = route_tokens(x, bank, pol.router.top_k)
             tape.layout = padded_layout(tape.plan, pol.venom.v)
 
-    # y1 on the entries the activation chain reads: the frozen pack's kept
-    # slots of its real rows, each token's routed columns, or all of them
+    # y1 on the entries the activation chain reads, in the rows of the
+    # activation pack: the frozen pack's kept slots of its real rows, each
+    # routed token's columns, or all of them
     if tape.frozen_masks:
-        y1_in, tape.y1_cols = _row_maps(tape)[0](x), frozen.y2.abs_columns()[_real(frozen)]
-    else:
-        y1_in = x
-        tape.y1_cols = routed_columns(tape.plan, bank) if pol.act_mode == "venom" else None
-    tape.y1 = _weight_product(tape, "y1", y1_in, "w1", tape.y1_cols)
+        tape.y1_cols = frozen.y2.abs_columns()[_real(frozen)]
+    elif pol.act_mode == "venom":
+        tape.y1_cols = routed_columns(tape.plan, bank)[tape.plan.permutation]
+    tape.y1 = _weight_product(tape, "y1", _row_maps(tape)[0](x), "w1", tape.y1_cols)
     return _activation_and_output(tape, frozen if tape.frozen_masks else None, bank), tape
 
 
@@ -474,7 +477,6 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
         values[real] = np.where(frozen.act_mask[real], squared_relu(y1), 0.0)
         tape.y2 = frozen.y2.with_values(values)
     elif pol.act_mode == "venom":
-        y1 = _row_maps(tape)[0](y1)
         tape.y2, entry = _encode_routed(squared_relu(y1), tape.plan, bank, tape.layout, pol.venom)
         tape.act_mask, kept = entry >= 0, entry[_real(tape)]
         tape._y1_kept = np.where(kept >= 0, y1[np.arange(len(y1))[:, None], kept], 0.0)

@@ -25,14 +25,19 @@ Two sparsifiers:
 
 Both sparsifiers leave their input untouched and pick kept slots by
 input magnitude with a deterministic tie-break: larger magnitude first,
-then lower column index.
+then lower column index; a NaN ranks below every number.  sparsify24 is
+the only place a group is ordered: the soft pack also keeps each group's
+threshold slot, and sparsify24_backward reads that and the kept slots
+off the pack, so the map and its backward share one order.
 
 decode24, kept_mask, reencode24, spmm24, spmm24_rhs and spmm24_tn read
 a pack only through rows, cols, values, abs_columns(), with_values()
 and validate(), so a VenomMatrix (sfk.venom) passes through them as
 well.
 validate() checks only that the values are finite; decode24, the
-writers and the readers call it.
+writers and the readers call it.  A pack spmm24_tn has read also keeps
+the column structure of its rank walk (_column_tables), which
+with_values hands to the new pack.
 
 S24F file layout (little-endian): magic ``S24F``, u64 rows, u64 cols,
 values block (rows x cols/2 real64, row-major), then the metadata block
@@ -83,6 +88,9 @@ class Sparse24Matrix:
     values: np.ndarray  # (rows, cols // 2) float64
     slots: np.ndarray  # (rows, cols // 2) integers, the in-group column 0..3 of each value
     _abs_cols: np.ndarray = field(init=False, repr=False)
+    # flat index of each group's soft threshold element, where the soft
+    # sparsify24 built the pack; None otherwise
+    _thresholds: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.cols % 4 or self.cols <= 0 or self.rows <= 0:
@@ -126,11 +134,12 @@ def _set_columns(s: Sparse24Matrix) -> None:
     object.__setattr__(s, "_abs_cols", abs_cols)
 
 
-def _unchecked_pack(rows: int, cols: int, values: np.ndarray, slots: np.ndarray) -> Sparse24Matrix:
+def _unchecked_pack(rows: int, cols: int, values: np.ndarray, slots: np.ndarray,
+                    thresholds: np.ndarray | None) -> Sparse24Matrix:
     """A Sparse24Matrix built without the constructor's checks: only for
     slots that hold by construction, as sparsify24's sorted top two do."""
     s = object.__new__(Sparse24Matrix)
-    s.__dict__.update(rows=rows, cols=cols, values=values, slots=slots)
+    s.__dict__.update(rows=rows, cols=cols, values=values, slots=slots, _thresholds=thresholds)
     _set_columns(s)
     return s
 
@@ -168,10 +177,12 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
 
     Kept slots are always the two largest-|input| positions; stored
     values are the raw inputs (greedy) or the soft-thresholded ones.
-    One stable sort serves both (ties go to the lower column index): the
-    soft threshold is the magnitude at order position 2, which is the
-    group's second-smallest magnitude.  This is the only place a group
-    is ordered; sparsify24_backward reads the kept slots off the pack.
+    One stable sort serves both (ties go to the lower column index, and
+    a NaN sorts below every number): the soft threshold is the magnitude
+    at order position 2, which is the group's second-smallest magnitude,
+    and the soft pack keeps that position's flat index for
+    sparsify24_backward.  This is the only place a group is ordered;
+    sparsify24_backward reads the kept and threshold slots off the pack.
     Groups are indexed flat: group q of the input is flat entries
     4q..4q+3.  The input matrix is never modified.
     """
@@ -188,35 +199,31 @@ def sparsify24(a, mode: str = GREEDY_MAGNITUDE) -> Sparse24Matrix:
     np.maximum(first, second, out=slots[:, 1])
     base = np.arange(0, a.size, 4)  # flat index of each group's slot 0
     kept = a.reshape(-1)[slots + base[:, None]]
+    thresholds = None
     if mode == SOFT_THRESHOLD:
-        t = mags.reshape(-1)[order[:, 2] + base][:, None]
+        thresholds = order[:, 2] + base
+        t = mags.reshape(-1)[thresholds][:, None]
         kept = np.where(np.abs(kept) > t, kept - np.sign(kept) * t, 0.0)
-    return _unchecked_pack(rows, cols, kept.reshape(rows, -1), slots.reshape(rows, -1))
-
-
-# the two dropped slots of a group, ascending, indexed by its kept pair
-# (lo, hi) as 4 * lo + hi; entries that are not a pair lo < hi are never read
-_DROPPED = np.zeros((2, 16), dtype=np.intp)
-for _lo in range(4):
-    for _hi in range(_lo + 1, 4):
-        _DROPPED[:, 4 * _lo + _hi] = [j for j in range(4) if j not in (_lo, _hi)]
-del _lo, _hi
+    return _unchecked_pack(rows, cols, kept.reshape(rows, -1), slots.reshape(rows, -1), thresholds)
 
 
 def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
     """Map a gradient w.r.t. decode24(s), where s = sparsify24(a, mode),
-    back onto a.  The kept slots are read from s, not re-derived from a.
+    back onto a.  The kept slots, and under soft thresholding the
+    threshold slot, are read from s, not re-derived from a.
 
     Greedy: the mask is locally constant off ties, so kept slots pass
     the gradient and dropped ones get zero.  Soft thresholding: the
-    exact almost-everywhere Jacobian transpose.  Survivors (|a| > t)
-    pass their gradient unchanged; the threshold element, the
-    larger-magnitude dropped slot (the lower index on a tie, where
-    sparsify24 read t; a NaN counts as the largest), additionally
-    collects -sign(a_t) * sum(sign(a_i) * g_i) over the survivors,
-    because t tracks its magnitude; the rest get zero.  Only a group's
-    two kept slots can survive, so the soft map works on those and the
-    threshold slot, by flat index.
+    exact almost-everywhere Jacobian transpose.  Survivors (|a_k| >
+    |a_t|) pass their gradient unchanged; the threshold element a_t, the
+    one sparsify24 read t from (order position 2 of its stable sort, so
+    a lone NaN is never it), additionally collects -sign(a_t) *
+    sum(sign(a_i) * g_i) over the survivors, because t tracks its
+    magnitude; the rest get zero.  Only a group's two kept slots can survive, so the soft map
+    works on those, as (rows, cols/2) arrays, and the threshold slot.
+    The survivors are tested against a, not read off s's values, which
+    another mask may have changed since (reencode24).  A soft backward
+    on a pack the soft sparsify24 did not build raises InputError.
     """
     a = as_matrix(a)
     grad = as_matrix(grad)
@@ -227,25 +234,21 @@ def sparsify24_backward(a, s: Sparse24Matrix, grad, mode: str) -> np.ndarray:
         )
     if mode == GREEDY_MAGNITUDE:
         return np.where(kept_mask(s), grad, 0.0)
-    flat, base = a.reshape(-1), np.arange(0, a.size, 4)  # group q is flat 4q..4q+3
-    lo, hi = s.slots.reshape(-1, 2).T
-    pair = 4 * lo + hi
-    d0, d1 = _DROPPED[0].take(pair) + base, _DROPPED[1].take(pair) + base
-    m0, m1 = np.abs(flat.take(d0)), np.abs(flat.take(d1))
-    # argmax over (m0, m1): the first NaN, else the larger, d0 on a tie
-    pick1 = (m0 == m0) & ~(m0 >= m1)
-    tpos, t = np.where(pick1, d1, d0), np.where(pick1, m1, m0)
-    k0, k1 = lo + base, hi + base
-    a0, a1 = flat.take(k0), flat.take(k1)
-    g0 = np.where(np.abs(a0) > t, grad.reshape(-1).take(k0), 0.0)
-    g1 = np.where(np.abs(a1) > t, grad.reshape(-1).take(k1), 0.0)
+    tpos = s._thresholds
+    if tpos is None:
+        raise InputError("the soft sparsify24_backward needs a pack built by sparsify24(a, 'soft_threshold')")
+    flat = a.reshape(-1)
+    kept = s.abs_columns() + np.arange(0, a.size, s.cols)[:, None]  # flat index of each kept slot
+    ak, at = flat.take(kept), flat.take(tpos)
+    gk = np.where(np.abs(ak) > np.abs(at).repeat(2).reshape(kept.shape), grad.reshape(-1).take(kept), 0.0)
     # bitwise the sum over all four slots from +0.0: the dropped slots
     # add only signed zeros, which leave the kept pair's sum unchanged
     # except that an all-zero sum is +0.0
-    coupling = -((np.sign(a0) * g0 + np.sign(a1) * g1) + 0.0)
+    pair = (np.sign(ak) * gk).reshape(-1, 2)
+    coupling = -((pair[:, 0] + pair[:, 1]) + 0.0)
     out = np.zeros(a.size, dtype=np.float64)
-    out[k0], out[k1] = g0, g1
-    out[tpos] = np.sign(flat.take(tpos)) * coupling
+    out[kept] = gk
+    out[tpos] = np.sign(at) * coupling
     return out.reshape(a.shape)
 
 
@@ -353,7 +356,10 @@ def spmm24_rhs(a, s: Sparse24Matrix | VenomMatrix, label: str = "spmm24_rhs", co
     ``matcore.check_cols``) the product is sampled, as in ``gemm``:
     entry [i, j] is entry [i, cols[i, j]] of the full product, bitwise,
     and each row k multiplies only at the sampled entries whose column
-    it keeps.
+    it keeps.  A long run of adjacent rows with one column list, as the
+    routed tokens of one expert set are in routing order, is a walk of
+    whole rows; every other sampled entry is a unit of one entry walk
+    (see _spmm24_rhs_sampled).
     """
     a = as_matrix(a)
     if a.shape[1] != s.rows:
@@ -375,46 +381,68 @@ def spmm24_rhs(a, s: Sparse24Matrix | VenomMatrix, label: str = "spmm24_rhs", co
     return np.ascontiguousarray(_fold_in_order((s.cols, m), s.rows, products, label).T)
 
 
+# A run of adjacent rows with one column list is a row walk of its own
+# from _GROUP_ROWS rows on; shorter runs join the one entry walk.
+# Measured inside real steps on a 2-core x86 host with numpy 2.4:
+# toy_train's routed y1 (32 x 32, runs of 4-15 rows) takes 109 us as one
+# entry walk against 125-132 us as row walks; wide_train's (192 x 96,
+# runs of 46-53 rows) 1.7 ms as row walks against 3.6 ms as entries.
+_GROUP_ROWS = 16
+
+
 def _spmm24_rhs_sampled(a, s: Sparse24Matrix | VenomMatrix, cols: np.ndarray, label: str) -> np.ndarray:
     """spmm24_rhs at the entries ``cols`` samples: entry [i, j] sums
     a[i, k] * W[k, c] (c = cols[i, j]) over the rows k of s that keep
-    column c, from +0.0 with k ascending, like the full kernel.  Two or
-    more rows of a with one column list (routed tokens of one expert
-    set) are one rank walk of whole rows, over a[rows].T; every other
-    entry is a unit of its own in one more walk.
+    column c, from +0.0 with k ascending, like the full kernel.  A run
+    of at least _GROUP_ROWS adjacent rows of a with one column list (the
+    routed tokens of one expert set, in routing order) is one rank walk
+    of whole rows, over a[run].T; every other entry is a unit of its own
+    in one more walk.
     """
     tables = _column_tables(s)
-    rows_of = {}
-    for i, row in enumerate(cols):
-        rows_of.setdefault(row.tobytes(), []).append(i)
+    m, h = cols.shape
+    starts = np.flatnonzero((cols[1:] != cols[:-1]).any(axis=1)) + 1  # where a run of equal rows begins
+    bounds = [0, *starts.tolist(), m]
     out = np.empty(cols.shape, dtype=np.float64)
-    single = []
-    for rows in rows_of.values():
-        if len(rows) == 1:
-            single += rows
-        else:
-            out[rows] = _rank_walk(tables, a[rows].T, cols[rows[0]], label).T
-    if single:
-        h = cols.shape[1]
-        got = _rank_walk(tables, a.T, cols[single].ravel(), label, np.repeat(single, h))
+    single = np.ones(m, dtype=bool)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo >= _GROUP_ROWS:
+            out[lo:hi] = _rank_walk(tables, a[lo:hi].T, cols[lo], label).T
+            single[lo:hi] = False
+    single = np.flatnonzero(single)
+    if single.size:
+        got = _rank_walk(tables, a.T, cols[single].ravel(), label, single.repeat(h))
         out[single] = got.reshape(len(single), h)
     return out
 
 
-def _column_tables(s: Sparse24Matrix | VenomMatrix):
+def _column_tables(s: Sparse24Matrix | VenomMatrix, keep: bool = False):
     """The pack's kept entries by column, row k ascending: count[c] rows
     keep column c, and row p of (k_at, value_at) holds, per column, the
     p-th of those rows k and its value (k_at = s.rows and 0.0 past the
-    column's count)."""
-    flat = s.abs_columns().ravel()  # row-major, so k ascends within each column
-    # a key of 16 bits or fewer sorts by radix, several times faster
-    order = np.argsort(flat.astype(np.min_scalar_type(s.cols - 1)), kind="stable")
-    count = np.bincount(flat, minlength=s.cols)
-    rank = np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)
-    at = rank * s.cols + np.repeat(np.arange(s.cols), count)
-    k_at = np.full((int(count.max()), s.cols), s.rows, dtype=np.intp)
+    column's count).  The structural part (count, k_at and the order of
+    the values) depends only on the pack's columns.  With ``keep`` it is
+    kept on the pack, and with_values hands it to the new pack, so a pack
+    of other values on the same columns gathers only value_at: spmm24_tn
+    keeps it, since ffn_backward's dw2 and dw1 run it on y2 and on dy1,
+    one column structure.  The spmm24_rhs products read each weight pack
+    once per step, and keeping theirs would only hold memory until the
+    tape is freed (about 1 MB on wide_train's peak)."""
+    structure = s.__dict__.get("_by_column")
+    if structure is None:
+        flat = s.abs_columns().ravel()  # row-major, so k ascends within each column
+        # a key of 16 bits or fewer sorts by radix, several times faster
+        order = np.argsort(flat.astype(np.min_scalar_type(s.cols - 1)), kind="stable")
+        count = np.bincount(flat, minlength=s.cols)
+        rank = np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)
+        at = rank * s.cols + np.repeat(np.arange(s.cols), count)
+        k_at = np.full((int(count.max()), s.cols), s.rows, dtype=np.intp)
+        k_at.ravel()[at] = order // s.values.shape[1]
+        structure = count, k_at, order, at
+        if keep:
+            object.__setattr__(s, "_by_column", structure)
+    count, k_at, order, at = structure
     value_at = np.zeros(k_at.shape, dtype=np.float64)
-    k_at.ravel()[at] = order // s.values.shape[1]
     value_at.ravel()[at] = s.values.ravel()[order]
     return count, k_at, value_at
 
@@ -500,7 +528,7 @@ def spmm24_tn(s: Sparse24Matrix | VenomMatrix, b, label: str = "spmm24_tn") -> n
     b = as_matrix(b)
     if s.rows != b.shape[0]:
         raise ShapeError(f"spmm24_tn: row counts differ: {s.rows}x{s.cols} vs {b.shape}")
-    return _rank_walk(_column_tables(s), b, np.arange(s.cols), label)
+    return _rank_walk(_column_tables(s, keep=True), b, np.arange(s.cols), label)
 
 
 # ---------------------------------------------------------------------------

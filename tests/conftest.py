@@ -99,19 +99,20 @@ def sparsify24_oracle(a, mode):
 
 def sparsify24_backward_oracle(a, s, grad, mode):
     """sparsify24_backward as it was written on dense groups: the kept
-    mask decoded from s, the threshold slot by argmax over the dropped
-    magnitudes, the coupling summed over all four slots."""
+    mask decoded from s, the threshold slot at position 2 of a stable
+    sort of each group's magnitudes, descending (a NaN sorts last, so a
+    lone NaN is dropped and never the threshold), the coupling summed
+    over all four slots, +0.0 from each slot that does not survive."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     grad = np.ascontiguousarray(grad, dtype=np.float64)
-    keep = sfk.kept_mask(s)
     if mode == sfk.GREEDY_MAGNITUDE:
-        return np.where(keep, grad, 0.0)
+        return np.where(sfk.kept_mask(s), grad, 0.0)
     g = a.reshape(a.shape[0], -1, 4)
     mags = np.abs(g)
-    tpos = np.argmax(np.where(keep.reshape(g.shape), -1.0, mags), axis=-1)[..., None]
-    t = np.take_along_axis(mags, tpos, axis=-1)
-    out = np.where(mags > t, grad.reshape(g.shape), 0.0)
-    coupling = -(np.sign(g) * out).sum(axis=-1, keepdims=True)
+    tpos = np.argsort(-mags, axis=-1, kind="stable")[..., 2:3]
+    survive = mags > np.take_along_axis(mags, tpos, axis=-1)
+    out = np.where(survive, grad.reshape(g.shape), 0.0)
+    coupling = -np.where(survive, np.sign(g) * out, 0.0).sum(axis=-1, keepdims=True)
     np.put_along_axis(out, tpos, np.take_along_axis(np.sign(g), tpos, axis=-1) * coupling, axis=-1)
     return out.reshape(a.shape)
 

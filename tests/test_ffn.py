@@ -7,7 +7,7 @@ import pytest
 
 import sfk
 from sfk import GuardError, InputError, ShapeError
-from conftest import gradcheck_oracle
+from conftest import gemm_rank1, gradcheck_oracle, sparsify24_backward_oracle, sparsify24_oracle, spread
 
 
 def small_problem(seed=0, d_model=8, d_ffn=16, d_out=8, tokens=8):
@@ -153,16 +153,18 @@ def test_venom_forward_routes_pads_and_unwinds():
 
 
 def test_venom_forward_computes_y1_on_routed_columns_only():
-    """Under venom y1 holds each token's routed entries and nothing else;
-    the multiplies of y1 are those entries times d_model."""
+    """Under venom y1 holds each token's routed entries and nothing else,
+    in routing order (the activation pack's real rows); the multiplies
+    of y1 are those entries times d_model."""
     x, p = small_problem(d_ffn=32)
     pol = sfk.ablation_policy("venom")
     bank = sfk.cluster_columns(p.w1, pol.router, seed=3)
     with sfk.count_multiplies() as counter:
         _, tape = sfk.ffn_forward(x, p, pol, bank=bank)
-    cols = sfk.routed_columns(tape.plan, bank)
+    cols = sfk.routed_columns(tape.plan, bank)[tape.plan.permutation]
     assert np.array_equal(tape.y1_cols, cols)
-    assert tape.y1.tobytes() == np.take_along_axis(sfk.gemm(x, p.w1), cols, axis=1).tobytes()
+    xp = sfk.apply_permutation(x, tape.plan)
+    assert tape.y1.tobytes() == np.take_along_axis(sfk.gemm(xp, p.w1), cols, axis=1).tobytes()
     routing = x.shape[0] * bank.num_experts * p.d_model
     assert counter.per_op["gemm"] == cols.size * p.d_model + routing
 
@@ -624,6 +626,73 @@ def test_weight_sparsify_backward_modes():
         sfk.sparsify24_backward(w, greedy, g, "l1")
     with pytest.raises(ShapeError):
         sfk.sparsify24_backward(w.T, greedy, g.T, sfk.GREEDY_MAGNITUDE)
+
+
+BOTH_MASKS = {
+    "w1+w1t": dict(w1_sparse=True, w1t_sparse=True),
+    "w2+w2t": dict(w2_sparse=True, w2t_sparse=True),
+    "all-four": dict(w1_sparse=True, w1t_sparse=True, w2_sparse=True, w2t_sparse=True),
+}
+
+
+def _unwound(w, own, t, mode):
+    """A weight under its own-row and transposed 2:4 masks, applied in
+    that order from sparsify24_oracle's picks, and the map of a gradient
+    of that effective weight back onto w: sparsify24_backward_oracle
+    through the transposed mask, then through the own-row one."""
+    def pack(a):
+        return sfk.Sparse24Matrix(*a.shape, *sparsify24_oracle(a, mode))
+
+    own_s = pack(w) if own else None
+    pre = sfk.decode24(own_s) if own else w
+    t_s = pack(pre.T) if t else None
+    eff = sfk.decode24(t_s).T if t else pre
+
+    def unwind(g):
+        if t:
+            g = sparsify24_backward_oracle(pre.T, t_s, g.T, mode).T
+        if own:
+            g = sparsify24_backward_oracle(w, own_s, g, mode)
+        return g
+
+    return eff, unwind
+
+
+@pytest.mark.parametrize("mode", sfk.MODES)
+@pytest.mark.parametrize("name", BOTH_MASKS)
+def test_weights_with_both_masks_unwind_like_the_oracle_bitwise(name, mode):
+    """Weights with both 2:4 masks: y3 and (dx, dw1, dw2) are bitwise a
+    plain forward and backward on the effective weights (conftest's
+    gemm_rank1), with each master-weight gradient unwound through both
+    masks by conftest's oracle.  gradcheck cannot check these policies
+    (its tie audit of the transposed mask reads the own-row masked
+    weight, whose zero ties never clear the margin).  The soft
+    survivors must be tested against the master weight: the own-row
+    pack holds the values the transposed mask left.  Normals, small
+    integers full of ties, and spread magnitudes with -0.0."""
+    pol = sfk.SparsityPolicy(**BOTH_MASKS[name], weight_mode=mode)
+    for seed in range(9):
+        def draw(rows, cols, k):
+            g = np.random.Generator(np.random.PCG64(100 * seed + k))
+            if seed % 3 == 0:
+                return g.standard_normal((rows, cols))
+            if seed % 3 == 1:
+                return g.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+            return spread(rows, cols, 100 * seed + k, neg_zero=True)
+
+        x, p = draw(6, 8, 0), sfk.FfnParams(draw(8, 12, 1), draw(12, 8, 2))
+        dy3 = sfk.rand_matrix(6, 8, seed=seed + 3)
+        y3, tape = sfk.ffn_forward(x, p, pol)
+        got = sfk.ffn_backward(dy3, tape, p, pol)
+        w1_eff, unwind1 = _unwound(p.w1, pol.w1_sparse, pol.w1t_sparse, mode)
+        w2_eff, unwind2 = _unwound(p.w2, pol.w2_sparse, pol.w2t_sparse, mode)
+        y1 = gemm_rank1(x, w1_eff)
+        y2 = np.square(np.maximum(y1, 0.0))
+        assert y3.tobytes() == gemm_rank1(y2, w2_eff).tobytes()
+        dy1 = 2.0 * gemm_rank1(dy3, w2_eff.T) * np.maximum(y1, 0.0)
+        want = gemm_rank1(dy1, w1_eff.T), unwind1(gemm_rank1(x.T, dy1)), unwind2(gemm_rank1(y2.T, dy3))
+        for grad, oracle in zip(got, want):
+            assert grad.tobytes() == oracle.tobytes()
 
 
 # -------------------------------------------------------------- gradcheck ---

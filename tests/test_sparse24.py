@@ -10,6 +10,7 @@ from sfk import CorruptionError, FormatError, InputError, ShapeError, sparse24
 from sfk.sparse24 import S24_MAGIC, Sparse24Matrix, s24_from_bytes, s24_to_bytes
 from conftest import (
     assert_spmm24_tn_is_gemm,
+    dealt_bank,
     gemm_naive,
     sampled_cols,
     sparsify24_backward_oracle,
@@ -126,8 +127,10 @@ def test_sparsify24_backward_is_the_dense_oracle_bitwise(rows, groups, seed, kin
     """On finite inputs the flat backward, which reads only the kept and
     threshold slots, is the dense-group oracle bit for bit, signed zeros
     of the coupling term included.  With NaN and +-inf in the input it
-    picks the oracle's threshold slot: NaNs fall where the oracle's do,
-    and every other entry is the oracle's bit for bit."""
+    picks the oracle's threshold slot, position 2 of the stable
+    magnitude order that sparsify24 sorts by (a NaN sorts last): NaNs
+    fall where the oracle's do, and every other entry is the oracle's
+    bit for bit."""
     a = oracle_input(rows, 4 * groups, seed, kind)
     grad = oracle_input(rows, 4 * groups, seed + 1, grad_kind)
     for mode in sfk.MODES:
@@ -138,6 +141,37 @@ def test_sparsify24_backward_is_the_dense_oracle_bitwise(rows, groups, seed, kin
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_soft_backward_drops_a_nan_as_sparsify24_does():
+    """The soft backward reads the threshold slot sparsify24 sorted to
+    position 2, and a NaN sorts below every number: in [3, 1, nan, 0.5]
+    the NaN is dropped and 0.5 is the threshold, so both survivors pass
+    their gradient and 0.5 collects the coupling."""
+    a = np.array([[3.0, 1.0, np.nan, 0.5]])
+    s = sfk.sparsify24(a, sfk.SOFT_THRESHOLD)
+    assert s.slots.tolist() == [[0, 1]]
+    got = sfk.sparsify24_backward(a, s, np.ones((1, 4)), sfk.SOFT_THRESHOLD)
+    assert got.tolist() == [[1.0, 1.0, 0.0, -2.0]]
+
+
+def test_soft_backward_needs_the_pack_the_soft_sparsify24_built():
+    """The soft pack carries its threshold slots, through reencode24 too;
+    a soft backward on any other pack (greedy, built by the constructor
+    or read from S24F) raises InputError, and the greedy backward still
+    takes every pack."""
+    a, g = sfk.rand_matrix(4, 8, seed=1), sfk.rand_matrix(4, 8, seed=2)
+    soft = sfk.sparsify24(a, sfk.SOFT_THRESHOLD)
+    want = sfk.sparsify24_backward(a, soft, g, sfk.SOFT_THRESHOLD)
+    got = sfk.sparsify24_backward(a, sfk.reencode24(np.ones((4, 8)), soft), g, sfk.SOFT_THRESHOLD)
+    assert got.tobytes() == want.tobytes()
+    others = (sfk.sparsify24(a, sfk.GREEDY_MAGNITUDE), Sparse24Matrix(4, 8, soft.values, soft.slots),
+              s24_from_bytes(s24_to_bytes(soft)))
+    for other in others:
+        with pytest.raises(InputError):
+            sfk.sparsify24_backward(a, other, g, sfk.SOFT_THRESHOLD)
+        greedy = sfk.sparsify24_backward(a, other, g, sfk.GREEDY_MAGNITUDE)
+        assert np.array_equal(greedy, np.where(sfk.kept_mask(other), g, 0.0))
 
 
 def test_reencode_reuses_mask_with_new_values():
@@ -448,6 +482,85 @@ def test_sampled_spmm24_rhs_touches_only_kept_slots(rows, shared):
     np.testing.assert_array_equal(got, np.take_along_axis(sfk.spmm24_rhs(a, s), cols, axis=1))
     dropped = ~sfk.kept_mask(s)[3][cols]
     assert dropped.any() and np.isfinite(got[dropped]).all()
+
+
+# The sampled spmm24_rhs splits cols into runs of equal adjacent rows: a
+# run of sparse24._GROUP_ROWS rows or more is a row walk of its own, and
+# every other row (shorter runs, and rows equal to others that are not
+# next to them) joins the one entry walk.  Runs of 1, 2 and one short of,
+# at and one past the rule, with lists that recur after other lists.
+RULE = sparse24._GROUP_ROWS
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, 2, RULE - 1, RULE, RULE + 1])),
+             min_size=1, max_size=5),
+    st.integers(1, 24),
+    st.sampled_from([1, 5, 16]),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_sampled_spmm24_rhs_splits_runs_of_equal_rows_by_size(runs, k, h, seed, neg_zero):
+    """Bitwise gemm on the decoded operand, with the kept-slot tally, on
+    both sides of the size rule; one row walk per run at the rule or past
+    it, over that run's rows."""
+    s = sfk.sparsify24(spread(k, 16, seed, neg_zero), sfk.MODES[seed % 2])
+    lists = sampled_cols(4, 16, h, seed + 1, shared=0)
+    lists[:, 0] = np.arange(4)  # four different lists
+    index = np.concatenate([np.full(n, i) for i, n in runs])
+    cols = lists[index]
+    a = spread(len(cols), k, seed + 2, neg_zero)
+    merged = np.diff(np.flatnonzero(np.diff(index, prepend=-1, append=-1)))  # adjacent runs of one list join
+    walks = []
+    real = sparse24._rank_walk
+
+    def recorded(tables, b, cols, label, at=None):
+        if at is None:
+            walks.append(b.shape[1])
+        return real(tables, b, cols, label, at)
+
+    with pytest.MonkeyPatch.context() as mp, sfk.count_multiplies() as counter:
+        mp.setattr(sparse24, "_rank_walk", recorded)
+        got = sfk.spmm24_rhs(a, s, cols=cols)
+    assert got.tobytes() == sfk.gemm(a, sfk.decode24(s), cols).tobytes()
+    assert counter.total == int(sfk.kept_mask(s)[:, cols].sum())
+    assert walks == [n for n in merged.tolist() if n >= RULE]
+
+
+def test_sampled_spmm24_rhs_on_top2_routed_rows():
+    """Top-2 routing in routing order: tokens of one primary expert are
+    adjacent, but their second experts interleave, so equal column lists
+    are not all adjacent.  The routed product is bitwise gemm on the
+    decoded operand."""
+    bank = dealt_bank(8, 64, 16, 4, seed=1)
+    x = sfk.rand_matrix(96, 8, seed=2)
+    plan = sfk.route_tokens(x, bank, top_k=2)
+    cols = sfk.routed_columns(plan, bank)[plan.permutation]
+    xp = sfk.apply_permutation(x, plan)
+    rows = [r.tobytes() for r in cols]
+    run_lists = [rows[i] for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
+    assert len(run_lists) > len(set(run_lists))  # a list recurs after another one
+    s = sfk.sparsify24(sfk.rand_matrix(8, 64, seed=3), sfk.SOFT_THRESHOLD)
+    got = sfk.spmm24_rhs(xp, s, cols=cols)
+    assert got.tobytes() == sfk.gemm(xp, sfk.decode24(s), cols).tobytes()
+
+
+def test_a_pack_of_new_values_reuses_the_column_structure():
+    """spmm24_tn keeps its pack's column structure, with_values (and so
+    reencode24) hands it on, and the new pack's tables hold its own
+    values: spmm24_tn on it is still gemm on the decoded operand.  The
+    sampled spmm24_rhs keeps no structure on the pack it reads."""
+    for s in (sfk.sparsify24(sfk.rand_matrix(12, 16, seed=4)),
+              sfk.venom_encode(sfk.rand_matrix(12, 16, seed=4), sfk.VenomParams(4, 8))):
+        b = sfk.rand_matrix(12, 3, seed=5)
+        sfk.spmm24_tn(s, b)
+        other = s.with_values(sfk.rand_matrix(*s.values.shape, seed=6))
+        assert other.__dict__["_by_column"] is s.__dict__["_by_column"]
+        assert sfk.spmm24_tn(other, b).tobytes() == sfk.gemm(sfk.decode24(other).T, b).tobytes()
+    w = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=7))
+    sfk.spmm24_rhs(sfk.rand_matrix(3, 8, seed=8), w, cols=np.zeros((3, 2), dtype=np.int64))
+    assert "_by_column" not in w.__dict__
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
