@@ -329,6 +329,8 @@ def ffn_forward(
 ):
     """Run the FFN under a policy; returns (y3, tape).
 
+    x must be finite, else InputError: under the recipe a NaN in x can
+    leave y3 finite, because the masks that drop it were chosen from it.
     venom mode requires a bank whose column sets cover d_ffn; the
     output is returned in the caller's token order (routing permutes
     rows internally), and y1 is computed only on each token's routed
@@ -357,6 +359,8 @@ def ffn_forward(
     x = as_matrix(x)
     if x.shape[1] != p.d_model:
         raise ShapeError(f"input is {x.shape}, w1 expects {p.d_model} features")
+    if not np.isfinite(x).all():
+        raise InputError("input x must be finite")
     if frozen is not None and not isinstance(frozen, FfnTape):
         raise InputError("frozen must be a tape from ffn_forward")
     if frozen is not None and frozen.policy != pol:
@@ -477,7 +481,8 @@ def _activation_and_output(tape: FfnTape, frozen: FfnTape | None, bank) -> np.nd
         values[real] = np.where(frozen.act_mask[real], squared_relu(y1), 0.0)
         tape.y2 = frozen.y2.with_values(values)
     elif pol.act_mode == "venom":
-        tape.y2, entry = _encode_routed(squared_relu(y1), tape.plan, bank, tape.layout, pol.venom)
+        tape.y2, entry = _encode_routed(squared_relu(y1), tape.y1_cols, tape.plan, bank, tape.layout,
+                                        pol.venom)
         tape.act_mask, kept = entry >= 0, entry[_real(tape)]
         tape._y1_kept = np.where(kept >= 0, y1[np.arange(len(y1))[:, None], kept], 0.0)
     else:
@@ -504,7 +509,7 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
     and dy2 is computed only at y2's kept slots; every product runs on
     the activation pack's real rows (see _real_rows).  The weight packs
     come from the tape, so p must be the very FfnParams the forward ran
-    with.
+    with.  dy3 must be finite, else InputError.
     """
     dy3 = as_matrix(dy3)
     if tape.policy != pol:
@@ -513,6 +518,8 @@ def ffn_backward(dy3, tape: FfnTape, p: FfnParams, pol: SparsityPolicy):
         raise InputError("tape was produced with different weights")
     if dy3.shape != (tape.x.shape[0], p.d_out):
         raise ShapeError(f"dy3 is {dy3.shape}, expected {(tape.x.shape[0], p.d_out)}")
+    if not np.isfinite(dy3).all():
+        raise InputError("upstream gradient dy3 must be finite")
     log, w1, w2 = tape.matmul_log, tape.w1, tape.w2
     if pol.act_mode != "dense":
         # the forward's activation chain in reverse, on the pack's real
@@ -601,8 +608,15 @@ _TIE_MARGIN = 1e-6
 _FD_STEP = 3e-7
 # float64 values one stacked finite-difference forward may hold in any
 # array it stacks: its rows of x or columns of w1 or w2, y1 and y3 of
-# the stack, and the copies of y3 its losses sum (2**12 is 32 KiB)
-_FD_BUDGET = 2**12
+# the stack, and the copies of y3 its losses sum (2**13 is 64 KiB).  It
+# must stay at most matcore._CHUNK_ELEMS // 4, the fold's chunk rule,
+# so that no stacked output adds its terms one at a time.  Not larger:
+# on a 2-core x86 host with numpy 2.4, a gradcheck sweep of the seven
+# ablations at (8, 16, 32) took 127-130 ms in-process at 2**12, 96-100
+# at 2**13, 93-98 at 2**14 (the rule's limit) and 108-113 at 2**15 (past
+# it); the benchmark's peak RSS rose 0.4-0.6 MB over 2**12 at 2**13 and
+# 1.0-1.2 MB at 2**14, for a sweep_rel of 23.0-25.1 and 22.1-23.6.
+_FD_BUDGET = 2**13
 
 
 def _group_mags(a: np.ndarray) -> np.ndarray:
@@ -721,14 +735,14 @@ def gradcheck(pol: SparsityPolicy, shape=(8, 16, 32), seed: int = 0) -> Gradchec
     y3, which is bitwise the loss of that entry's own forward, since
     every kernel sums each output entry on its own in a fixed order.  A
     chunk holds as many entries as fit _FD_BUDGET float64 values in each
-    array it stacks (at (8, 16, 32), 16 for x and w2, and 8 for w1; under
-    venom 16 for w1 too, as venom's y1 holds only the frozen slots).
+    array it stacks (at (8, 16, 32), 32 for x and w2, and 16 for w1; under
+    venom 32 for w1 too, as venom's y1 holds only the frozen slots).
     Once per call, before any difference, one stacked forward of
     unperturbed rows of x and one each of unperturbed column groups of
     w2 and w1 must reproduce the base y3 bitwise (GuardError otherwise).  No forward
     packs a weight it leaves as it was: it takes the base tape's pack
-    (``packs``) or hidden stage.  At (8, 16, 32) a call runs 108
-    forwards rather than 2,306 (venom 77, not 2,307).
+    (``packs``) or hidden stage.  At (8, 16, 32) a call runs 56
+    forwards rather than 2,306 (venom 41, not 2,307).
     shape is three integers (batch, d_model, d_ffn) and seed an integer;
     anything else, bools included, raises InputError.
     """

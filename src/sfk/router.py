@@ -417,25 +417,26 @@ def moe_to_venom(y2, plan: RoutingPlan, bank: ExpertBank, p: VenomParams) -> Ven
         raise ShapeError(f"activation has {y2.shape[0]} rows, plan covers {plan.num_tokens} tokens")
     if y2.shape[1] != bank.d_ffn:
         raise ShapeError(f"activation has {y2.shape[1]} features, bank covers {bank.d_ffn}")
-    entries = np.take_along_axis(y2, routed_columns(plan, bank)[plan.permutation], axis=1)  # checks the plan
-    return _encode_routed(entries, plan, bank, padded_layout(plan, p.v), p)[0]
+    cols = routed_columns(plan, bank)[plan.permutation]  # checks the plan
+    entries = np.take_along_axis(y2, cols, axis=1)
+    return _encode_routed(entries, cols, plan, bank, padded_layout(plan, p.v), p)[0]
 
 
-def _encode_routed(entries, plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout, p: VenomParams):
+def _encode_routed(entries, cols, plan: RoutingPlan, bank: ExpertBank, layout: PaddedLayout, p: VenomParams):
     """The V:N:M pack over layout's rows of routed entries (row t: the
-    t-th routed token's, laid out as routed_columns), and the entry each
-    kept slot holds (-1: unrouted, or a pad row).  A block keeps the 4
-    largest-L1 columns its tokens reach (a repeated column counted once);
-    a window reaching none is all zero, one reaching 1-3 an error.  L1 is
-    summed per block and a slot's entry found by its column's owner and
-    rank, so nothing of width d_ffn is built per row."""
+    t-th routed token's, at the columns cols[t], its routed_columns row),
+    and the entry each kept slot holds (-1: unrouted, or a pad row).  A
+    block keeps the 4 largest-L1 columns its tokens reach (a repeated
+    column counted once); a window reaching none is all zero, one
+    reaching 1-3 an error.  L1 is summed per block and a slot's entry
+    found by its column's owner and rank, so nothing of width d_ffn is
+    built per row."""
     d_ffn, size = bank.d_ffn, bank._table.shape[1]
     if d_ffn % p.m:
         raise ShapeError(f"feature count {d_ffn} is not divisible by M={p.m}")
     nbr, nw = layout.rows // p.v, d_ffn // p.m
     real = np.flatnonzero(layout._real)  # the padded row of each routed token
     assign = plan.assignments[plan.permutation]
-    cols = bank._table[assign].reshape(len(real), -1)
     once = bank._rank[cols] == np.arange(cols.shape[1]) % size
     # rows ascending per block and column: the sum over the block's rows, less its +0.0 terms
     at = ((real // p.v)[:, None] * d_ffn + cols)[once]

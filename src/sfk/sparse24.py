@@ -387,6 +387,12 @@ def spmm24_rhs(a, s: Sparse24Matrix | VenomMatrix, label: str = "spmm24_rhs", co
 # toy_train's routed y1 (32 x 32, runs of 4-15 rows) takes 109 us as one
 # entry walk against 125-132 us as row walks; wide_train's (192 x 96,
 # runs of 46-53 rows) 1.7 ms as row walks against 3.6 ms as entries.
+# A micro-timing of a kernel must first warm its process with a real
+# ffn_forward + ffn_backward: the same call times slower in a fresh
+# process (toy's 1,024-unit entry fold, min of 300 calls: 185-242 us
+# fresh against 94-108 us warmed, and on a later day 224-230 against
+# 173-201 us).  The fold buffer, about 190 KB, sits near glibc's mmap
+# threshold, the likely cause (not confirmed).
 _GROUP_ROWS = 16
 
 
@@ -454,7 +460,8 @@ def _column_tables(s: Sparse24Matrix | VenomMatrix, keep: bool = False):
 # prefix, 1,536 in 1.07 ms against 0.68 ms; toy_train's 512 (23 passes)
 # fold in 67 us against 198 us.  Whole-row units keep _fold_in_order's
 # own size rule, about even with the prefix passes at 12,288 entries of
-# wide_train's dw products.
+# wide_train's dw products.  Re-time it only in a warmed process (see
+# _GROUP_ROWS).
 _ENTRY_FOLD = 2**10
 
 

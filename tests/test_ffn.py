@@ -1,6 +1,8 @@
 """FFN forward/backward: policy plumbing, operand placement, gradient checks."""
 
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -574,6 +576,34 @@ def test_backward_rejects_other_weights():
         sfk.ffn_backward(y3, tape, twin, pol)
 
 
+def recipe_toy_problem():
+    """The recipe at toy dims (32, 128, 32) on 8 tokens: x seed 3, params
+    seed 1, bank seed 2."""
+    pol = sfk.default_sparse_policy()
+    p = sfk.init_ffn_params(32, 128, 32, seed=1)
+    return pol, sfk.rand_matrix(8, 32, 3), p, sfk.cluster_columns(p.w1, pol.router, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_rejects_a_non_finite_x(bad):
+    """A NaN at x[0, 0] used to give a finite y3 under the recipe (the
+    activation masks, chosen from it, dropped every NaN entry of y1), and
+    an inf rows of NaN."""
+    pol, x, p, bank = recipe_toy_problem()
+    x[0, 0] = bad
+    with pytest.raises(InputError, match="x must be finite"):
+        sfk.ffn_forward(x, p, pol, bank)
+
+
+def test_backward_rejects_a_non_finite_dy3():
+    """A NaN in dy3 used to run through every backward product."""
+    pol, x, p, bank = recipe_toy_problem()
+    y3, tape = sfk.ffn_forward(x, p, pol, bank)
+    y3[0, 0] = np.nan
+    with pytest.raises(InputError, match="dy3 must be finite"):
+        sfk.ffn_backward(y3, tape, p, pol)
+
+
 CONVERSION_POLICIES = {
     "dense": (sfk.DENSE_POLICY, 0),
     "w1_soft": (sfk.SparsityPolicy(w1_sparse=True), 1),
@@ -749,10 +779,10 @@ def test_gradcheck_rejects_a_shape_or_seed_that_is_not_integers(shape, seed):
 @pytest.mark.parametrize("tag", ["dense", "w1", "venom"])
 def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag):
     """At (8, 16, 32) one FfnParams for the base point and one per
-    stacked forward on a weight: on w2 the guard and 512 / 16 chunks (16
-    entries fit the budget), on w1 the guard and 512 / 8 chunks (8 fit,
-    as its stacks hold copies of y1; 16 under venom, whose y1 holds only
-    the frozen slots).  So 1 + 33 + 65 = 99 (venom 1 + 33 + 33 = 67),
+    stacked forward on a weight: on w2 the guard and 512 / 32 chunks (32
+    entries fit the budget), on w1 the guard and 512 / 16 chunks (16 fit,
+    as its stacks hold copies of y1; 32 under venom, whose y1 holds only
+    the frozen slots).  So 1 + 17 + 33 = 51 (venom 1 + 17 + 17 = 35),
     not one per forward."""
     calls = []
     real = sfk.FfnParams.__post_init__
@@ -764,20 +794,20 @@ def test_gradcheck_builds_one_params_for_its_finite_differences(monkeypatch, tag
     monkeypatch.setattr(sfk.FfnParams, "__post_init__", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0  # one base point
-    on_w1 = 512 // (16 if tag == "venom" else 8)
-    assert len(calls) == 1 + (1 + 512 // 16) + (1 + on_w1)
+    on_w1 = 512 // (32 if tag == "venom" else 16)
+    assert len(calls) == 1 + (1 + 512 // 32) + (1 + on_w1)
 
 
 @pytest.mark.parametrize("tag, packed", [
-    ("w1", 1 + 1 + 512 // 8),  # the base forward, the guard and one per stacked chunk
-    ("w1t", 1 + 1 + 512 // 8),
-    ("w2", 1 + 1 + 512 // 16),
-    ("w2t", 1 + 1 + 512 // 16),
-    ("act24", 1 + 1 + 128 // 16 + 1 + 512 // 8),  # the activation, every forward that runs y1
+    ("w1", 1 + 1 + 512 // 16),  # the base forward, the guard and one per stacked chunk
+    ("w1t", 1 + 1 + 512 // 16),
+    ("w2", 1 + 1 + 512 // 32),
+    ("w2t", 1 + 1 + 512 // 32),
+    ("act24", 1 + 1 + 128 // 32 + 1 + 512 // 16),  # the activation, every forward that runs y1
 ])
 def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
-    """At (8, 16, 32) x has 128 entries and each weight 512; 16 entries
-    fit the budget of a stacked forward on x or w2, and 8 of one on w1,
+    """At (8, 16, 32) x has 128 entries and each weight 512; 32 entries
+    fit the budget of a stacked forward on x or w2, and 16 of one on w1,
     which stacks copies of y1.  A weight is sparsified by the base
     forward and by the stacked forwards that perturb it, the guard and
     one per chunk; the others reuse the base tape's pack.  The
@@ -800,11 +830,11 @@ def test_gradcheck_packs_only_the_tensor_it_perturbs(monkeypatch, tag, packed):
 def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     """At (8, 16, 32) y1 runs in the base forward (and, for venom, the
     frozen-mask guard), in the stacked forwards on x (the guard and
-    128 / 16 chunks; for venom, whose routing is frozen, copies of the
-    batch on the tiled frozen tape, 16 entries a chunk too) and in the
-    stacked forwards on w1 (the guard and 512 / 8 chunks; 512 / 16 for
-    venom, whose y1 holds only the frozen slots).  The stacked forwards
-    on w2 (the guard and 512 / 16 chunks) run y3 alone."""
+    128 / 32 chunks; for venom, whose routing is frozen, on the frozen
+    pack's rows of the perturbed tokens, 32 entries a chunk too) and in
+    the stacked forwards on w1 (the guard and 512 / 16 chunks; 512 / 32
+    for venom, whose y1 holds only the frozen slots).  The stacked
+    forwards on w2 (the guard and 512 / 32 chunks) run y3 alone."""
     products = []
     real = sfk.ffn.ffn_forward
 
@@ -816,21 +846,21 @@ def test_gradcheck_runs_y1_only_where_x_or_w1_moves(monkeypatch, tag):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
     rep = sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
     assert rep.seed_used == 0
-    base, on_w1 = (2, 1 + 512 // 16) if tag == "venom" else (1, 1 + 512 // 8)
-    on_x = 1 + 128 // 16
+    base, on_w1 = (2, 1 + 512 // 32) if tag == "venom" else (1, 1 + 512 // 16)
+    on_x = 1 + 128 // 32
     assert products.count("y1") == base + on_x + on_w1
-    assert products.count("y3") == products.count("y1") + 1 + 512 // 16
+    assert products.count("y3") == products.count("y1") + 1 + 512 // 32
     assert len(products) == products.count("y1") + products.count("y3")
 
 
 def test_gradcheck_venom_counts(monkeypatch):
-    """Count pin: one venom gradcheck at (8, 16, 32), seed 0, runs 77
-    forwards and tallies 1,265,920 multiplies.  y3 costs 8 kept slots x
-    16 outputs per row it runs on; its stacks on x (a guard and 8 chunks)
-    run only their 32 perturbed rows, on the frozen pack's rows of their
-    tokens, not 32 copies of the 8-row batch, so ffn.y3 and the y1 gemm
-    each lose 9 x 224 rows x 128 = 258,048 against tiled copies
-    (1,445,888 and 333,056)."""
+    """Count pin: one venom gradcheck at (8, 16, 32), seed 0, runs 41
+    forwards and tallies 1,309,952 multiplies.  y3 costs 8 kept slots x
+    16 outputs per row it runs on; its stacks on x (a guard and 4 chunks)
+    run only their 64 perturbed rows, on the frozen pack's rows of their
+    tokens, not 64 copies of the 8-row batch, so ffn.y3 and the y1 gemm
+    each lose 5 x 448 rows x 128 = 286,720 against tiled copies
+    (1,513,472 and 366,848)."""
     forwards = []
     real = sfk.ffn.ffn_forward
 
@@ -841,10 +871,40 @@ def test_gradcheck_venom_counts(monkeypatch):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
     with sfk.count_multiplies() as counter:
         rep = sfk.gradcheck(sfk.ablation_policy("venom"), shape=(8, 16, 32), seed=0)
-    assert rep.seed_used == 0 and len(forwards) == 77
-    assert counter.per_op == {"gemm": 75_008, "ffn.y3": 1_187_840,
+    assert rep.seed_used == 0 and len(forwards) == 41
+    assert counter.per_op == {"gemm": 80_128, "ffn.y3": 1_226_752,
                               "ffn.dx": 1_024, "ffn.dw1": 1_024, "ffn.dw2": 1_024}
-    assert counter.total == 1_265_920
+    assert counter.total == 1_309_952
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_gradcheck_figures_are_a_counted_call(monkeypatch):
+    """README's and gradcheck's docstring figures at (8, 16, 32), seed 0
+    (forwards per call, venom's forwards and multiplies) are those of a
+    counted gradcheck call, under every ablation."""
+    readme = re.search(r"At \(8, 16, 32\) a call runs (\d+) forwards instead of 2,306 \(venom (\d+) "
+                       r"instead of 2,307, with ([\d,]+) multiplies\)", " ".join(README.read_text().split()))
+    doc = re.search(r"At \(8, 16, 32\) a call runs (\d+) forwards rather than 2,306 \(venom (\d+), not 2,307\)",
+                    " ".join(sfk.gradcheck.__doc__.split()))
+    assert readme and doc
+    forwards = []
+    real = sfk.ffn.ffn_forward
+
+    def counted(*args, **kwargs):
+        forwards.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sfk.ffn, "ffn_forward", counted)
+    for tag in sfk.ABLATIONS:
+        forwards.clear()
+        with sfk.count_multiplies() as counter:
+            sfk.gradcheck(sfk.ablation_policy(tag), shape=(8, 16, 32), seed=0)
+        at = 2 if tag == "venom" else 1
+        assert int(readme[at]) == int(doc[at]) == len(forwards), tag
+        if tag == "venom":
+            assert int(readme[3].replace(",", "")) == counter.total
 
 
 def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
@@ -895,12 +955,13 @@ def test_gradcheck_guards_the_hidden_stage_reuse(monkeypatch):
 ])
 def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     """No forward of gradcheck is handed an x, w1 or w2, or returns a y1,
-    y2 or y3, of more float64 values than the stacking budget.  The stacks
-    on x and w2 hold 16 entries' +h and -h copies at (8, 16, 32) (y3 has
-    128 entries) and 8 at (4, 64, 64) (256): the copies of y3 their
+    y2 or y3, of more float64 values than the stacking budget, which is
+    at most the fold's chunk rule (matcore._CHUNK_ELEMS // 4).  The stacks
+    on x and w2 hold 32 entries' +h and -h copies at (8, 16, 32) (y3 has
+    128 entries) and 16 at (4, 64, 64) (256): the copies of y3 their
     losses sum fill the budget, under venom too, whose stacks on x hold
     the perturbed rows on the frozen pack's rows of their tokens.  Those
-    on w1 hold copies of the whole y1 (256 entries at both shapes), so 8
+    on w1 hold copies of the whole y1 (256 entries at both shapes), so 16
     entries at both; venom's y1 holds only the frozen slots, 2 of every 8
     columns, so y3 sets their size there too."""
     sizes = []
@@ -917,15 +978,16 @@ def test_gradcheck_stacks_within_its_budget(monkeypatch, tag, shape):
     monkeypatch.setattr(sfk.ffn, "ffn_forward", recorded)
     sfk.gradcheck(sfk.ablation_policy(tag), shape=shape, seed=0)
     budget = sfk.ffn._FD_BUDGET
+    assert budget <= sfk.matcore._CHUNK_ELEMS // 4
     assert all(max(xs[0] * xs[1], w1s[0] * w1s[1], w2s[0] * w2s[1], y1s, y2s, y3s) <= budget
                for xs, w1s, w2s, y1s, y2s, y3s, *_ in sizes)
     b, d_model, d_ffn = shape
     venom = tag == "venom"
     k = budget // (2 * b * d_model)  # entries per chunk; d_out = d_model
-    assert k == {8: 16, 4: 8}[b]
+    assert k == {8: 32, 4: 16}[b]
     y1_row = d_ffn // 4 if venom else d_ffn
     k1 = budget // (2 * b * max(y1_row, d_model))  # entries per chunk on w1, whose copies hold y1
-    assert k1 == (k if venom else 8)
+    assert k1 == (k if venom else 16)
     g2, g1 = (4 if tag == "w2" else 1), (4 if tag == "w1" else 1)
     # the _stage forwards are the stacks on w2 and (with columns) w1; the
     # others see b rows or a stack of x
@@ -947,7 +1009,7 @@ ORACLE_CASES = (
     + [("w1+w2t", mode, (8, 16, 32), 0) for mode in sfk.MODES]
     + [("w1t+act24", sfk.SOFT_THRESHOLD, (8, 16, 32), 0), ("w1", sfk.GREEDY_MAGNITUDE, (3, 8, 12), 0),
        ("w1+act24", sfk.SOFT_THRESHOLD, (5, 8, 12), 0)]
-    + [("venom", sfk.SOFT_THRESHOLD, (12, 16, 32), 0),  # 192 entries of x, in chunks of 10
+    + [("venom", sfk.SOFT_THRESHOLD, (12, 16, 32), 0),  # 192 entries of x, in chunks of 21
        ("venom-top2", sfk.GREEDY_MAGNITUDE, (5, 6, 32), 0)]
 )
 

@@ -413,10 +413,12 @@ def test_spmm24_rhs_is_gemm_bitwise_on_both_sides_of_the_fold_cutoff(out_shape, 
     assert counter.total == m * s.values.size
 
 
-# Sampled outputs of 1 entry to past 2**14.  Rows of their own are
-# single-entry units of the rank walk (folded up to 2**10 units, by prefix
-# past it); rows sharing one of ``shared`` column lists are a row walk
-# each (folded up to 2**14 entries, by prefix past it).
+# Sampled outputs of 1 entry to past 2**14.  Rows of their own, and
+# runs of fewer than sparse24._GROUP_ROWS adjacent rows sharing one of
+# ``shared`` column lists, are single-entry units of the rank walk
+# (folded up to 2**10 units, by prefix past it); a longer run, here all
+# 40 or more rows sharing one list, is a row walk (folded up to 2**14
+# entries, by prefix past it).
 @given(
     st.sampled_from([(1, 1), (1, 3), (4, 1), (6, 5), (40, 60), (128, 128), (128, 129), (200, 90)]),
     st.integers(1, 24),
@@ -470,10 +472,12 @@ def test_sampled_spmm24_rhs_touches_only_kept_slots(rows, shared):
     """An infinite a[:, 3] meets only the weights row 3 keeps: a sampled
     entry whose column row 3 drops stays finite, as in the full kernel,
     on every path; multiplying a dropped slot's +0.0 would make it NaN.
-    Rows of their own are entry units (folded for 4 rows, by prefix for
-    200); rows sharing a list are one row walk each (folded for 2, 3,
-    4 + 2 and 200 rows, by prefix for 1,100), whose padding must gather
-    the all-zero row appended to a[rows].T, never its infinite row 3."""
+    Rows of their own and runs shorter than sparse24._GROUP_ROWS of rows
+    sharing a list are entry units: folded for 4 rows of their own and
+    runs of 2, 3 and 4 + 2 rows, by prefix for 200 rows of their own.  A
+    run of 200 or 1,100 rows sharing one list is a row walk, folded for
+    200 and by prefix for 1,100.  A walk's padding must gather the
+    all-zero row appended to its operand, never a's infinite row 3."""
     s = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=4))
     a = sfk.rand_matrix(rows, 8, seed=5)
     a[:, 3] = np.inf
@@ -565,9 +569,10 @@ def test_a_pack_of_new_values_reuses_the_column_structure():
 
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_sampled_spmm24_rhs_on_an_empty_column_list(m):
-    """cols of shape (m, 0): one row is an entry walk with no units, and
-    3 rows sharing the empty list a row walk with none; either way the
-    product is m x 0, like gemm's, and nothing is multiplied."""
+    """cols of shape (m, 0): one row, or 3 rows sharing the empty list
+    (a run shorter than sparse24._GROUP_ROWS), is an entry walk with no
+    units; the product is m x 0, like gemm's, and nothing is
+    multiplied."""
     s = sfk.sparsify24(sfk.rand_matrix(8, 16, seed=4))
     a = sfk.rand_matrix(4, 8, seed=5)[:m]
     cols = np.zeros((m, 0), dtype=np.int64)
@@ -579,10 +584,12 @@ def test_sampled_spmm24_rhs_on_an_empty_column_list(m):
 
 # spmm24_tn and the sampled spmm24_rhs are one rank walk: with every
 # column sampled for each of n rows, spmm24_rhs(b.T, s, cols) is
-# spmm24_tn(s, b).T.  One row takes the entry walk, whose fold stops past
-# 2**10 units (1,024 columns against 1,028 and 1,032); n >= 2 rows share
-# one list and take the row walk, as spmm24_tn does, whose fold stops
-# past 2**14 entries (128 x 128 against 132 and 136 x 128 and 128 x 129).
+# spmm24_tn(s, b).T.  One row, or a run of n = 2 or 5 rows sharing the
+# list (shorter than sparse24._GROUP_ROWS), takes the entry walk, whose
+# fold stops past 2**10 units (1,024 columns against 1,028 and 1,032);
+# n = 128 or 129 rows take the row walk, as spmm24_tn does, whose fold
+# stops past 2**14 entries (128 x 128 against 132 and 136 x 128 and
+# 128 x 129).
 # A V:N:M pack (M = 8, V = 4 when the rows allow it) needs cols % 8 == 0.
 @given(
     st.sampled_from(
